@@ -6,7 +6,6 @@ The public surface is organized by module:
 
 * :mod:`nlosc.expr`    -- tiny closed-form expression language in t
 * :mod:`nlosc.chain`   -- oscillator rings, reduction, trajectory recovery
-* :mod:`nlosc.linsys`  -- exact rationals and the dense LU solver
 * :mod:`nlosc.spline4` -- solver for 4th-order problems (two-oscillator rings)
 * :mod:`nlosc.spline6` -- solver for 6th-order problems (three-oscillator rings)
 * :mod:`nlosc.verify`  -- benchmark cases, error tables, convergence, oracle

@@ -14,11 +14,9 @@ Everywhere, D_j is eliminated through the differential equation itself,
 D_j = -f(t_j) y_j + g(t_j), so the assembled matrix acts on grid values
 only.  Every row is scaled by h^p so its entries stay O(1).
 
-The production solve runs LU in double precision and then refines against
-an extended-precision reassembly of the same rows: on fine grids the
-discretization error drops below the level where double-rounded matrix
-entries (amplified by the system's h^-p conditioning) would otherwise cap
-the accuracy near 1e-10.
+The assembled system is solved by numpy's LAPACK solver (``dgesv``) in
+double precision, followed by two refinement passes whose residuals are
+accumulated in extended precision (see :func:`solve_collocation`).
 """
 
 from __future__ import annotations
@@ -29,10 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from nlosc.chain import HighOrderIVP
-from nlosc.expr import as_array_function
-from nlosc.linsys import DenseSystem, lu_solve
+from nlosc.expr import values_on_grid
 
-__all__ = ["EndCondition", "build_arrays", "build_system", "solve_collocation", "grid_for"]
+__all__ = ["EndCondition", "build_arrays", "solve_collocation", "grid_for"]
 
 Terms = tuple[tuple[int, Fraction], ...]
 
@@ -67,13 +64,6 @@ def grid_for(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float]:
     a, b = ivp.interval
     h = (b - a) / n
     return a + h * np.arange(n + 1), h
-
-
-def _values(e, t: np.ndarray) -> np.ndarray:
-    out = np.asarray(as_array_function(e)(t))
-    if out.ndim == 0:
-        out = np.full(t.shape, out)
-    return out.astype(t.dtype)
 
 
 def build_arrays(
@@ -112,8 +102,8 @@ def build_arrays(
     a, b = ivp.interval
     h = (dtype(b) - dtype(a)) / dtype(n)
     t = dtype(a) + h * np.arange(n + 1, dtype=dtype)
-    f_vals = _values(ivp.f, t)
-    g_vals = _values(ivp.g, t)
+    f_vals = values_on_grid(ivp.f, t)
+    g_vals = values_on_grid(ivp.g, t)
     u = [dtype(v) for v in ivp.u]
     hp = h**p
 
@@ -123,16 +113,17 @@ def build_arrays(
         binom = [1] + [binom[i] + binom[i + 1] for i in range(p)]
     delta = [dtype(((-1) ** (p - k)) * binom[k]) for k in range(p + 1)]
 
-    matrix = np.zeros((n, n), dtype=dtype)
+    # one column per node 0..n; node 0 carries the known y_0 = u_0, whose
+    # column moves to the right-hand side at the end
+    rows = np.zeros((n, n + 1), dtype=dtype)
     rhs = np.zeros(n, dtype=dtype)
 
     row = 0
     for j, value in pinned:
-        matrix[row, j - 1] = dtype(1)
+        rows[row, j] = dtype(1)
         rhs[row] = dtype(value)
         row += 1
     for cond in end_conditions:
-        coeffs = np.zeros(n + 1, dtype=dtype)
         value = dtype(0)
         net: dict[int, Fraction] = {}
         for j, c in cond.node_derivs:
@@ -141,42 +132,27 @@ def build_arrays(
             net[j] = net.get(j, Fraction(0)) - o
         for j, c in net.items():
             cf = cast(c)
-            coeffs[j] += hp * cf * f_vals[j]
+            rows[row, j] += hp * cf * f_vals[j]
             value += hp * cf * g_vals[j]
         for j, d in cond.node_values:
-            coeffs[j] += cast(d)
+            rows[row, j] += cast(d)
         for m, e in cond.initial_derivs:
             value -= cast(e) * h**m * u[m]
-        rhs[row] = value - coeffs[0] * u[0]
-        matrix[row] = coeffs[1:]
+        rhs[row] = value
         row += 1
 
-    w = [cast(wk) for wk in weights]
-    for i in range(p, n + 1):
-        coeffs = np.zeros(n + 1, dtype=dtype)
-        value = dtype(0)
-        for k in range(p + 1):
-            j = i - p + k
-            coeffs[j] = delta[k] + hp * w[k] * f_vals[j]
-            value += hp * w[k] * g_vals[j]
-        rhs[row] = value - coeffs[0] * u[0]
-        matrix[row] = coeffs[1:]
-        row += 1
+    # consistency rows, one diagonal at a time: the window ending at node
+    # i = p..n is row i - 1 and puts its k-th weight on node i - p + k
+    i = np.arange(p, n + 1)
+    for k in range(p + 1):
+        j = i - p + k
+        w = cast(weights[k])
+        rows[i - 1, j] = delta[k] + hp * w * f_vals[j]
+        rhs[row:] += hp * w * g_vals[j]
 
+    rhs -= rows[:, 0] * u[0]
+    matrix = rows[:, 1:]
     return matrix, rhs
-
-
-def build_system(
-    ivp: HighOrderIVP,
-    n: int,
-    weights: tuple[Fraction, ...],
-    end_conditions: tuple[EndCondition, ...],
-    min_n: int,
-    pinned: tuple[tuple[int, float], ...] = (),
-) -> DenseSystem:
-    """Double-precision assembly of the collocation system."""
-    matrix, rhs = build_arrays(ivp, n, weights, end_conditions, min_n, pinned)
-    return DenseSystem(matrix=matrix, rhs=rhs)
 
 
 def solve_collocation(
@@ -186,38 +162,41 @@ def solve_collocation(
     end_conditions: tuple[EndCondition, ...],
     min_n: int,
     pinned: tuple[tuple[int, float], ...] = (),
-    wide_assembly: bool = False,
 ) -> np.ndarray:
-    """Solve for y_1..y_n: double-precision LU plus two refinement passes
-    with extended-precision residual accumulation.
+    """Solve for y_1..y_n: a double-precision LAPACK solve plus two
+    refinement passes with extended-precision residual accumulation.
 
-    With ``wide_assembly=False`` the residuals are taken against the
-    double-precision rows themselves (classical mixed-precision
-    refinement): the result is the ordinary double-precision answer with
-    the elimination round-off flushed.  That is the right tool for the
-    tabulated closure rows, whose own truncation dominates rounding at
-    every tabulated grid.
+    Without pinned rows the residuals are taken against the double-precision
+    rows themselves (classical mixed-precision refinement): the result is
+    the ordinary double-precision answer with the elimination round-off
+    flushed.  That is the right tool for the tabulated closure rows, whose
+    own truncation dominates rounding at every tabulated grid.
 
-    With ``wide_assembly=True`` the residuals are taken against an
-    extended-precision reassembly of the rows, so the iteration converges
-    to the solution of the un-rounded system.  The series starting
-    procedure needs this: its boundary error is pushed so far down that
-    double-rounded matrix entries, amplified by the system's h^-p
-    conditioning, would otherwise cap fine grids near 1e-10 and mask the
-    design order of the boosted weight sets.  On platforms whose long
-    double equals double this degrades gracefully to plain refinement.
+    With pinned rows (the series starting procedure) the residuals are
+    taken against an extended-precision reassembly of the rows, so the
+    iteration converges to the solution of the un-rounded system.  The
+    series start pushes its boundary error so far down that double-rounded
+    matrix entries, amplified by the system's h^-p conditioning, would
+    otherwise cap fine grids near 1e-10 and mask the design order of the
+    boosted weight sets.  On platforms whose long double equals double this
+    degrades gracefully to plain refinement.
+
+    Raises ``ValueError`` if the system has a non-finite entry and
+    ``numpy.linalg.LinAlgError`` if it is singular.
     """
-    system = build_system(ivp, n, weights, end_conditions, min_n, pinned)
-    x = lu_solve(system)
+    matrix, rhs = build_arrays(ivp, n, weights, end_conditions, min_n, pinned)
+    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
+        raise ValueError("system contains non-finite entries")
+    x = np.linalg.solve(matrix, rhs)
     wide = np.longdouble
-    if wide_assembly:
+    if pinned:
         matrix_w, rhs_w = build_arrays(
             ivp, n, weights, end_conditions, min_n, pinned, dtype=wide
         )
     else:
-        matrix_w = system.matrix.astype(wide)
-        rhs_w = system.rhs.astype(wide)
+        matrix_w = matrix.astype(wide)
+        rhs_w = rhs.astype(wide)
     for _ in range(2):
         residual = (rhs_w - matrix_w @ x.astype(wide)).astype(float)
-        x = x + lu_solve(DenseSystem(system.matrix, residual))
+        x = x + np.linalg.solve(matrix, residual)
     return x

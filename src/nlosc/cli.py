@@ -26,9 +26,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from nlosc.chain import HighOrderIVP, OscillatorChain, recover_trajectories, reduce_chain
 from nlosc.expr import Expression, ExpressionError, evaluate, parse, to_text, values_on_grid
-from nlosc.linsys import SingularMatrixError
 from nlosc.spline4 import CoefficientSet4
 from nlosc.spline6 import CoefficientSet6
 from nlosc.verify import (
@@ -371,7 +372,7 @@ def main(argv=None) -> int:
     except ExpressionError as exc:
         print(f"expression error: {exc}", file=sys.stderr)
         return 2
-    except SingularMatrixError as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -539,9 +539,15 @@ def as_array_function(e: Expression):
 
 
 def values_on_grid(e: Expression, t) -> np.ndarray:
-    """Evaluate ``e`` on an array of time points, broadcasting constants."""
-    t = np.asarray(t, dtype=float)
-    out = np.asarray(as_array_function(e)(t), dtype=float)
+    """Evaluate ``e`` on an array of time points, broadcasting constants.
+
+    A long-double grid is evaluated and returned in long double; any other
+    grid in double.
+    """
+    t = np.asarray(t)
+    dtype = np.longdouble if t.dtype == np.longdouble else np.float64
+    t = t.astype(dtype, copy=False)
+    out = np.asarray(as_array_function(e)(t), dtype=dtype)
     if out.ndim == 0:
-        out = np.full(t.shape, float(out))
+        out = np.full(t.shape, out)
     return out

@@ -32,9 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nlosc._assembly import EndCondition, build_system, grid_for, solve_collocation
+from nlosc._assembly import EndCondition, build_arrays, grid_for, solve_collocation
 from nlosc.chain import HighOrderIVP
-from nlosc.linsys import DenseSystem
 
 __all__ = [
     "CoefficientSet4",
@@ -46,6 +45,7 @@ __all__ = [
     "truncation_leading4",
 ]
 
+ORDER4 = 4
 MIN_N4 = 6  # the closure rows reference node 6
 
 
@@ -250,36 +250,32 @@ _END_CONDITIONS4 = {
 }
 
 
+def _collocation4(ivp: HighOrderIVP, coefficients: CoefficientSet4) -> dict:
+    """Weights, closure rows and minimum grid of the 4th-order system."""
+    if ivp.order != ORDER4:
+        raise ValueError(f"this solver handles order {ORDER4}, got order {ivp.order}")
+    return {
+        "weights": coefficients.weights,
+        "end_conditions": _END_CONDITIONS4[coefficients.end_variant],
+        "min_n": MIN_N4,
+    }
+
+
 def assemble_system4(
     ivp: HighOrderIVP, n: int, coefficients: CoefficientSet4
-) -> DenseSystem:
-    """Assemble the n x n system in y_1..y_n for a 4th-order problem.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble the n x n system ``(matrix, rhs)`` in y_1..y_n for a
+    4th-order problem.
 
     The three closure rows of the selected family come first, followed by
     the consistency rows for windows ending at i = 4..n.  Requires n >= 6.
     """
-    if ivp.order != 4:
-        raise ValueError(f"this solver handles order 4, got order {ivp.order}")
-    return build_system(
-        ivp,
-        n,
-        weights=coefficients.weights,
-        end_conditions=_END_CONDITIONS4[coefficients.end_variant],
-        min_n=MIN_N4,
-    )
+    return build_arrays(ivp, n, **_collocation4(ivp, coefficients))
 
 
 def solve4(ivp: HighOrderIVP, n: int, coefficients: CoefficientSet4) -> GridSolution:
     """Solve the 4th-order problem on n subintervals; y_0 is pinned to u_0."""
-    if ivp.order != 4:
-        raise ValueError(f"this solver handles order 4, got order {ivp.order}")
-    inner = solve_collocation(
-        ivp,
-        n,
-        weights=coefficients.weights,
-        end_conditions=_END_CONDITIONS4[coefficients.end_variant],
-        min_n=MIN_N4,
-    )
+    inner = solve_collocation(ivp, n, **_collocation4(ivp, coefficients))
     t, h = grid_for(ivp, n)
     y = np.concatenate(([ivp.u[0]], inner))
     return GridSolution(t=t, y=y, method=f"spline4-{coefficients.end_variant}", n=n, h=h)

@@ -27,10 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nlosc._assembly import EndCondition, build_system, grid_for, solve_collocation
+from nlosc._assembly import EndCondition, build_arrays, grid_for, solve_collocation
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import as_array_function, differentiate
-from nlosc.linsys import DenseSystem
 from nlosc.spline4 import GridSolution, _fraction
 
 __all__ = [
@@ -45,6 +44,7 @@ __all__ = [
     "derive_parameters6",
 ]
 
+ORDER6 = 6
 MIN_N6 = 8  # the printed closure rows reference node 8
 
 #: Truncation degree of the series starting procedure: start rows are
@@ -275,10 +275,31 @@ def _series_start_rows(ivp: HighOrderIVP, n: int) -> tuple[tuple[int, float], ..
     return tuple(rows)
 
 
+def _collocation6(
+    ivp: HighOrderIVP, n: int, coefficients: CoefficientSet6, closure: str
+) -> dict:
+    """Weights, closure rows and minimum grid of the 6th-order system."""
+    if ivp.order != ORDER6:
+        raise ValueError(f"this solver handles order {ORDER6}, got order {ivp.order}")
+    if closure == "printed":
+        end_conditions, pinned = END_CONDITIONS6, ()
+    elif closure == "series":
+        end_conditions, pinned = (), _series_start_rows(ivp, n)
+    else:
+        raise ValueError(f"unknown closure {closure!r}; use 'printed' or 'series'")
+    return {
+        "weights": coefficients.weights,
+        "end_conditions": end_conditions,
+        "min_n": MIN_N6,
+        "pinned": pinned,
+    }
+
+
 def assemble_system6(
     ivp: HighOrderIVP, n: int, coefficients: CoefficientSet6, closure: str = "printed"
-) -> DenseSystem:
-    """Assemble the n x n system in y_1..y_n for a 6th-order problem.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble the n x n system ``(matrix, rhs)`` in y_1..y_n for a
+    6th-order problem.
 
     Five closure rows come first, followed by the consistency rows for
     windows ending at i = 6..n.  Requires n >= 8.  Two closure families:
@@ -290,49 +311,14 @@ def assemble_system6(
       then no longer masks the high-order interior weight sets, which the
       printed rows otherwise do.
     """
-    if ivp.order != 6:
-        raise ValueError(f"this solver handles order 6, got order {ivp.order}")
-    if closure == "printed":
-        return build_system(
-            ivp,
-            n,
-            weights=coefficients.weights,
-            end_conditions=END_CONDITIONS6,
-            min_n=MIN_N6,
-        )
-    if closure == "series":
-        return build_system(
-            ivp,
-            n,
-            weights=coefficients.weights,
-            end_conditions=(),
-            min_n=MIN_N6,
-            pinned=_series_start_rows(ivp, n),
-        )
-    raise ValueError(f"unknown closure {closure!r}; use 'printed' or 'series'")
+    return build_arrays(ivp, n, **_collocation6(ivp, n, coefficients, closure))
 
 
 def solve6(
     ivp: HighOrderIVP, n: int, coefficients: CoefficientSet6, closure: str = "printed"
 ) -> GridSolution:
     """Solve the 6th-order problem on n subintervals; y_0 is pinned to u_0."""
-    if ivp.order != 6:
-        raise ValueError(f"this solver handles order 6, got order {ivp.order}")
-    if closure == "printed":
-        end_conditions, pinned = END_CONDITIONS6, ()
-    elif closure == "series":
-        end_conditions, pinned = (), _series_start_rows(ivp, n)
-    else:
-        raise ValueError(f"unknown closure {closure!r}; use 'printed' or 'series'")
-    inner = solve_collocation(
-        ivp,
-        n,
-        weights=coefficients.weights,
-        end_conditions=end_conditions,
-        min_n=MIN_N6,
-        pinned=pinned,
-        wide_assembly=closure == "series",
-    )
+    inner = solve_collocation(ivp, n, **_collocation6(ivp, n, coefficients, closure))
     t, h = grid_for(ivp, n)
     y = np.concatenate(([ivp.u[0]], inner))
     return GridSolution(t=t, y=y, method=f"spline6-{closure}", n=n, h=h)

@@ -24,8 +24,8 @@ import numpy as np
 
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import Expression, evaluate, parse, values_on_grid
-from nlosc.spline4 import IMPROVED_SET4, CoefficientSet4, GridSolution, solve4
-from nlosc.spline6 import IMPROVED_SET6, CoefficientSet6, derive_parameters6, solve6
+from nlosc.spline4 import IMPROVED_SET4, MIN_N4, ORDER4, CoefficientSet4, GridSolution, solve4
+from nlosc.spline6 import IMPROVED_SET6, MIN_N6, ORDER6, CoefficientSet6, derive_parameters6, solve6
 
 __all__ = [
     "AnalyticCase",
@@ -173,11 +173,11 @@ class Method:
 
     @property
     def order(self) -> int:
-        return 4 if self.family == "spline4" else 6
+        return ORDER4 if self.family == "spline4" else ORDER6
 
     @property
     def min_n(self) -> int:
-        return 6 if self.family == "spline4" else 8
+        return MIN_N4 if self.family == "spline4" else MIN_N6
 
     def solve(self, ivp: HighOrderIVP, n: int) -> GridSolution:
         if self.family == "spline4":

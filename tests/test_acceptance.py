@@ -62,10 +62,13 @@ def test_criterion_1_table2_reproduction():
     ]
     elapsed = time.perf_counter() - start
     checks = [within_factor(e, r, 5.0) for e, r in zip(errors, reference)]
+    # the archived line states the bound, not the measured time, so the
+    # report stays the same from run to run
+    runtime = "runtime < 5 s" if elapsed < 5.0 else f"runtime {elapsed:.2f}s >= 5 s"
     detail = (
         "errors "
         + ", ".join(f"{e:.3e}" for e in errors)
-        + f" vs reference within x5; runtime {elapsed:.2f}s"
+        + f" vs reference within x5; {runtime}"
     )
     passed = all(checks) and elapsed < 5.0
     record(1, passed, detail)

@@ -137,6 +137,47 @@ def test_solve_csv_uses_17_significant_digits(tmp_path, capsys):
     assert len(first_value.replace("-", "").replace(".", "")) >= 16
 
 
+@pytest.mark.parametrize("method, order", [("improved4", 4), ("improved6", 6)])
+def test_forcing_infinite_at_a_node_fails_without_output(tmp_path, capsys, method, order):
+    # g = 1/t is infinite at t_0 = 0; improved6 takes the series closure
+    cfg = {
+        "mode": "ivp",
+        "order": order,
+        "f": "-1",
+        "g": "1/t",
+        "interval": [0, 1],
+        "u": [0] * order,
+        "method": method,
+        "n": 16,
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "grid.csv"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    assert "system contains non-finite entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_singular_system_is_a_solver_error(tmp_path, capsys):
+    # h = 1/8, alpha = -1/16 and f = 2^16 make the y_n coefficient of the
+    # last consistency row, the only row holding y_n, exactly 1 - 1 = 0
+    cfg = {
+        "mode": "ivp",
+        "order": 4,
+        "f": "65536",
+        "g": "0",
+        "interval": [0, 1],
+        "u": [1, 0, 0, 0],
+        "method": {"family": "spline4", "alpha": "-1/16", "beta": "0", "gamma": "9/8"},
+        "n": 8,
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "grid.csv"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    assert "solver error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # table and convergence
 # ---------------------------------------------------------------------------

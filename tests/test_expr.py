@@ -115,6 +115,15 @@ def test_values_on_grid_broadcasts_constants():
     assert np.all(vals == 3.0)
 
 
+def test_values_on_grid_keeps_long_double():
+    t = np.linspace(0, 1, 5).astype(np.longdouble)
+    for e in (Const(3.0), parse("1/(3+t)")):
+        vals = values_on_grid(e, t)
+        assert vals.dtype == np.longdouble and vals.shape == (5,)
+    assert vals[0] == np.longdouble(1) / np.longdouble(3)
+    assert values_on_grid(parse("t"), [0, 1]).dtype == np.float64
+
+
 def test_compiled_function_matches_evaluate():
     e = parse("sin(2*t)*exp(t)-t^3/(1+t^2)")
     fn = as_array_function(e)

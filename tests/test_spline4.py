@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import consistency_residual, monomial_residual
+from nlosc._assembly import build_arrays
 from nlosc.chain import HighOrderIVP
-from nlosc.expr import parse
+from nlosc.expr import parse, values_on_grid
 from nlosc.spline4 import (
     IMPROVED_END_CONDITIONS4,
     IMPROVED_SET4,
@@ -19,7 +20,7 @@ from nlosc.spline4 import (
     theta_coefficients4,
     truncation_leading4,
 )
-from nlosc.verify import case_by_id, max_abs_error, rk_oracle, oracle_max_error
+from nlosc.verify import METHODS, case_by_id, max_abs_error, rk_oracle, oracle_max_error
 
 F = Fraction
 
@@ -181,8 +182,8 @@ def test_assembly_rejects_wrong_order():
 
 def test_homogeneous_problem_has_zero_rhs():
     ivp = HighOrderIVP(order=4, f=parse("0"), g=parse("0"), interval=(0, 1), u=(0, 0, 0, 0))
-    system = assemble_system4(ivp, 8, CoefficientSet4(F(1, 6), F(1, 6), F(1, 3)))
-    assert np.all(system.rhs == 0.0)
+    _, rhs = assemble_system4(ivp, 8, CoefficientSet4(F(1, 6), F(1, 6), F(1, 3)))
+    assert np.all(rhs == 0.0)
     assert np.max(np.abs(solve4(ivp, 8, SET_COL1).y)) == 0.0
 
 
@@ -192,8 +193,8 @@ def test_first_consistency_row_coefficients():
     n = 6
     ivp = case1_ivp()
     h = 2.0 / n
-    system = assemble_system4(ivp, n, SET_COL1)
-    row = system.matrix[3]  # rows: 3 closure rows, then windows i = 4..n
+    matrix, rhs = assemble_system4(ivp, n, SET_COL1)
+    row = matrix[3]  # rows: 3 closure rows, then windows i = 4..n
     assert row[1] == pytest.approx(6.0 - h**4, rel=1e-15)  # y_2
     assert row[0] == pytest.approx(-4.0, abs=0)  # y_1
     assert row[2] == pytest.approx(-4.0, abs=0)  # y_3
@@ -201,7 +202,7 @@ def test_first_consistency_row_coefficients():
     # rhs: h^4 * gamma * g(t_2) minus the known y_0 contribution
     t2 = -1.0 + 2 * h
     expected = h**4 * 4 * math.cos(t2) - 1.0 * ivp.u[0]
-    assert system.rhs[3] == pytest.approx(expected, rel=1e-14)
+    assert rhs[3] == pytest.approx(expected, rel=1e-14)
 
 
 def test_improved_first_closure_row_y1_coefficient():
@@ -210,11 +211,40 @@ def test_improved_first_closure_row_y1_coefficient():
     ivp = case1_ivp()
     h = 2.0 / n
     improved = CoefficientSet4(F(0), F(0), F(1), end_variant="improved")
-    system = assemble_system4(ivp, n, improved)
+    matrix, _ = assemble_system4(ivp, n, improved)
     t1 = -1.0 + h
     f_t1 = -1.0
     expected = 13366080 / 2081 + h**4 * (843268 / 2081) * f_t1
-    assert system.matrix[0][0] == pytest.approx(expected, rel=1e-14)
+    assert matrix[0][0] == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("case_id, method", [(2, "improved4"), (4, "table5-col1")])
+def test_consistency_rows_match_row_by_row_assembly(case_id, method, dtype):
+    """The diagonal-at-a-time fill of the consistency rows equals a plain
+    row-by-row evaluation of the relation bit for bit, in both precisions."""
+    ivp = case_by_id(case_id).ivp
+    weights = METHODS[method].coefficients.weights
+    n, p = 20, ivp.order
+    zeros = tuple((j, 0.0) for j in range(1, p))  # stand-in closure rows
+    matrix, rhs = build_arrays(ivp, n, weights, (), p, pinned=zeros, dtype=dtype)
+
+    a, b = ivp.interval
+    h = (dtype(b) - dtype(a)) / dtype(n)
+    t = dtype(a) + h * np.arange(n + 1, dtype=dtype)
+    f, g = values_on_grid(ivp.f, t), values_on_grid(ivp.g, t)
+    hp = h**p
+    delta = [dtype((-1) ** (p - k) * math.comb(p, k)) for k in range(p + 1)]
+    w = [dtype(q.numerator) / dtype(q.denominator) for q in weights]
+    for i in range(p, n + 1):
+        coeffs = np.zeros(n + 1, dtype=dtype)
+        value = dtype(0)
+        for k in range(p + 1):
+            j = i - p + k
+            coeffs[j] = delta[k] + hp * w[k] * f[j]
+            value += hp * w[k] * g[j]
+        assert np.array_equal(matrix[i - 1], coeffs[1:])
+        assert rhs[i - 1] == value - coeffs[0] * dtype(ivp.u[0])
 
 
 # ---------------------------------------------------------------------------

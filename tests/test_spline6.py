@@ -203,8 +203,8 @@ def test_assembly_rejects_small_grids_and_wrong_order():
 
 def test_homogeneous_problem_has_zero_rhs():
     ivp = HighOrderIVP(order=6, f=parse("0"), g=parse("0"), interval=(0, 1), u=(0,) * 6)
-    system = assemble_system6(ivp, 10, SET_T5_COL1)
-    assert np.all(system.rhs == 0.0)
+    _, rhs = assemble_system6(ivp, 10, SET_T5_COL1)
+    assert np.all(rhs == 0.0)
 
 
 def test_first_consistency_row_y3_coefficient():
@@ -213,8 +213,8 @@ def test_first_consistency_row_y3_coefficient():
     n = 8
     ivp = case_by_id(3).ivp
     h = 1.0 / n
-    system = assemble_system6(ivp, n, SET_T5_COL1)
-    row = system.matrix[5]  # 5 closure rows, then the i = 6 window
+    matrix, _ = assemble_system6(ivp, n, SET_T5_COL1)
+    row = matrix[5]  # 5 closure rows, then the i = 6 window
     assert row[2] == pytest.approx(-20.0 - h**6 * (28.0 / 120.0), rel=1e-15)
 
 
@@ -224,23 +224,23 @@ def test_second_closure_row_y1_coefficient():
     n = 8
     ivp = case_by_id(3).ivp
     h = 1.0 / n
-    system = assemble_system6(ivp, n, SET_T5_COL1)
+    matrix, _ = assemble_system6(ivp, n, SET_T5_COL1)
     f_t1 = -1.0
     expected = 797790 / 21983 + h**6 * f_t1 * (1 + 40167 / 21983)
-    assert system.matrix[1][0] == pytest.approx(expected, rel=1e-14)
+    assert matrix[1][0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_series_closure_rows_pin_leading_unknowns():
     ivp = case_by_id(3).ivp
-    system = assemble_system6(ivp, 10, IMPROVED_SET6, closure="series")
+    matrix, rhs = assemble_system6(ivp, 10, IMPROVED_SET6, closure="series")
     exact = case_by_id(3).exact
     from nlosc.expr import evaluate
 
     for j in range(5):
-        row = system.matrix[j]
+        row = matrix[j]
         assert row[j] == 1.0 and np.count_nonzero(row) == 1
         t_j = (j + 1) / 10
-        assert system.rhs[j] == pytest.approx(evaluate(exact, t_j), rel=1e-12)
+        assert rhs[j] == pytest.approx(evaluate(exact, t_j), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
