@@ -29,7 +29,7 @@ import numpy as np
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import values_on_grid
 
-__all__ = ["EndCondition", "build_arrays", "solve_collocation", "grid_for"]
+__all__ = ["EndCondition", "build_arrays", "solve_collocation", "grid_for", "require_finite"]
 
 Terms = tuple[tuple[int, Fraction], ...]
 
@@ -58,6 +58,12 @@ class EndCondition:
     def max_index(self) -> int:
         indices = [j for j, _ in self.node_derivs + self.node_values + self.bracket_derivs]
         return max(indices)
+
+
+def require_finite(*arrays) -> None:
+    """Raise ``ValueError`` unless every entry of ``arrays`` is finite."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("system contains non-finite entries")
 
 
 def grid_for(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float]:
@@ -104,6 +110,7 @@ def build_arrays(
     t = dtype(a) + h * np.arange(n + 1, dtype=dtype)
     f_vals = values_on_grid(ivp.f, t)
     g_vals = values_on_grid(ivp.g, t)
+    require_finite(f_vals, g_vals)
     u = [dtype(v) for v in ivp.u]
     hp = h**p
 
@@ -185,8 +192,7 @@ def solve_collocation(
     ``numpy.linalg.LinAlgError`` if it is singular.
     """
     matrix, rhs = build_arrays(ivp, n, weights, end_conditions, min_n, pinned)
-    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
-        raise ValueError("system contains non-finite entries")
+    require_finite(matrix, rhs)
     x = np.linalg.solve(matrix, rhs)
     wide = np.longdouble
     if pinned:

@@ -128,23 +128,27 @@ class TrajectorySet:
         return self.trajectories[k - 1]
 
 
-def _elimination_steps(chain: OscillatorChain):
+def _eliminate(chain: OscillatorChain) -> tuple[tuple[float, ...], float, Expression]:
     """Eliminate neighbors of the last oscillator, one ring step at a time.
 
-    Yields the intermediate identities  y_N^(2j) + c_j * y_j = G_j(t)  for
-    j = 1..N-1 and finally returns the closing pair (c_N, G_N) for which
-    y_N^(2N) + c_N * y_N = G_N.
+    Step j = 1..N-1 holds the identity  y_N^(2j) + c_j * y_j = G_j(t),
+    which with its first derivative at t = a gives u_{2j} and u_{2j+1}.
+    Returns the initial derivatives u and the closing pair (c_N, G_N) for
+    which  y_N^(2N) + c_N * y_N = G_N.
     """
-    steps = []
+    a = chain.interval[0]
+    u = [chain.positions[-1], chain.velocities[-1]]
     c = chain.omegas[-1] ** 2
     G: Expression = chain.forces[-1]
     for j in range(1, chain.size):
-        steps.append((c, j, G))
+        dG = differentiate(G, 1)
+        u.append(evaluate(G, a) - c * chain.positions[j - 1])
+        u.append(evaluate(dG, a) - c * chain.velocities[j - 1])
         # differentiate the identity twice, then substitute oscillator j's
         # equation y_j'' = g_j - omega_j^2 * y_{j+1}
-        G = differentiate(G, 2) - Const(c) * chain.forces[j - 1]
+        G = differentiate(dG, 1) - Const(c) * chain.forces[j - 1]
         c = -c * chain.omegas[j - 1] ** 2
-    return steps, c, G
+    return tuple(u), c, G
 
 
 def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
@@ -155,13 +159,13 @@ def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
     forces.  Solving for a different pivot oscillator is done by rotating
     the ring labels before reducing, not by re-deriving.
     """
-    _, c, g = _elimination_steps(chain)
+    u, c, g = _eliminate(chain)
     return HighOrderIVP(
         order=2 * chain.size,
         f=Const(c),
         g=g,
         interval=chain.interval,
-        u=initial_derivatives(chain),
+        u=u,
     )
 
 
@@ -173,13 +177,7 @@ def initial_derivatives(chain: OscillatorChain) -> tuple[float, ...]:
     derivative then supply u_{2j} and u_{2j+1} from oscillator j's initial
     position and velocity and exact derivatives of the driving forces.
     """
-    a = chain.interval[0]
-    steps, _, _ = _elimination_steps(chain)
-    u = [chain.positions[-1], chain.velocities[-1]]
-    for c, j, G in steps:
-        u.append(evaluate(G, a) - c * chain.positions[j - 1])
-        u.append(evaluate(differentiate(G, 1), a) - c * chain.velocities[j - 1])
-    return tuple(u)
+    return _eliminate(chain)[0]
 
 
 def _extrapolate_ends(out: np.ndarray, count: int) -> None:

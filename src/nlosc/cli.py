@@ -135,17 +135,16 @@ def _method_field(value, path: str) -> Method:
 
 @dataclass
 class RunConfig:
+    """A loaded config; ``ivp`` is the problem to solve, for a chain config
+    the chain's reduction."""
+
     mode: str
     chain: OscillatorChain | None
-    ivp: HighOrderIVP | None
+    ivp: HighOrderIVP
     method: Method | None
     n: int | None
     exact: Expression | None
     raw: dict
-
-    @property
-    def reduced(self) -> HighOrderIVP:
-        return reduce_chain(self.chain) if self.mode == "chain" else self.ivp
 
 
 def load_config(path: str) -> RunConfig:
@@ -165,7 +164,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("$.mode", f"expected 'chain' or 'ivp', got {mode!r}")
 
     chain = None
-    ivp = None
     if mode == "chain":
         interval = _interval_field(_need(raw, "interval", "$"), "$.interval")
         omegas = _need(raw, "omegas", "$")
@@ -201,6 +199,7 @@ def load_config(path: str) -> RunConfig:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError("$", str(exc)) from exc
+        ivp = reduce_chain(chain)
     else:
         interval = _interval_field(_need(raw, "interval", "$"), "$.interval")
         order = _need(raw, "order", "$")
@@ -231,7 +230,7 @@ def load_config(path: str) -> RunConfig:
         mode=mode, chain=chain, ivp=ivp, method=method, n=n, exact=exact, raw=raw
     )
     if method is not None:
-        order = config.reduced.order
+        order = ivp.order
         if method.order != order:
             raise ConfigError(
                 "$.method",
@@ -252,7 +251,7 @@ def _cmd_reduce(args) -> int:
     config = load_config(args.config)
     if config.mode != "chain":
         raise ConfigError("$.mode", "reduce expects a chain config")
-    ivp = reduce_chain(config.chain)
+    ivp = config.ivp
     payload = {
         "mode": "ivp",
         "order": ivp.order,
@@ -273,8 +272,7 @@ def _solve_config(config: RunConfig):
         raise ConfigError("$.method", "missing required field")
     if config.n is None:
         raise ConfigError("$.n", "missing required field")
-    ivp = config.reduced
-    solution = config.method.solve(ivp, config.n)
+    solution = config.method.solve(config.ivp, config.n)
     columns = [("t", solution.t), ("y", solution.y)]
     if config.mode == "chain":
         paths = recover_trajectories(config.chain, solution)

@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nlosc._assembly import EndCondition, build_arrays, grid_for, solve_collocation
+from nlosc._assembly import EndCondition, build_arrays, grid_for, require_finite, solve_collocation
 from nlosc.chain import HighOrderIVP
-from nlosc.expr import as_array_function, differentiate
+from nlosc.expr import differentiate, values_on_grid
 from nlosc.spline4 import GridSolution, _fraction
 
 __all__ = [
@@ -234,19 +234,23 @@ def _start_derivatives(ivp: HighOrderIVP, count: int, scalar) -> list:
 
     The given initial data is extended through the equation itself,
     y^(p) = g - f*y, by exact symbolic differentiation (Leibniz on f*y),
-    so no numerical differentiation error enters.
+    so no numerical differentiation error enters.  Each derivative of g
+    and f is taken from the one before it.
     """
-    a = scalar(ivp.interval[0])
+    a = np.asarray(ivp.interval[0], dtype=scalar)
     derivs = [scalar(v) for v in ivp.u]
-    k = 0
-    while len(derivs) < count:
-        g_k = differentiate(ivp.g, k) if k else ivp.g
-        value = scalar(as_array_function(g_k)(a))
+    g_k, f_k = ivp.g, ivp.f
+    f_values = []
+    for k in range(count - len(derivs)):
+        if k:
+            g_k, f_k = differentiate(g_k, 1), differentiate(f_k, 1)
+        g_value, f_value = values_on_grid(g_k, a), values_on_grid(f_k, a)
+        require_finite(g_value, f_value)
+        f_values.append(scalar(f_value))
+        value = scalar(g_value)
         for i in range(k + 1):
-            f_i = differentiate(ivp.f, i) if i else ivp.f
-            value -= comb(k, i) * scalar(as_array_function(f_i)(a)) * derivs[k - i]
+            value -= comb(k, i) * f_values[i] * derivs[k - i]
         derivs.append(value)
-        k += 1
     return derivs[:count]
 
 

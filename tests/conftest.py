@@ -39,19 +39,17 @@ def oracle(cases):
 
 def chain_system_rhs(chain):
     """Right-hand side of the ring's first-order system
-    z = (y_1, y_1', ..., y_N, y_N'); independent of the reduction code."""
-    from nlosc.expr import as_array_function
-
-    forces = [as_array_function(g) for g in chain.forces]
+    z = (y_1, y_1', ..., y_N, y_N') given the N force values at the stage
+    time; independent of the reduction code."""
     omegas = chain.omegas
     size = chain.size
 
-    def rhs(t, z):
+    def rhs(forces, z):
         out = np.empty_like(z)
         for k in range(size):
             neighbor = (k + 1) % size
             out[2 * k] = z[2 * k + 1]
-            out[2 * k + 1] = forces[k](t) - omegas[k] ** 2 * z[2 * neighbor]
+            out[2 * k + 1] = forces[k] - omegas[k] ** 2 * z[2 * neighbor]
         return out
 
     return rhs
@@ -59,22 +57,29 @@ def chain_system_rhs(chain):
 
 def integrate_chain(chain, t0, t1, steps):
     """Classical one-step integration of the ring system; used as the
-    trajectory oracle for recovery tests."""
+    trajectory oracle for recovery tests.  The forces are evaluated at
+    every stage time up front."""
+    from nlosc.expr import values_on_grid
+
     rhs = chain_system_rhs(chain)
     z = np.empty(2 * chain.size)
     z[0::2] = chain.positions
     z[1::2] = chain.velocities
     h = (t1 - t0) / steps
-    t = t0
+    starts = t0 + h * np.arange(steps)
+    stages = [
+        np.array([values_on_grid(g, times) for g in chain.forces]).T
+        for times in (starts, starts + h / 2, starts + h)
+    ]
     history = np.empty((steps + 1, z.size))
     history[0] = z
     for i in range(steps):
-        k1 = rhs(t, z)
-        k2 = rhs(t + h / 2, z + h / 2 * k1)
-        k3 = rhs(t + h / 2, z + h / 2 * k2)
-        k4 = rhs(t + h, z + h * k3)
+        g0, gm, g1 = (forces[i] for forces in stages)
+        k1 = rhs(g0, z)
+        k2 = rhs(gm, z + h / 2 * k1)
+        k3 = rhs(gm, z + h / 2 * k2)
+        k4 = rhs(g1, z + h * k3)
         z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t0 + (i + 1) * h
         history[i + 1] = z
     return np.linspace(t0, t1, steps + 1), history
 

@@ -1,6 +1,7 @@
 """Tests for the expression language: parsing, evaluation, differentiation."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from nlosc.expr import (
     Sin,
     Sub,
     Var,
-    as_array_function,
     differentiate,
     evaluate,
     parse,
@@ -122,13 +122,39 @@ def test_values_on_grid_keeps_long_double():
         assert vals.dtype == np.longdouble and vals.shape == (5,)
     assert vals[0] == np.longdouble(1) / np.longdouble(3)
     assert values_on_grid(parse("t"), [0, 1]).dtype == np.float64
+    point = values_on_grid(parse("1/(3+t)"), np.longdouble(0))
+    assert point.dtype == np.longdouble and point.shape == ()
+    assert point == np.longdouble(1) / np.longdouble(3)
 
 
-def test_compiled_function_matches_evaluate():
+def test_grid_values_match_evaluate():
     e = parse("sin(2*t)*exp(t)-t^3/(1+t^2)")
-    fn = as_array_function(e)
-    for t in SAMPLE_TIMES:
-        assert float(fn(t)) == pytest.approx(evaluate(e, t), rel=1e-15)
+    vals = values_on_grid(e, SAMPLE_TIMES)
+    for t, v in zip(SAMPLE_TIMES, vals):
+        assert v == pytest.approx(evaluate(e, t), rel=1e-15)
+
+
+def test_values_on_grid_is_silent_at_singular_points():
+    # tier-1 turns RuntimeWarnings into errors, so a warning fails here
+    vals = values_on_grid(parse("1/t"), [0.0, 0.5])
+    assert vals[0] == math.inf and vals[1] == 2.0
+    assert values_on_grid(parse("1/0"), [0.0, 0.5]).tolist() == [math.inf, math.inf]
+
+
+def test_evaluate_raises_whatever_the_callers_errstate():
+    with np.errstate(all="ignore"):
+        for text, t in (("1/t", 0.0), ("(t-t)/(t-t)", 1.0), ("1e200*1e200", 0.0), ("1/0", 0.0)):
+            with pytest.raises(EvaluationError):
+                evaluate(parse(text), t)
+
+
+def test_values_on_grid_visits_shared_nodes_once():
+    # 30 rounds of x -> x*x - x: a tree of more than 2^30 nodes, 61 distinct
+    e, expected = Var(), np.linspace(0.0, 1.0, 9)
+    t = expected.copy()
+    for _ in range(30):
+        e, expected = e * e - e, expected * expected - expected
+    assert values_on_grid(e, t).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +187,33 @@ def test_quotient_rule():
     for t in SAMPLE_TIMES:
         expected = (1 - t * t) / (1 + t * t) ** 2
         assert evaluate(d, t) == pytest.approx(expected, rel=1e-12)
+
+
+def _distinct_nodes(e) -> int:
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(
+                getattr(node, f.name)
+                for f in dataclasses.fields(node)
+                if dataclasses.is_dataclass(getattr(node, f.name))
+            )
+    return len(seen)
+
+
+def test_high_derivatives_share_subtrees():
+    # as a tree this derivative has millions of nodes
+    d8 = differentiate(parse("exp(t)*sin(t)/(1+t^2)"), 8)
+    assert _distinct_nodes(d8) < 50_000
+
+
+def test_eighth_derivative_of_exp_sin():
+    # (e^t sin t)^(8) = 2^4 e^t sin(t + 2 pi)
+    d8 = differentiate(parse("exp(t)*sin(t)"), 8)
+    for t in (-1.0, -0.3, 0.4, 1.0, 1.9):
+        assert evaluate(d8, t) == pytest.approx(16 * math.exp(t) * math.sin(t), rel=1e-13)
 
 
 def test_expressions_are_immutable():
