@@ -11,7 +11,7 @@ derivatives at interior nodes yields a five-point consistency relation
 
 between grid values and fourth-derivative values D_j, valid whenever the
 weights satisfy 2*alpha + 2*beta + gamma = 1.  Three boundary-closure rows
-complete the n x n system; two closure families are provided:
+complete the banded n x n system; two closure families are provided:
 
 * ``standard``: closure rows exact through degree 5 (local error O(h^6)),
 * ``improved``: closure rows exact through degree 9 (local error O(h^10)),
@@ -32,7 +32,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nlosc._assembly import EndCondition, build_arrays, grid_for, solve_collocation
+from nlosc._assembly import (
+    EndCondition,
+    band_to_dense,
+    build_arrays,
+    grid_for,
+    solve_collocation,
+)
 from nlosc.chain import HighOrderIVP
 
 __all__ = [
@@ -264,13 +270,14 @@ def _collocation4(ivp: HighOrderIVP, coefficients: CoefficientSet4) -> dict:
 def assemble_system4(
     ivp: HighOrderIVP, n: int, coefficients: CoefficientSet4
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the n x n system ``(matrix, rhs)`` in y_1..y_n for a
-    4th-order problem.
+    """The system ``(matrix, rhs)`` in y_1..y_n for a 4th-order problem,
+    as a dense n x n matrix (the solver itself keeps it in band form).
 
     The three closure rows of the selected family come first, followed by
     the consistency rows for windows ending at i = 4..n.  Requires n >= 6.
     """
-    return build_arrays(ivp, n, **_collocation4(ivp, coefficients))
+    band, rhs = build_arrays(ivp, n, **_collocation4(ivp, coefficients))
+    return band_to_dense(band), rhs
 
 
 def solve4(ivp: HighOrderIVP, n: int, coefficients: CoefficientSet4) -> GridSolution:

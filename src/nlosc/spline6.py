@@ -27,7 +27,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nlosc._assembly import EndCondition, build_arrays, grid_for, require_finite, solve_collocation
+from nlosc._assembly import (
+    EndCondition,
+    band_to_dense,
+    build_arrays,
+    grid_for,
+    require_finite,
+    solve_collocation,
+)
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import differentiate, values_on_grid
 from nlosc.spline4 import GridSolution, _fraction
@@ -302,8 +309,8 @@ def _collocation6(
 def assemble_system6(
     ivp: HighOrderIVP, n: int, coefficients: CoefficientSet6, closure: str = "printed"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the n x n system ``(matrix, rhs)`` in y_1..y_n for a
-    6th-order problem.
+    """The system ``(matrix, rhs)`` in y_1..y_n for a 6th-order problem,
+    as a dense n x n matrix (the solver itself keeps it in band form).
 
     Five closure rows come first, followed by the consistency rows for
     windows ending at i = 6..n.  Requires n >= 8.  Two closure families:
@@ -315,7 +322,8 @@ def assemble_system6(
       then no longer masks the high-order interior weight sets, which the
       printed rows otherwise do.
     """
-    return build_arrays(ivp, n, **_collocation6(ivp, n, coefficients, closure))
+    band, rhs = build_arrays(ivp, n, **_collocation6(ivp, n, coefficients, closure))
+    return band_to_dense(band), rhs
 
 
 def solve6(

@@ -203,6 +203,27 @@ def test_singular_system_is_a_solver_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_singular_block_past_the_first_is_a_solver_error(tmp_path, capsys):
+    # h = 2^-8, alpha = -1/16 and f = 2^36 give h^4 * alpha * f = -1, so the
+    # y_n column, which only the last row holds, is exactly zero; at n = 256
+    # that row lies past the first solve block
+    cfg = {
+        "mode": "ivp",
+        "order": 4,
+        "f": "68719476736",
+        "g": "0",
+        "interval": [0, 1],
+        "u": [1, 0, 0, 0],
+        "method": {"family": "spline4", "alpha": "-1/16", "beta": "0", "gamma": "9/8"},
+        "n": 256,
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "grid.csv"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    assert "solver error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # table and convergence
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import consistency_residual, monomial_residual
-from nlosc._assembly import build_arrays
+from nlosc._assembly import band_to_dense, build_arrays
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import parse, values_on_grid
 from nlosc.spline4 import (
@@ -227,7 +227,8 @@ def test_consistency_rows_match_row_by_row_assembly(case_id, method, dtype):
     weights = METHODS[method].coefficients.weights
     n, p = 20, ivp.order
     zeros = tuple((j, 0.0) for j in range(1, p))  # stand-in closure rows
-    matrix, rhs = build_arrays(ivp, n, weights, (), p, pinned=zeros, dtype=dtype)
+    band, rhs = build_arrays(ivp, n, weights, (), p, pinned=zeros, dtype=dtype)
+    matrix = band_to_dense(band)
 
     a, b = ivp.interval
     h = (dtype(b) - dtype(a)) / dtype(n)
