@@ -20,7 +20,7 @@ from nlosc.chain import (
     recover_trajectories,
     reduce_chain,
 )
-from nlosc.expr import Expression, differentiate, evaluate, parse, to_text
+from nlosc.expr import Expression, differentiate, evaluate, parse, taylor, to_text
 from nlosc.spline4 import IMPROVED_SET4, CoefficientSet4, GridSolution, solve4
 from nlosc.spline6 import IMPROVED_SET6, CoefficientSet6, derive_parameters6, solve6
 
@@ -31,6 +31,7 @@ __all__ = [
     "parse",
     "evaluate",
     "differentiate",
+    "taylor",
     "to_text",
     "OscillatorChain",
     "HighOrderIVP",

@@ -19,12 +19,15 @@ Grammar (whitespace insignificant)::
 Expressions are immutable and share subtrees freely, so an expression is a
 DAG rather than a tree.  Parsing, evaluation and differentiation are pure
 functions, so expressions are safe to share between threads.  There is one
-evaluator: :func:`evaluate` (one point, errors raised) and
-:func:`values_on_grid` (an array, dtype kept) run the same walk, which
-computes each shared node once per call.  Each :func:`differentiate` pass
-likewise differentiates a shared node once, so derivatives stay shared.
-The operator overloads perform only trivial constant folding (0 and 1
-identities); there is no other simplification machinery.
+evaluator walk, which computes each shared node once per call.  It carries
+either plain values, for :func:`evaluate` (one point, errors raised) and
+:func:`values_on_grid` (an array, dtype kept), or truncated Taylor series
+("jets") about one point, for :func:`taylor`, which gives every derivative
+up to a chosen order at that point without building a derivative
+expression.  :func:`differentiate` is for when an expression is the
+output; each pass differentiates a shared node once, so derivatives stay
+shared.  The operator overloads perform only trivial constant folding (0
+and 1 identities); there is no other simplification machinery.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "differentiate",
     "to_text",
     "values_on_grid",
+    "taylor",
 ]
 
 
@@ -221,9 +225,6 @@ class Exp(Expression):
 # evaluation
 # ---------------------------------------------------------------------------
 
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
-_UFUNCS = {Sin: np.sin, Cos: np.cos, Exp: np.exp}
-
 
 def evaluate(e: Expression, t: float) -> float:
     """Evaluate ``e`` at time ``t`` in double precision.
@@ -258,9 +259,41 @@ def values_on_grid(e: Expression, t) -> np.ndarray:
     return out
 
 
-def _values(e: Expression, t):
-    """Value of ``e`` at ``t`` (a number or an array), computing each node
-    of the shared expression DAG once."""
+def taylor(e: Expression, t0, count: int) -> np.ndarray:
+    """Taylor coefficients c_0..c_{count-1} of ``e`` about the point ``t0``,
+    so that the k-th derivative there is k! * c_k.
+
+    The same walk as :func:`values_on_grid`, on truncated power series
+    ("jets", Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+    ch. 13): O(count^2) work per node, and no derivative expression is
+    built.  A long-double ``t0`` gives long-double coefficients, any other
+    double.  At a singular point the coefficients come back as inf or nan
+    without a warning; callers check finiteness.
+    """
+    t0 = np.asarray(t0)
+    if t0.ndim != 0:
+        raise ValueError("jets are taken about a single point")
+    if count < 1:
+        raise ValueError("a jet needs at least one coefficient")
+    dtype = np.longdouble if t0.dtype == np.longdouble else np.float64
+    with np.errstate(all="ignore"):
+        return np.array(_values(e, t0.astype(dtype), count), dtype=dtype)
+
+
+def _values(e: Expression, t, count: int | None = None):
+    """Value of ``e`` at ``t`` (a number or an array), or with ``count``
+    its Taylor coefficients c_0..c_{count-1} about the point ``t`` as a
+    list, computing each node of the shared expression DAG once.
+
+    Values use the plain operations of :data:`_VALUE_OPS`, jets the series
+    recurrences of :data:`_JET_OPS`, whose coefficient 0 is computed by the
+    same plain operation.
+    """
+    if count is None:
+        ops, var = _VALUE_OPS, t
+    else:
+        zeros = [np.float64(0.0)] * (count - 1)
+        ops, var = _JET_OPS, [t, np.float64(1.0), *zeros][:count]
     memo: dict[int, object] = {}
 
     def value(node: Expression):
@@ -270,22 +303,111 @@ def _values(e: Expression, t):
         kind = type(node)
         if kind is Const:
             out = np.float64(node.value)  # numpy scalar: errstate governs it
+            if count is not None:
+                out = [out, *zeros]
         elif kind is Var:
-            out = t
-        elif kind in _BINARY:
-            out = _BINARY[kind](value(node.left), value(node.right))
+            out = var
+        elif kind in _BINARY_KINDS:
+            out = ops[kind](value(node.left), value(node.right))
         elif kind is Pow:
-            out = value(node.base) ** node.exponent
+            out = ops[Pow](value(node.base), node.exponent)
         elif kind is Neg:
-            out = -value(node.operand)
-        elif kind in _UFUNCS:
-            out = _UFUNCS[kind](value(node.arg))
+            out = ops[Neg](value(node.operand))
+        elif kind in _FUNCTION_KINDS:
+            out = ops[kind](value(node.arg))
         else:
             raise TypeError(f"not an expression node: {node!r}")
         memo[key] = out
         return out
 
     return value(e)
+
+
+# Series recurrences on coefficient lists (Griewank & Walther, ch. 13).
+# Every sum starts from its first term, never from 0, so coefficient 0 is
+# the plain operation on values, signed zeros included.
+
+
+def _product(a: list, b: list) -> list:
+    """Cauchy product: c_k = sum_j a_j b_{k-j}."""
+    out = []
+    for k in range(len(a)):
+        c = a[0] * b[k]
+        for j in range(1, k + 1):
+            c = c + a[j] * b[k - j]
+        out.append(c)
+    return out
+
+
+def _quotient(a: list, b: list) -> list:
+    """q = a/b from a = q*b: q_k = (a_k - sum_{j>=1} b_j q_{k-j}) / b_0."""
+    out = []
+    for k in range(len(a)):
+        r = a[k]
+        for j in range(1, k + 1):
+            r = r - b[j] * out[k - j]
+        out.append(r / b[0])
+    return out
+
+
+def _power(a: list, exponent: int) -> list:
+    """a^exponent by repeated products; c_0 from ``**`` like the value."""
+    out = [np.float64(1.0)] + [np.float64(0.0)] * (len(a) - 1)
+    for _ in range(exponent):
+        out = _product(out, a)
+    return [a[0] ** exponent, *out[1:]]
+
+
+def _exp(u: list) -> list:
+    """e = exp(u) from e' = u' e: e_k = sum_{j=1..k} j u_j e_{k-j} / k."""
+    out = [np.exp(u[0])]
+    for k in range(1, len(u)):
+        c = u[1] * out[k - 1]
+        for j in range(2, k + 1):
+            c = c + j * u[j] * out[k - j]
+        out.append(c / k)
+    return out
+
+
+def _sin_cos(u: list) -> tuple[list, list]:
+    """s = sin(u) and c = cos(u) together, from s' = u' c and c' = -u' s."""
+    sine, cosine = [np.sin(u[0])], [np.cos(u[0])]
+    for k in range(1, len(u)):
+        s, c = u[1] * cosine[k - 1], u[1] * sine[k - 1]
+        for j in range(2, k + 1):
+            s = s + j * u[j] * cosine[k - j]
+            c = c + j * u[j] * sine[k - j]
+        sine.append(s / k)
+        cosine.append(-c / k)
+    return sine, cosine
+
+
+_BINARY_KINDS = (Add, Sub, Mul, Div)
+_FUNCTION_KINDS = (Sin, Cos, Exp)
+
+_VALUE_OPS = {
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    Div: operator.truediv,
+    Pow: operator.pow,
+    Neg: operator.neg,
+    Sin: np.sin,
+    Cos: np.cos,
+    Exp: np.exp,
+}
+
+_JET_OPS = {
+    Add: lambda a, b: list(map(operator.add, a, b)),
+    Sub: lambda a, b: list(map(operator.sub, a, b)),
+    Mul: _product,
+    Div: _quotient,
+    Pow: _power,
+    Neg: lambda a: list(map(operator.neg, a)),
+    Sin: lambda u: _sin_cos(u)[0],
+    Cos: lambda u: _sin_cos(u)[1],
+    Exp: _exp,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +424,10 @@ def differentiate(e: Expression, k: int = 1) -> Expression:
     differentiates a shared subtree once and shares its derivative, so
     the result is a DAG: as a tree it grows steeply with k (the 8th
     derivative of exp(t)*sin(t)/(1+t^2) unfolds to millions of nodes),
-    but its distinct nodes stay in the tens of thousands.  Walk it with
-    :func:`evaluate` or :func:`values_on_grid`, which visit each node once.
+    but its distinct nodes stay in the tens of thousands, and they grow
+    about 8x per two orders.  For numeric derivatives at a point use
+    :func:`taylor` instead: the k-th derivative is k! * c_k, and order 14
+    takes milliseconds where the symbolic route takes seconds.
     """
     k = int(k)
     if k < 1:

@@ -16,6 +16,11 @@ interior truncation error expands in even powers of h with bracket
 coefficients that are linear in the weights; choosing weights that kill
 successive brackets raises the method order up to h^8, whose unique weight
 set is (1/30240, 41/5040, 2189/10080, 4153/7560).
+
+The ``"series"`` closure instead pins y_1..y_5 to a Taylor expansion about
+t = a of degree SERIES_START_DEGREE.  Its derivatives come from the initial
+data extended through the equation, with g and f differentiated at a by
+Taylor jets (:func:`nlosc.expr.taylor`), not symbolically.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from nlosc._assembly import (
     solve_collocation,
 )
 from nlosc.chain import HighOrderIVP
-from nlosc.expr import differentiate, values_on_grid
+from nlosc.expr import taylor
 from nlosc.spline4 import GridSolution, _fraction
 
 __all__ = [
@@ -240,25 +245,25 @@ def _start_derivatives(ivp: HighOrderIVP, count: int, scalar) -> list:
     """y(a), y'(a), ..., y^(count-1)(a) in the requested scalar type.
 
     The given initial data is extended through the equation itself,
-    y^(p) = g - f*y, by exact symbolic differentiation (Leibniz on f*y),
-    so no numerical differentiation error enters.  Each derivative of g
-    and f is taken from the one before it.
+    y^(p) = g - f*y, by Leibniz's rule on f*y.  The derivatives of g and f
+    at a are read off one Taylor jet each (g^(k) = k! * c_k, see
+    :func:`nlosc.expr.taylor`), exact up to rounding, so no numerical
+    differentiation error enters.
     """
     a = np.asarray(ivp.interval[0], dtype=scalar)
     derivs = [scalar(v) for v in ivp.u]
-    g_k, f_k = ivp.g, ivp.f
-    f_values = []
-    for k in range(count - len(derivs)):
-        if k:
-            g_k, f_k = differentiate(g_k, 1), differentiate(f_k, 1)
-        g_value, f_value = values_on_grid(g_k, a), values_on_grid(f_k, a)
-        require_finite(g_value, f_value)
-        f_values.append(scalar(f_value))
-        value = scalar(g_value)
+    extra = count - len(derivs)
+    if extra <= 0:
+        return derivs[:count]
+    g_jet, f_jet = taylor(ivp.g, a, extra), taylor(ivp.f, a, extra)
+    require_finite(g_jet, f_jet)
+    f_values = [scalar(factorial(k) * c) for k, c in enumerate(f_jet)]
+    for k, c in enumerate(g_jet):
+        value = scalar(factorial(k) * c)
         for i in range(k + 1):
             value -= comb(k, i) * f_values[i] * derivs[k - i]
         derivs.append(value)
-    return derivs[:count]
+    return derivs
 
 
 def derivatives_at_start(ivp: HighOrderIVP, count: int) -> list[float]:

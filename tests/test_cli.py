@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,3 +326,22 @@ def test_explicit_rational_method(tmp_path, capsys):
 def test_load_config_round_trips_initial_expressions(tmp_path):
     config = load_config(write_config(tmp_path, chain_config()))
     assert config.chain.positions[1] == pytest.approx(-2 * math.sin(1.0), abs=1e-16)
+
+
+def test_cli_import_loads_no_heavy_numerics():
+    # importing scipy.linalg.lapack alone costs about twice numpy's import
+    # time, so a stray import would show in every nlosc start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, nlosc.cli; "
+        "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'sympy', 'mpmath'}))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.strip() == "[]"

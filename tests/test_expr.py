@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nlosc.expr import (
     Cos,
     Div,
     EvaluationError,
+    Exp,
     Mul,
     Neg,
     ParseError,
@@ -24,6 +26,7 @@ from nlosc.expr import (
     differentiate,
     evaluate,
     parse,
+    taylor,
     to_text,
     values_on_grid,
 )
@@ -216,6 +219,83 @@ def test_eighth_derivative_of_exp_sin():
         assert evaluate(d8, t) == pytest.approx(16 * math.exp(t) * math.sin(t), rel=1e-13)
 
 
+# ---------------------------------------------------------------------------
+# taylor (jets)
+# ---------------------------------------------------------------------------
+
+T = Var()
+
+# one expression per node kind, each with a non-polynomial series
+JET_CASES = {
+    "const": Const(-1.25),
+    "var": T,
+    "add": Add(Exp(T), Sin(T)),
+    "sub": Sub(Cos(T), Exp(Neg(T))),
+    "mul": Mul(Sin(T), Exp(T)),
+    "div": Div(Sin(T), Add(Const(2.0), T)),
+    "pow2": Pow(Add(T, Sin(T)), 2),
+    "pow5": Pow(Add(Const(1.0), Sin(T)), 5),
+    "neg": Neg(Cos(T)),
+    "sin": Sin(Mul(T, T)),
+    "cos": Cos(Add(Mul(Const(2.0), T), Pow(T, 2))),
+    "exp": Exp(Sin(T)),
+    "composite": parse("exp(t)*sin(t)/(1+t^2)"),
+}
+JET_POINTS = (-0.7, 0.0, 0.3, 1.1)
+JET_ORDER = 8
+
+
+def _symbolic_derivatives(e, order):
+    derivatives = [e]
+    for _ in range(order):
+        derivatives.append(differentiate(derivatives[-1], 1))
+    return derivatives
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("name", sorted(JET_CASES))
+def test_jet_coefficients_are_scaled_derivatives(name, dtype):
+    e = JET_CASES[name]
+    derivatives = _symbolic_derivatives(e, JET_ORDER)
+    for t0 in JET_POINTS:
+        point = dtype(t0)
+        jet = taylor(e, point, JET_ORDER + 1)
+        assert jet.dtype == dtype and jet.shape == (JET_ORDER + 1,)
+        for k, d in enumerate(derivatives):
+            expected = values_on_grid(d, point)
+            got = math.factorial(k) * jet[k]
+            # relative, with a floor where the derivative vanishes, as
+            # (e^t sin t)^(8) = 16 e^t sin(t + 2 pi) does at t = 0
+            assert abs(got - expected) <= max(1e-11 * abs(expected), 1e-13), (name, t0, k)
+
+
+def test_jet_order_14_in_milliseconds():
+    t0 = 0.3
+    start = time.perf_counter()
+    product = taylor(parse("exp(t)*sin(t)"), t0, 15)
+    quotient = taylor(parse("1/(2+t)"), t0, 15)
+    elapsed = time.perf_counter() - start
+    for k in range(15):
+        # (e^t sin t)^(k) = 2^(k/2) e^t sin(t + k pi/4)
+        exact = 2 ** (k / 2) * math.exp(t0) * math.sin(t0 + k * math.pi / 4)
+        assert math.factorial(k) * product[k] == pytest.approx(exact, rel=1e-12)
+        exact = (-1) ** k * math.factorial(k) / (2 + t0) ** (k + 1)
+        assert math.factorial(k) * quotient[k] == pytest.approx(exact, rel=1e-12)
+    assert elapsed < 0.05
+
+
+def test_jet_is_silent_at_a_singular_point():
+    jet = taylor(parse("1/t"), 0.0, 4)
+    assert jet[0] == math.inf and not np.isfinite(jet).any()
+
+
+def test_jet_needs_one_point_and_one_coefficient():
+    with pytest.raises(ValueError):
+        taylor(T, [0.0, 1.0], 3)
+    with pytest.raises(ValueError):
+        taylor(T, 0.0, 0)
+
+
 def test_expressions_are_immutable():
     e = Add(Const(1.0), Var())
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -282,3 +362,19 @@ def test_print_parse_round_trip(e):
         except EvaluationError:
             continue
         assert evaluate(reparsed, t) == expected
+
+
+_dtypes = st.sampled_from([np.float64, np.longdouble])
+
+
+@given(expressions, st.floats(min_value=-1.5, max_value=1.5), _dtypes)
+def test_one_coefficient_jet_is_the_value(e, t, dtype):
+    # bit for bit, compared as value and sign (or both nan), because a long
+    # double's storage also holds padding bytes that tobytes() would compare
+    point = dtype(t)
+    jet, value = taylor(e, point, 1)[0], values_on_grid(e, point)
+    assert jet.dtype == value.dtype
+    if np.isnan(value):
+        assert np.isnan(jet)
+    else:
+        assert jet == value and np.signbit(jet) == np.signbit(value)

@@ -1,13 +1,15 @@
 """Tests for the sixth-order spline solver."""
 
 import math
+import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import consistency_residual, monomial_residual
-from nlosc.chain import HighOrderIVP
+from nlosc.chain import HighOrderIVP, OscillatorChain, reduce_chain
 from nlosc.expr import parse
 from nlosc.spline6 import (
     END_CONDITIONS6,
@@ -185,6 +187,47 @@ def test_start_derivatives_extend_through_the_equation():
     derivs = derivatives_at_start(ivp, 14)
     expected = [1.0] + [1.0 - m for m in range(1, 14)]
     assert derivs == pytest.approx(expected, abs=1e-10)
+
+
+def test_start_derivatives_of_a_product_ring():
+    # a 3-ring with product trajectories y1 = A e^(at) sin(bt),
+    # y2 = B t^3 cos(ct), y3 = (p + q t^2) e^(dt), forces g_k = y_k'' + w_k^2 y_(k+1);
+    # the pivot y3 has y3^(m)(0) = p d^m + q m (m-1) d^(m-2)
+    A, a, b = 1.53, 0.41, 1.57
+    B, c = 1.46, 1.63
+    p, q, d = 0.62, 0.58, -0.47
+    w = (0.73, 1.27, 0.76)
+    y = (
+        f"{A}*exp({a}*t)*sin({b}*t)",
+        f"{B}*t^3*cos({c}*t)",
+        f"({p}+{q}*t^2)*exp({d}*t)",
+    )
+    ypp = (
+        f"{A}*exp({a}*t)*({a * a - b * b}*sin({b}*t)+{2 * a * b}*cos({b}*t))",
+        f"{B}*(6*t*cos({c}*t)-{6 * c}*t^2*sin({c}*t)-{c * c}*t^3*cos({c}*t))",
+        f"exp({d}*t)*({2 * q}+{4 * q * d}*t+{d * d}*({p}+{q}*t^2))",
+    )
+    chain = OscillatorChain(
+        omegas=w,
+        forces=tuple(parse(f"{ypp[k]}+{w[k] ** 2}*({y[(k + 1) % 3]})") for k in range(3)),
+        interval=(0.0, 1.0),
+        positions=(0.0, 0.0, p),
+        velocities=(A * b, 0.0, d * p),
+    )
+    start = time.perf_counter()
+    derivs = derivatives_at_start(reduce_chain(chain), 14)
+    elapsed = time.perf_counter() - start
+    expected = [p * d**m + q * m * (m - 1) * d ** (m - 2) for m in range(14)]
+    assert derivs == pytest.approx(expected, rel=1e-9)
+    assert elapsed < 0.2
+
+
+def test_start_derivatives_reject_a_singular_forcing_silently():
+    ivp = HighOrderIVP(order=6, f=parse("-1"), g=parse("1/t"), interval=(0.0, 1.0), u=(0.0,) * 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^system contains non-finite entries$"):
+            derivatives_at_start(ivp, 14)
 
 
 # ---------------------------------------------------------------------------
