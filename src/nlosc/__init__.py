@@ -6,8 +6,8 @@ The public surface is organized by module:
 
 * :mod:`nlosc.expr`    -- tiny closed-form expression language in t
 * :mod:`nlosc.chain`   -- oscillator rings, reduction, trajectory recovery
-* :mod:`nlosc.spline4` -- solver for 4th-order problems (two-oscillator rings)
-* :mod:`nlosc.spline6` -- solver for 6th-order problems (three-oscillator rings)
+* :mod:`nlosc.spline`  -- one solver for every even order 2N (N-oscillator
+  rings): weight sets, the closure table, truncation diagnostics
 * :mod:`nlosc.verify`  -- benchmark cases, error tables, convergence, oracle
 * :mod:`nlosc.cli`     -- command-line front end
 """
@@ -21,8 +21,14 @@ from nlosc.chain import (
     reduce_chain,
 )
 from nlosc.expr import Expression, differentiate, evaluate, parse, taylor, to_text
-from nlosc.spline4 import IMPROVED_SET4, CoefficientSet4, GridSolution, solve4
-from nlosc.spline6 import IMPROVED_SET6, CoefficientSet6, derive_parameters6, solve6
+from nlosc.spline import (
+    IMPROVED_SET4,
+    IMPROVED_SET6,
+    GridSolution,
+    WeightSet,
+    derive_parameters6,
+    solve,
+)
 
 __version__ = "0.1.0"
 
@@ -39,13 +45,11 @@ __all__ = [
     "reduce_chain",
     "initial_derivatives",
     "recover_trajectories",
-    "CoefficientSet4",
-    "CoefficientSet6",
+    "WeightSet",
     "GridSolution",
     "IMPROVED_SET4",
     "IMPROVED_SET6",
-    "solve4",
-    "solve6",
+    "solve",
     "derive_parameters6",
     "__version__",
 ]

@@ -1,7 +1,8 @@
 """Shared row assembly for the spline collocation systems.
 
-Both solvers discretize  y^(p) + f(t) y = g(t)  on the uniform grid
-t_i = a + i*h with unknowns y_1..y_n (y_0 is pinned by the initial value).
+The spline solver (:mod:`nlosc.spline`) discretizes  y^(p) + f(t) y = g(t)
+on the uniform grid t_i = a + i*h with unknowns y_1..y_n (y_0 is pinned by
+the initial value), for every even order p.
 Two row families close the system:
 
 * consistency rows: the p-th difference of neighboring grid values equals
@@ -74,10 +75,6 @@ class EndCondition:
     node_values: Terms
     initial_derivs: Terms
     bracket_derivs: Terms = field(default=())
-
-    def max_index(self) -> int:
-        indices = [j for j, _ in self.node_derivs + self.node_values + self.bracket_derivs]
-        return max(indices)
 
 
 def require_finite(*arrays) -> None:

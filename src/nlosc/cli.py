@@ -30,8 +30,7 @@ import numpy as np
 
 from nlosc.chain import HighOrderIVP, OscillatorChain, recover_trajectories, reduce_chain
 from nlosc.expr import Expression, ExpressionError, evaluate, parse, to_text, values_on_grid
-from nlosc.spline4 import CoefficientSet4
-from nlosc.spline6 import CoefficientSet6
+from nlosc.spline import WeightSet
 from nlosc.verify import (
     METHODS,
     Method,
@@ -105,6 +104,14 @@ def _interval_field(value, path: str) -> tuple[float, float]:
     return a, b
 
 
+# method-object keys of each family: its weights from the outermost in, the
+# key that names the closure, and the closure it defaults to
+_FAMILIES = {
+    "spline4": (("alpha", "beta", "gamma"), "end_variant", "standard"),
+    "spline6": (("alpha", "beta", "gamma", "delta"), "closure", "printed"),
+}
+
+
 def _method_field(value, path: str) -> Method:
     if isinstance(value, str):
         if value not in METHODS:
@@ -114,23 +121,19 @@ def _method_field(value, path: str) -> Method:
     if not isinstance(value, dict):
         raise ConfigError(path, "expected a preset name or a method object")
     family = _need(value, "family", path)
-    if family == "spline4":
-        coeffs = CoefficientSet4(
-            _rational_field(_need(value, "alpha", path), f"{path}.alpha"),
-            _rational_field(_need(value, "beta", path), f"{path}.beta"),
-            _rational_field(_need(value, "gamma", path), f"{path}.gamma"),
-            end_variant=value.get("end_variant", "standard"),
-        )
-        return Method("custom-spline4", "spline4", coeffs)
-    if family == "spline6":
-        coeffs = CoefficientSet6(
-            _rational_field(_need(value, "alpha", path), f"{path}.alpha"),
-            _rational_field(_need(value, "beta", path), f"{path}.beta"),
-            _rational_field(_need(value, "gamma", path), f"{path}.gamma"),
-            _rational_field(_need(value, "delta", path), f"{path}.delta"),
-        )
-        return Method("custom-spline6", "spline6", coeffs, closure=value.get("closure", "printed"))
-    raise ConfigError(f"{path}.family", f"unknown family {family!r}")
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ConfigError(f"{path}.family", f"unknown family {family!r}")
+    names, closure_key, default = _FAMILIES[family]
+    known = ("family", *names, closure_key)
+    for key in value:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}", f"unknown key; {family} takes {', '.join(known)}")
+    half = tuple(_rational_field(_need(value, name, path), f"{path}.{name}") for name in names)
+    weights = WeightSet(half)
+    try:
+        return Method(f"custom-{family}", weights, value.get(closure_key, default))
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{closure_key}", str(exc)) from exc
 
 
 @dataclass

@@ -329,7 +329,12 @@ def _values(e: Expression, t, count: int | None = None):
 
 
 def _product(a: list, b: list) -> list:
-    """Cauchy product: c_k = sum_j a_j b_{k-j}."""
+    """Cauchy product: c_k = sum_j a_j b_{k-j}.  A constant factor, whose
+    coefficients past c_0 are all zero, just scales the other jet."""
+    if not any(a[1:]):
+        return [a[0] * v for v in b]
+    if not any(b[1:]):
+        return [v * b[0] for v in a]
     out = []
     for k in range(len(a)):
         c = a[0] * b[k]

@@ -1,6 +1,6 @@
 """Built-in benchmark cases, error metrics and table reproduction.
 
-Four analytically solvable problems exercise both solvers:
+Four analytically solvable problems exercise the solver at both orders:
 
 1. order 4:  y'''' - y = 4 cos t            on [-1, 1],  y = (1-t) sin t
 2. order 4:  y'''' + t y = -e^t (8+7t+t^3)  on [0, 1],   y = t (1-t) e^t
@@ -24,8 +24,18 @@ import numpy as np
 
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import Expression, evaluate, parse, values_on_grid
-from nlosc.spline4 import IMPROVED_SET4, MIN_N4, ORDER4, CoefficientSet4, GridSolution, solve4
-from nlosc.spline6 import IMPROVED_SET6, MIN_N6, ORDER6, CoefficientSet6, derive_parameters6, solve6
+from nlosc.spline import (
+    IMPROVED_SET4,
+    IMPROVED_SET6,
+    GridSolution,
+    WeightSet,
+    closure_rows,
+    derive_parameters6,
+    min_n,
+    solve,
+    theta_coefficients4,
+    theta_coefficients6,
+)
 
 __all__ = [
     "AnalyticCase",
@@ -158,82 +168,69 @@ def case_by_id(case_id: int) -> AnalyticCase:
 
 @dataclass(frozen=True)
 class Method:
-    """A named solver configuration: weight set plus solver family.
+    """A named solver configuration: weight set plus boundary closure.
 
-    ``closure`` selects the boundary closure for the sixth-order solver
-    ("printed" or "series"); it is ignored by the fourth-order family,
-    whose closure travels on the weight set itself.
+    The weights fix the problem order; ``closure`` names an entry of
+    :data:`nlosc.spline.CLOSURES` that fits it (checked at construction).
     """
 
     name: str
-    family: str  # "spline4" | "spline6"
-    coefficients: CoefficientSet4 | CoefficientSet6
-    closure: str = "printed"
+    coefficients: WeightSet
+    closure: str
     note: str = ""
+
+    def __post_init__(self):
+        closure_rows(self.closure, self.order)
 
     @property
     def order(self) -> int:
-        return ORDER4 if self.family == "spline4" else ORDER6
+        return self.coefficients.order
 
     @property
     def min_n(self) -> int:
-        return MIN_N4 if self.family == "spline4" else MIN_N6
+        return min_n(self.order)
 
     def solve(self, ivp: HighOrderIVP, n: int) -> GridSolution:
-        if self.family == "spline4":
-            solution = solve4(ivp, n, self.coefficients)
-        else:
-            solution = solve6(ivp, n, self.coefficients, closure=self.closure)
+        solution = solve(ivp, n, self.coefficients, self.closure)
         return replace(solution, method=self.name)
 
 
 _F = Fraction
 
-_SET4_COL1 = (_F(0), _F(0), _F(1))
-_SET4_COL2 = (_F(1, 2), _F(1, 2), _F(-1))
-_SET4_COL3 = (_F(1, 6), _F(1, 6), _F(1, 3))
+_SET4_COL1 = WeightSet((_F(0), _F(0), _F(1)))
+_SET4_COL2 = WeightSet((_F(1, 2), _F(1, 2), _F(-1)))
+_SET4_COL3 = WeightSet((_F(1, 6), _F(1, 6), _F(1, 3)))
+_SET6_COL1 = WeightSet((_F(1, 120), _F(15, 120), _F(1, 4), _F(28, 120)))
+_SET6_COL2 = WeightSet((_F(1, 720), _F(1, 36), _F(219, 720), _F(240, 720)))
+_SET6_COL3 = WeightSet((_F(1, 5040), _F(6, 504), _F(1250, 5040), _F(2418, 5040)))
 
-# The reference tables for the fourth-order solver pair the same three
-# weight sets with different closure rows: table 1 reproduces only with
+# The fourth-order reference tables pair the same three weight sets with
+# different closure rows: table 1 reproduces only with
 # the improved closure, table 3 only with the standard closure.
 METHODS: dict[str, Method] = {
     method.name: method
     for method in (
-        Method("table1-col1", "spline4", CoefficientSet4(*_SET4_COL1, end_variant="improved")),
-        Method("table1-col2", "spline4", CoefficientSet4(*_SET4_COL2, end_variant="improved")),
-        Method("table1-col3", "spline4", CoefficientSet4(*_SET4_COL3, end_variant="improved")),
-        Method("table3-col1", "spline4", CoefficientSet4(*_SET4_COL1)),
-        Method("table3-col2", "spline4", CoefficientSet4(*_SET4_COL2)),
-        Method("table3-col3", "spline4", CoefficientSet4(*_SET4_COL3)),
-        Method("improved4", "spline4", IMPROVED_SET4),
-        Method(
-            "table5-col1",
-            "spline6",
-            CoefficientSet6(_F(1, 120), _F(15, 120), _F(1, 4), _F(28, 120)),
-        ),
-        Method(
-            "table5-col2",
-            "spline6",
-            CoefficientSet6(_F(1, 720), _F(1, 36), _F(219, 720), _F(240, 720)),
-        ),
-        Method(
-            "table5-col3",
-            "spline6",
-            CoefficientSet6(_F(1, 5040), _F(6, 504), _F(1250, 5040), _F(2418, 5040)),
-        ),
-        Method("improved6", "spline6", IMPROVED_SET6, closure="series"),
+        Method("table1-col1", _SET4_COL1, "improved"),
+        Method("table1-col2", _SET4_COL2, "improved"),
+        Method("table1-col3", _SET4_COL3, "improved"),
+        Method("table3-col1", _SET4_COL1, "standard"),
+        Method("table3-col2", _SET4_COL2, "standard"),
+        Method("table3-col3", _SET4_COL3, "standard"),
+        Method("improved4", IMPROVED_SET4, "improved"),
+        Method("table5-col1", _SET6_COL1, "printed"),
+        Method("table5-col2", _SET6_COL2, "printed"),
+        Method("table5-col3", _SET6_COL3, "printed"),
+        Method("improved6", IMPROVED_SET6, "series"),
         Method(
             "derived6-h4",
-            "spline6",
             derive_parameters6(4),
-            closure="series",
+            "series",
             note="canonical order-4 weights; reference used an unpublished choice",
         ),
         Method(
             "derived6-h6",
-            "spline6",
             derive_parameters6(6),
-            closure="series",
+            "series",
             note="canonical order-6 weights; reference used an unpublished choice",
         ),
     )
@@ -498,9 +495,6 @@ def build_report() -> str:
     ratios recorded here are generally much steeper, and are archived
     instead of asserting that narrative.
     """
-    from nlosc.spline4 import theta_coefficients4
-    from nlosc.spline6 import theta_coefficients6
-
     lines = ["nlosc verification report", "=" * 60, ""]
     for table_id in sorted(_TABLE_LAYOUT):
         table = reproduce_table(table_id)

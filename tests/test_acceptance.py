@@ -23,8 +23,14 @@ import pytest
 
 from nlosc.chain import HighOrderIVP, recover_trajectories, reduce_chain
 from nlosc.expr import differentiate, evaluate, parse
-from nlosc.spline4 import IMPROVED_SET4, CoefficientSet4, solve4
-from nlosc.spline6 import IMPROVED_SET6, derive_parameters6, truncation_series6
+from nlosc.spline import (
+    IMPROVED_SET4,
+    IMPROVED_SET6,
+    WeightSet,
+    derive_parameters6,
+    solve,
+    truncation_series6,
+)
 from nlosc.verify import (
     METHODS,
     case_by_id,
@@ -157,9 +163,9 @@ def test_criterion_5_table8_improved_and_derived_orders():
 def test_criterion_6_exact_identities():
     failures = []
     table1_sets = [
-        CoefficientSet4(F(0), F(0), F(1)),
-        CoefficientSet4(F(1, 2), F(1, 2), F(-1)),
-        CoefficientSet4(F(1, 6), F(1, 6), F(1, 3)),
+        WeightSet((F(0), F(0), F(1))),
+        WeightSet((F(1, 2), F(1, 2), F(-1))),
+        WeightSet((F(1, 6), F(1, 6), F(1, 3))),
         IMPROVED_SET4,
     ]
     for cs in table1_sets:
@@ -191,8 +197,8 @@ def test_criterion_7_property_suite(oracle):
     )
     grid = np.linspace(0, 1, 13)
     cubic = 1 + 2 * grid - grid**2 + 3 * grid**3
-    for cs in (CoefficientSet4(F(0), F(0), F(1)), IMPROVED_SET4):
-        err = np.max(np.abs(solve4(cubic_ivp, 12, cs).y - cubic))
+    for cs, closure in ((WeightSet((F(0), F(0), F(1))), "standard"), (IMPROVED_SET4, "improved")):
+        err = np.max(np.abs(solve(cubic_ivp, 12, cs, closure).y - cubic))
         if err > 1e-9:
             failures.append(f"cubic exactness violated: {err:.2e}")
 
@@ -244,7 +250,7 @@ def test_criterion_7_property_suite(oracle):
     from test_chain import example_chain
 
     chain = example_chain()
-    solution = solve4(reduce_chain(chain), 48, IMPROVED_SET4)
+    solution = solve(reduce_chain(chain), 48, IMPROVED_SET4, "improved")
     paths = recover_trajectories(chain, solution)
     t = paths.grid
     neighbor_error = np.max(

@@ -9,8 +9,7 @@ import pytest
 
 from nlosc._assembly import _BLOCK, band_to_dense, build_arrays, solve_collocation
 from nlosc.expr import values_on_grid
-from nlosc.spline4 import _collocation4, assemble_system4
-from nlosc.spline6 import _collocation6, assemble_system6
+from nlosc.spline import _collocation, assemble_system
 from nlosc.verify import METHODS, case_by_id
 
 # each built-in case with the presets of its order: improved and standard
@@ -32,9 +31,7 @@ ONE_PER_CASE = [(1, "improved4"), (2, "table3-col1"), (3, "table5-col1"), (4, "i
 
 def collocation(method, ivp, n):
     m = METHODS[method]
-    if m.family == "spline4":
-        return _collocation4(ivp, m.coefficients)
-    return _collocation6(ivp, n, m.coefficients, m.closure)
+    return _collocation(ivp, n, m.coefficients, m.closure)
 
 
 def dense_assembly(ivp, n, weights, end_conditions, min_n, pinned=(), dtype=np.float64):
@@ -120,10 +117,7 @@ def test_densified_band_matches_dense_assembly(case_id, method, n, dtype):
     assert np.array_equal(rhs, expected_rhs)
     if dtype is np.float64:
         m = METHODS[method]
-        if ivp.order == 4:
-            public = assemble_system4(ivp, n, m.coefficients)
-        else:
-            public = assemble_system6(ivp, n, m.coefficients, m.closure)
+        public = assemble_system(ivp, n, m.coefficients, m.closure)
         assert np.array_equal(public[0], matrix)
         assert np.array_equal(public[1], expected_rhs)
 

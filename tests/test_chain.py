@@ -16,7 +16,7 @@ from nlosc.chain import (
     reduce_chain,
 )
 from nlosc.expr import Const, differentiate, evaluate, parse, values_on_grid
-from nlosc.spline4 import IMPROVED_SET4, GridSolution, solve4
+from nlosc.spline import IMPROVED_SET4, GridSolution, solve
 from nlosc.verify import rk_oracle
 
 COS1, SIN1 = math.cos(1.0), math.sin(1.0)
@@ -223,7 +223,7 @@ def test_round_trip_inverse_map():
 def test_recover_case1_neighbor():
     chain = example_chain()
     ivp = reduce_chain(chain)
-    solution = solve4(ivp, 48, IMPROVED_SET4)
+    solution = solve(ivp, 48, IMPROVED_SET4, "improved")
     paths = recover_trajectories(chain, solution)
     t = paths.grid
     exact_y1 = -2 * np.cos(t) + (1 - t) * np.sin(t)
@@ -234,7 +234,7 @@ def test_recover_case1_neighbor():
 def test_recover_zero_chain():
     chain = zero_chain(2)
     ivp = reduce_chain(chain)
-    solution = solve4(ivp, 12, IMPROVED_SET4)
+    solution = solve(ivp, 12, IMPROVED_SET4, "improved")
     paths = recover_trajectories(chain, solution)
     assert np.max(np.abs(paths.trajectories)) <= 1e-12
 

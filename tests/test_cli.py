@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlosc.cli import load_config, main
-from nlosc.expr import evaluate, parse
-from nlosc.verify import rk_oracle
+from nlosc.cli import ConfigError, load_config, main
+from nlosc.expr import evaluate, parse, to_text
+from nlosc.verify import METHODS, case_by_id, rk_oracle
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -33,6 +33,23 @@ def chain_config():
         "method": "improved4",
         "n": 48,
         "exact": "(1-t)*sin(t)",
+    }
+
+
+def case_config(case_id, method, n):
+    """An ivp config of a built-in case."""
+    case = case_by_id(case_id)
+    ivp = case.ivp
+    return {
+        "mode": "ivp",
+        "order": ivp.order,
+        "f": to_text(ivp.f),
+        "g": to_text(ivp.g),
+        "interval": list(ivp.interval),
+        "u": list(ivp.u),
+        "method": method,
+        "n": n,
+        "exact": to_text(case.exact),
     }
 
 
@@ -321,6 +338,77 @@ def test_explicit_rational_method(tmp_path, capsys):
     assert main(["solve", "--config", path]) == 0
     header, rows = read_csv(capsys.readouterr().out)
     assert np.max(rows[:, -1]) <= 1e-9
+
+
+def method_object(name):
+    """The explicit method object of preset ``name``."""
+    method = METHODS[name]
+    obj = {"family": f"spline{method.order}"}
+    obj.update(zip(("alpha", "beta", "gamma", "delta"), map(str, method.coefficients.half)))
+    obj["end_variant" if method.order == 4 else "closure"] = method.closure
+    return obj
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_every_preset_round_trips_as_a_method_object(tmp_path, name):
+    case_id = 1 if METHODS[name].order == 4 else 3
+    outputs = []
+    for label, method in (("preset", name), ("object", method_object(name))):
+        path = write_config(tmp_path, case_config(case_id, method, 16), name=f"{label}.json")
+        out = tmp_path / f"{label}.csv"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+IMPROVED4 = {"family": "spline4", "alpha": "-1/720", "beta": "31/180", "gamma": "79/120"}
+T5_COL1 = {
+    "family": "spline6",
+    "alpha": "1/120",
+    "beta": "15/120",
+    "gamma": "1/4",
+    "delta": "28/120",
+}
+
+
+@pytest.mark.parametrize(
+    "case_id, method, key",
+    [
+        (1, {**IMPROVED4, "end_varient": "improved"}, "end_varient"),
+        (1, {**IMPROVED4, "closure": "improved"}, "closure"),
+        (3, {**T5_COL1, "end_variant": "printed"}, "end_variant"),
+        (1, {**IMPROVED4, "end_variant": "voodoo"}, "end_variant"),
+        (3, {**T5_COL1, "closure": "voodoo"}, "closure"),
+        (3, {**T5_COL1, "closure": ["printed"]}, "closure"),
+        (1, {**IMPROVED4, "end_variant": "printed"}, "end_variant"),
+        (3, {**T5_COL1, "closure": "improved"}, "closure"),
+    ],
+    ids=[
+        "misspelt-key",
+        "closure-key-on-spline4",
+        "end-variant-key-on-spline6",
+        "unknown-end-variant",
+        "unknown-closure",
+        "closure-not-a-name",
+        "order-6-closure-on-spline4",
+        "order-4-closure-on-spline6",
+    ],
+)
+def test_method_object_errors_name_their_key(tmp_path, capsys, case_id, method, key):
+    path = write_config(tmp_path, case_config(case_id, method, 16))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert info.value.path == f"$.method.{key}"
+    assert main(["solve", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: $.method.{key}: ")
+
+
+def test_series_start_at_order_4_from_a_method_object(tmp_path, capsys):
+    cfg = case_config(1, {**IMPROVED4, "end_variant": "series"}, 24)
+    assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 0
+    _, rows = read_csv(capsys.readouterr().out)
+    assert np.max(rows[:, -1]) <= 1e-9  # 4.3e-10; the improved closure gives 7.2e-8
 
 
 def test_load_config_round_trips_initial_expressions(tmp_path):

@@ -284,6 +284,19 @@ def test_jet_order_14_in_milliseconds():
     assert elapsed < 0.05
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_jet_of_a_constant_multiple_scales_the_jet(dtype):
+    e = parse("exp(t)*sin(t)/(1+t^2)")
+    for c in (-2.75, 3.0, 1e-3):
+        for t0 in JET_POINTS:
+            point = dtype(t0)
+            expected = dtype(c) * taylor(e, point, 9)
+            for scaled in (Mul(Const(c), e), Mul(e, Const(c))):
+                got = taylor(scaled, point, 9)
+                assert got.dtype == dtype
+                assert np.array_equal(got, expected), (c, t0)
+
+
 def test_jet_is_silent_at_a_singular_point():
     jet = taylor(parse("1/t"), 0.0, 4)
     assert jet[0] == math.inf and not np.isfinite(jet).any()

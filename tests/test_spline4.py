@@ -1,4 +1,4 @@
-"""Tests for the fourth-order spline solver."""
+"""Tests for the spline solver at order 4 and its fourth-order data."""
 
 import math
 from fractions import Fraction
@@ -10,13 +10,13 @@ from conftest import consistency_residual, monomial_residual
 from nlosc._assembly import band_to_dense, build_arrays
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import parse, values_on_grid
-from nlosc.spline4 import (
+from nlosc.spline import (
     IMPROVED_END_CONDITIONS4,
     IMPROVED_SET4,
     STANDARD_END_CONDITIONS4,
-    CoefficientSet4,
-    assemble_system4,
-    solve4,
+    WeightSet,
+    assemble_system,
+    solve,
     theta_coefficients4,
     truncation_leading4,
 )
@@ -24,7 +24,7 @@ from nlosc.verify import METHODS, case_by_id, max_abs_error, rk_oracle, oracle_m
 
 F = Fraction
 
-SET_COL1 = CoefficientSet4(F(0), F(0), F(1))
+SET_COL1 = WeightSet((F(0), F(0), F(1)))
 
 
 def case1_ivp():
@@ -38,22 +38,22 @@ def case1_ivp():
 
 def test_weight_normalization_enforced():
     with pytest.raises(ValueError):
-        CoefficientSet4(F(1, 2), F(1, 2), F(1, 2))
+        WeightSet((F(1, 2), F(1, 2), F(1, 2)))
 
 
 def test_weight_normalization_unchecked_escape_hatch():
-    cs = CoefficientSet4(F(1, 2), F(1, 2), F(1, 2), unchecked=True)
+    cs = WeightSet((F(1, 2), F(1, 2), F(1, 2)), unchecked=True)
     assert cs.gamma == F(1, 2)
 
 
 def test_weights_reject_floats():
     with pytest.raises(TypeError):
-        CoefficientSet4(0.0, 0.0, 1.0)
+        WeightSet((0.0, 0.0, 1.0))
 
 
 def test_unknown_end_variant():
     with pytest.raises(ValueError):
-        CoefficientSet4(F(0), F(0), F(1), end_variant="fancy")
+        assemble_system(case1_ivp(), 6, SET_COL1, "fancy")
 
 
 def test_improved_set_is_normalized_exactly():
@@ -138,7 +138,7 @@ def test_interior_truncation_matches_bracket(weights):
     if weights is None:
         cs = IMPROVED_SET4
     else:
-        cs = CoefficientSet4(*weights)
+        cs = WeightSet(weights)
     stencil = cs.weights
     for degree in range(6):
         assert consistency_residual(stencil, 4, degree) == 0
@@ -152,7 +152,7 @@ def test_interior_truncation_matches_bracket(weights):
 
 
 def test_truncation_leading_order6_sets():
-    assert truncation_leading4(CoefficientSet4(F(1, 6), F(1, 6), F(1, 3))) == (6, F(2, 3))
+    assert truncation_leading4(WeightSet((F(1, 6), F(1, 6), F(1, 3)))) == (6, F(2, 3))
     assert truncation_leading4(SET_COL1) == (6, F(-1, 6))
 
 
@@ -170,21 +170,21 @@ def test_truncation_leading_improved_set():
 
 def test_assembly_rejects_small_grids():
     with pytest.raises(ValueError):
-        assemble_system4(case1_ivp(), 5, SET_COL1)
+        assemble_system(case1_ivp(), 5, SET_COL1, "standard")
 
 
 def test_assembly_rejects_wrong_order():
     with pytest.raises(ValueError):
-        assemble_system4(case_by_id(3).ivp, 16, SET_COL1)
+        assemble_system(case_by_id(3).ivp, 16, SET_COL1, "standard")
     with pytest.raises(ValueError):
-        solve4(case_by_id(3).ivp, 16, SET_COL1)
+        solve(case_by_id(3).ivp, 16, SET_COL1, "standard")
 
 
 def test_homogeneous_problem_has_zero_rhs():
     ivp = HighOrderIVP(order=4, f=parse("0"), g=parse("0"), interval=(0, 1), u=(0, 0, 0, 0))
-    _, rhs = assemble_system4(ivp, 8, CoefficientSet4(F(1, 6), F(1, 6), F(1, 3)))
+    _, rhs = assemble_system(ivp, 8, WeightSet((F(1, 6), F(1, 6), F(1, 3))), "standard")
     assert np.all(rhs == 0.0)
-    assert np.max(np.abs(solve4(ivp, 8, SET_COL1).y)) == 0.0
+    assert np.max(np.abs(solve(ivp, 8, SET_COL1, "standard").y)) == 0.0
 
 
 def test_first_consistency_row_coefficients():
@@ -193,7 +193,7 @@ def test_first_consistency_row_coefficients():
     n = 6
     ivp = case1_ivp()
     h = 2.0 / n
-    matrix, rhs = assemble_system4(ivp, n, SET_COL1)
+    matrix, rhs = assemble_system(ivp, n, SET_COL1, "standard")
     row = matrix[3]  # rows: 3 closure rows, then windows i = 4..n
     assert row[1] == pytest.approx(6.0 - h**4, rel=1e-15)  # y_2
     assert row[0] == pytest.approx(-4.0, abs=0)  # y_1
@@ -210,8 +210,7 @@ def test_improved_first_closure_row_y1_coefficient():
     n = 6
     ivp = case1_ivp()
     h = 2.0 / n
-    improved = CoefficientSet4(F(0), F(0), F(1), end_variant="improved")
-    matrix, _ = assemble_system4(ivp, n, improved)
+    matrix, _ = assemble_system(ivp, n, SET_COL1, "improved")
     t1 = -1.0 + h
     f_t1 = -1.0
     expected = 13366080 / 2081 + h**4 * (843268 / 2081) * f_t1
@@ -263,8 +262,7 @@ def test_cubic_problems_are_reproduced_exactly():
     expected = 1 + 2 * grid - grid**2 + 3 * grid**3
     for variant in ("standard", "improved"):
         for weights in [(F(0), F(0), F(1)), (F(1, 6), F(1, 6), F(1, 3)), (F(-1, 720), F(31, 180), F(79, 120))]:
-            cs = CoefficientSet4(*weights, end_variant=variant)
-            solution = solve4(ivp, 12, cs)
+            solution = solve(ivp, 12, WeightSet(weights), variant)
             assert np.max(np.abs(solution.y - expected)) <= 1e-10
 
 
@@ -273,18 +271,17 @@ def test_case1_standard_and_improved_closures_at_coarse_grid():
     ivp = case1_ivp()
     exact = case_by_id(1).exact
     for variant, rel in (("standard", 0.05), ("improved", 0.01)):
-        cs = CoefficientSet4(F(0), F(0), F(1), end_variant=variant)
-        err = max_abs_error(solve4(ivp, 6, cs), exact)
+        err = max_abs_error(solve(ivp, 6, SET_COL1, variant), exact)
         assert err == pytest.approx(6.74e-1, rel=rel)
 
 
 def test_case1_improved_fine_grid():
-    err = max_abs_error(solve4(case1_ivp(), 48, IMPROVED_SET4), case_by_id(1).exact)
+    err = max_abs_error(solve(case1_ivp(), 48, IMPROVED_SET4, "improved"), case_by_id(1).exact)
     assert 7.72e-11 / 5 <= err <= 7.72e-11 * 5
 
 
 def test_solution_pins_initial_value():
-    solution = solve4(case1_ivp(), 12, IMPROVED_SET4)
+    solution = solve(case1_ivp(), 12, IMPROVED_SET4, "improved")
     assert solution.y[0] == case1_ivp().u[0]
     assert solution.t[0] == -1.0 and solution.t[-1] == 1.0
 
@@ -303,7 +300,7 @@ def test_improved_solver_tracks_oracle_on_generated_problems():
             interval=(0.0, 1.0),
             u=(0.4, -0.3, 0.2, 0.1),
         )
-        solution = solve4(ivp, 48, IMPROVED_SET4)
+        solution = solve(ivp, 48, IMPROVED_SET4, "improved")
         oracle = rk_oracle(ivp, steps=48 * 500)
         assert oracle_max_error(solution, oracle) <= 1e-6
 
@@ -319,7 +316,7 @@ def test_table1_set_slopes_are_at_least_second_order():
     exact = case_by_id(1).exact
     ivp = case1_ivp()
     for weights in [(F(0), F(0), F(1)), (F(1, 2), F(1, 2), F(-1)), (F(1, 6), F(1, 6), F(1, 3))]:
-        cs = CoefficientSet4(*weights, end_variant="improved")
-        errs = [max_abs_error(solve4(ivp, n, cs), exact) for n in (12, 24, 48)]
+        cs = WeightSet(weights)
+        errs = [max_abs_error(solve(ivp, n, cs, "improved"), exact) for n in (12, 24, 48)]
         slopes = [log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(s >= 1.8 for s in slopes), (weights, slopes)

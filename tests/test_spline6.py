@@ -1,4 +1,4 @@
-"""Tests for the sixth-order spline solver."""
+"""Tests for the spline solver at order 6 and its sixth-order data."""
 
 import math
 import time
@@ -11,14 +11,15 @@ import pytest
 from conftest import consistency_residual, monomial_residual
 from nlosc.chain import HighOrderIVP, OscillatorChain, reduce_chain
 from nlosc.expr import parse
-from nlosc.spline6 import (
+from nlosc.spline import (
     END_CONDITIONS6,
     IMPROVED_SET6,
-    CoefficientSet6,
-    assemble_system6,
+    WeightSet,
+    _series_start_rows,
+    assemble_system,
     derivatives_at_start,
     derive_parameters6,
-    solve6,
+    solve,
     theta_coefficients6,
     truncation_series6,
 )
@@ -26,11 +27,11 @@ from nlosc.verify import case_by_id, max_abs_error
 
 F = Fraction
 
-SET_T5_COL1 = CoefficientSet6(F(1, 120), F(15, 120), F(1, 4), F(28, 120))
+SET_T5_COL1 = WeightSet((F(1, 120), F(15, 120), F(1, 4), F(28, 120)))
 TABLE5_SETS = (
     SET_T5_COL1,
-    CoefficientSet6(F(1, 720), F(1, 36), F(219, 720), F(240, 720)),
-    CoefficientSet6(F(1, 5040), F(6, 504), F(1250, 5040), F(2418, 5040)),
+    WeightSet((F(1, 720), F(1, 36), F(219, 720), F(240, 720))),
+    WeightSet((F(1, 5040), F(6, 504), F(1250, 5040), F(2418, 5040))),
 )
 
 
@@ -46,8 +47,8 @@ def test_all_reference_sets_are_normalized_exactly():
 
 def test_weight_normalization_enforced():
     with pytest.raises(ValueError):
-        CoefficientSet6(F(1), F(0), F(0), F(0))
-    assert CoefficientSet6(F(1), F(0), F(0), F(0), unchecked=True).alpha == 1
+        WeightSet((F(1), F(0), F(0), F(0)))
+    assert WeightSet((F(1), F(0), F(0), F(0)), unchecked=True).alpha == 1
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +114,11 @@ def test_improved_set_kills_first_four_brackets():
 
 
 def test_bracket_example_sets():
-    cs = CoefficientSet6(F(1, 120), F(15, 120), F(30, 120), F(28, 120))
+    cs = WeightSet((F(1, 120), F(15, 120), F(30, 120), F(28, 120)))
     brackets = truncation_series6(cs)
     assert brackets[0] == 0
     assert brackets[1] == F(23, 40)  # (1/4)(-1 + 3.3) = 0.575
-    zero = CoefficientSet6(F(0), F(0), F(0), F(0), unchecked=True)
+    zero = WeightSet((F(0), F(0), F(0), F(0)), unchecked=True)
     assert truncation_series6(zero)[0] == -1
 
 
@@ -125,7 +126,7 @@ def test_brackets_match_monomial_residuals():
     """Independent check of the printed bracket formulas: the residual of
     the seven-point relation on t^k equals bracket_k * k! once all lower
     brackets vanish."""
-    unnormalized = CoefficientSet6(F(1, 100), F(1, 50), F(1, 25), F(1, 10), unchecked=True)
+    unnormalized = WeightSet((F(1, 100), F(1, 50), F(1, 25), F(1, 10)), unchecked=True)
     b = truncation_series6(unnormalized)
     assert consistency_residual(unnormalized.weights, 6, 6) == b[0] * math.factorial(6)
 
@@ -189,10 +190,11 @@ def test_start_derivatives_extend_through_the_equation():
     assert derivs == pytest.approx(expected, abs=1e-10)
 
 
-def test_start_derivatives_of_a_product_ring():
-    # a 3-ring with product trajectories y1 = A e^(at) sin(bt),
-    # y2 = B t^3 cos(ct), y3 = (p + q t^2) e^(dt), forces g_k = y_k'' + w_k^2 y_(k+1);
-    # the pivot y3 has y3^(m)(0) = p d^m + q m (m-1) d^(m-2)
+def product_ring():
+    """A 3-ring with product trajectories and y3^(m)(0) for m < 14."""
+    # y1 = A e^(at) sin(bt), y2 = B t^3 cos(ct), y3 = (p + q t^2) e^(dt),
+    # forces g_k = y_k'' + w_k^2 y_(k+1); the pivot y3 has
+    # y3^(m)(0) = p d^m + q m (m-1) d^(m-2)
     A, a, b = 1.53, 0.41, 1.57
     B, c = 1.46, 1.63
     p, q, d = 0.62, 0.58, -0.47
@@ -214,12 +216,58 @@ def test_start_derivatives_of_a_product_ring():
         positions=(0.0, 0.0, p),
         velocities=(A * b, 0.0, d * p),
     )
+    return chain, [p * d**m + q * m * (m - 1) * d ** (m - 2) for m in range(14)]
+
+
+def test_start_derivatives_of_a_product_ring():
+    chain, expected = product_ring()
     start = time.perf_counter()
     derivs = derivatives_at_start(reduce_chain(chain), 14)
     elapsed = time.perf_counter() - start
-    expected = [p * d**m + q * m * (m - 1) * d ** (m - 2) for m in range(14)]
     assert derivs == pytest.approx(expected, rel=1e-9)
     assert elapsed < 0.2
+
+
+# y_1..y_5 of the series start as computed before the fourth- and
+# sixth-order solvers shared one module, printed as the shortest strings
+# that round-trip in x87 extended precision
+SERIES_ROWS = {
+    ("case3", 8): (
+        "9.9150489643347302726e-01",
+        "9.630190625158061136e-01",
+        "9.0936963413637600167e-01",
+        "8.24360635350073513e-01",
+        "7.0059223403730003807e-01",
+    ),
+    ("case4", 64): (
+        "5.0706291029295033655e-02",
+        "9.761138420344329183e-02",
+        "1.4068065084154946763e-01",
+        "1.7989300833656883575e-01",
+        "2.1524077623144560127e-01",
+    ),
+    ("ring", 32): (
+        "6.115184457715542445e-01",
+        "6.042524362412009549e-01",
+        "5.9815229026913129483e-01",
+        "5.9316975087559685995e-01",
+        "5.892579508637311829e-01",
+    ),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="needs x87 extended precision")
+@pytest.mark.parametrize("name, n", list(SERIES_ROWS))
+def test_series_start_rows_are_unchanged(name, n):
+    ivp = {
+        "case3": case_by_id(3).ivp,
+        "case4": case_by_id(4).ivp,
+        "ring": reduce_chain(product_ring()[0]),
+    }[name]
+    rows = _series_start_rows(ivp, n)
+    assert [j for j, _ in rows] == [1, 2, 3, 4, 5]
+    got = tuple(np.format_float_scientific(v, unique=True) for _, v in rows)
+    assert got == SERIES_ROWS[name, n]
 
 
 def test_start_derivatives_reject_a_singular_forcing_silently():
@@ -237,16 +285,16 @@ def test_start_derivatives_reject_a_singular_forcing_silently():
 
 def test_assembly_rejects_small_grids_and_wrong_order():
     with pytest.raises(ValueError):
-        assemble_system6(case_by_id(3).ivp, 7, SET_T5_COL1)
+        assemble_system(case_by_id(3).ivp, 7, SET_T5_COL1, "printed")
     with pytest.raises(ValueError):
-        assemble_system6(case_by_id(1).ivp, 16, SET_T5_COL1)
+        assemble_system(case_by_id(1).ivp, 16, SET_T5_COL1, "printed")
     with pytest.raises(ValueError):
-        solve6(case_by_id(3).ivp, 16, SET_T5_COL1, closure="voodoo")
+        solve(case_by_id(3).ivp, 16, SET_T5_COL1, "voodoo")
 
 
 def test_homogeneous_problem_has_zero_rhs():
     ivp = HighOrderIVP(order=6, f=parse("0"), g=parse("0"), interval=(0, 1), u=(0,) * 6)
-    _, rhs = assemble_system6(ivp, 10, SET_T5_COL1)
+    _, rhs = assemble_system(ivp, 10, SET_T5_COL1, "printed")
     assert np.all(rhs == 0.0)
 
 
@@ -256,7 +304,7 @@ def test_first_consistency_row_y3_coefficient():
     n = 8
     ivp = case_by_id(3).ivp
     h = 1.0 / n
-    matrix, _ = assemble_system6(ivp, n, SET_T5_COL1)
+    matrix, _ = assemble_system(ivp, n, SET_T5_COL1, "printed")
     row = matrix[5]  # 5 closure rows, then the i = 6 window
     assert row[2] == pytest.approx(-20.0 - h**6 * (28.0 / 120.0), rel=1e-15)
 
@@ -267,7 +315,7 @@ def test_second_closure_row_y1_coefficient():
     n = 8
     ivp = case_by_id(3).ivp
     h = 1.0 / n
-    matrix, _ = assemble_system6(ivp, n, SET_T5_COL1)
+    matrix, _ = assemble_system(ivp, n, SET_T5_COL1, "printed")
     f_t1 = -1.0
     expected = 797790 / 21983 + h**6 * f_t1 * (1 + 40167 / 21983)
     assert matrix[1][0] == pytest.approx(expected, rel=1e-14)
@@ -275,7 +323,7 @@ def test_second_closure_row_y1_coefficient():
 
 def test_series_closure_rows_pin_leading_unknowns():
     ivp = case_by_id(3).ivp
-    matrix, rhs = assemble_system6(ivp, 10, IMPROVED_SET6, closure="series")
+    matrix, rhs = assemble_system(ivp, 10, IMPROVED_SET6, "series")
     exact = case_by_id(3).exact
     from nlosc.expr import evaluate
 
@@ -301,23 +349,23 @@ def test_quintic_problems_are_reproduced_exactly():
     )
     for cs in TABLE5_SETS + (IMPROVED_SET6,):
         for closure in ("printed", "series"):
-            solution = solve6(ivp, 12, cs, closure=closure)
+            solution = solve(ivp, 12, cs, closure)
             assert np.max(np.abs(solution.y - expected)) <= 1e-9
 
 
 def test_case3_reference_cells():
     ivp = case_by_id(3).ivp
     exact = case_by_id(3).exact
-    err16 = max_abs_error(solve6(ivp, 16, SET_T5_COL1), exact)
+    err16 = max_abs_error(solve(ivp, 16, SET_T5_COL1, "printed"), exact)
     assert err16 == pytest.approx(7.50e-5, rel=0.02)
-    err32 = max_abs_error(solve6(ivp, 32, SET_T5_COL1), exact)
+    err32 = max_abs_error(solve(ivp, 32, SET_T5_COL1, "printed"), exact)
     assert err32 == pytest.approx(5.45e-6, rel=0.02)
 
 
 def test_case4_improved_series_closure():
     ivp = case_by_id(4).ivp
     exact = case_by_id(4).exact
-    err = max_abs_error(solve6(ivp, 16, IMPROVED_SET6, closure="series"), exact)
+    err = max_abs_error(solve(ivp, 16, IMPROVED_SET6, "series"), exact)
     # at least as accurate as the reference cell 9.93e-8 allows, within 10x
     assert err <= 9.93e-8 * 10
 
@@ -325,7 +373,7 @@ def test_case4_improved_series_closure():
 def test_zero_problem_solves_to_zero():
     ivp = HighOrderIVP(order=6, f=parse("0"), g=parse("0"), interval=(0, 1), u=(0,) * 6)
     for closure in ("printed", "series"):
-        assert np.max(np.abs(solve6(ivp, 12, SET_T5_COL1, closure=closure).y)) == 0.0
+        assert np.max(np.abs(solve(ivp, 12, SET_T5_COL1, closure).y)) == 0.0
 
 
 def test_improved_set_slope_case4_between_16_and_32():
@@ -334,7 +382,7 @@ def test_improved_set_slope_case4_between_16_and_32():
     the printed closure's boundary error would mask this entirely)."""
     case = case_by_id(4)
     errs = [
-        max_abs_error(solve6(case.ivp, n, IMPROVED_SET6, closure="series"), case.exact)
+        max_abs_error(solve(case.ivp, n, IMPROVED_SET6, "series"), case.exact)
         for n in (16, 32)
     ]
     assert math.log2(errs[0] / errs[1]) >= 6.0

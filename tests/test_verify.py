@@ -7,7 +7,7 @@ import pytest
 
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import differentiate, evaluate, parse, values_on_grid
-from nlosc.spline4 import GridSolution
+from nlosc.spline import GridSolution
 from nlosc.verify import (
     METHODS,
     REFERENCE_MAX_ERRORS,
