@@ -12,9 +12,12 @@ positions and leaves a single initial value problem of order 2N in
 
     y_N^(2N) + f * y_N = g(t),   f = (-1)^(N+1) * prod(omega_k^2)
 
-with ``g`` a combination of derivatives of the driving forces.  The
-forcing is composed symbolically, so no differentiation error enters the
-reduced problem.  Once the reduced problem is solved on a grid, the other
+with ``g`` a combination of derivatives of the driving forces, up to order
+2N-2.  ``g`` is built from :class:`~nlosc.expr.Deriv` nodes over the forces,
+which the evaluator computes from Taylor jets of each force, on a grid or
+at a point; no force is differentiated symbolically, so ``g`` grows by a
+few nodes per oscillator and no differentiation error enters the reduced
+problem.  Once the reduced problem is solved on a grid, the other
 trajectories are recovered by walking the ring backwards with grid second
 derivatives; that recovery step is second-order accurate in the grid
 spacing, which is the documented accuracy floor for recovered neighbors.
@@ -22,11 +25,12 @@ spacing, which is the documented accuracy floor for recovered neighbors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from nlosc.expr import Const, Expression, differentiate, evaluate, values_on_grid
+from nlosc.expr import Const, Deriv, EvaluationError, Expression, taylor, values_on_grid
 
 __all__ = [
     "OscillatorChain",
@@ -85,8 +89,9 @@ class HighOrderIVP:
     """The reduced problem y^(order) + f(t) y = g(t) on [a, b].
 
     ``u`` holds the initial derivatives y(a), y'(a), ..., y^(order-1)(a).
-    For chain reductions ``f`` is a constant expression; the solvers accept
-    any continuous ``f``.
+    For chain reductions ``f`` is a constant expression and ``g`` a sum of
+    :class:`~nlosc.expr.Deriv` nodes over the forces; the solvers accept
+    any continuous ``f`` and any expression ``g``.
     """
 
     order: int
@@ -131,33 +136,46 @@ class TrajectorySet:
 def _eliminate(chain: OscillatorChain) -> tuple[tuple[float, ...], float, Expression]:
     """Eliminate neighbors of the last oscillator, one ring step at a time.
 
-    Step j = 1..N-1 holds the identity  y_N^(2j) + c_j * y_j = G_j(t),
-    which with its first derivative at t = a gives u_{2j} and u_{2j+1}.
-    Returns the initial derivatives u and the closing pair (c_N, G_N) for
-    which  y_N^(2N) + c_N * y_N = G_N.
+    Step j = 1..N-1 holds the identity  y_N^(2j) + c_j * y_j = G_j(t)  with
+    G_j = F_N^(2j-2) - sum_{i<j} c_i F_i^(2j-2-2i)  (F_k the forces, c_1 =
+    omega_N^2, c_{i+1} = -c_i omega_i^2), whose two-coefficient jet at
+    t = a gives u_{2j} and u_{2j+1}.  Returns u and the closing pair
+    (c_N, G_N) for which  y_N^(2N) + c_N * y_N = G_N.  Every G_j is built
+    from Deriv nodes, so no force is differentiated symbolically.
     """
     a = chain.interval[0]
+    cs: list[float] = []  # c_1..c_{j-1} at step j
+
+    def forcing(j: int) -> Expression:
+        G = Deriv(chain.forces[-1], 2 * j - 2)
+        for i, c_i in enumerate(cs, start=1):
+            G = G - Const(c_i) * Deriv(chain.forces[i - 1], 2 * (j - i) - 2)
+        return G
+
     u = [chain.positions[-1], chain.velocities[-1]]
     c = chain.omegas[-1] ** 2
-    G: Expression = chain.forces[-1]
     for j in range(1, chain.size):
-        dG = differentiate(G, 1)
-        u.append(evaluate(G, a) - c * chain.positions[j - 1])
-        u.append(evaluate(dG, a) - c * chain.velocities[j - 1])
+        value, slope = taylor(forcing(j), a, 2)
+        u.append(value - c * chain.positions[j - 1])
+        u.append(slope - c * chain.velocities[j - 1])
         # differentiate the identity twice, then substitute oscillator j's
         # equation y_j'' = g_j - omega_j^2 * y_{j+1}
-        G = differentiate(dG, 1) - Const(c) * chain.forces[j - 1]
+        cs.append(c)
         c = -c * chain.omegas[j - 1] ** 2
-    return tuple(u), c, G
+    if not all(math.isfinite(v) for v in u):
+        raise EvaluationError(f"non-finite force derivative at t={a}")
+    return tuple(u), c, forcing(chain.size)
 
 
 def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
     """Reduce the ring to a single order-2N initial value problem in y_N.
 
     The constant coefficient is ``(-1)^(N+1) * prod(omega_k^2)`` and the
-    forcing is composed symbolically from derivatives of the local driving
-    forces.  Solving for a different pivot oscillator is done by rotating
-    the ring labels before reducing, not by re-deriving.
+    forcing is ``Deriv(F_N, 2N-2) - sum_j c_j Deriv(F_j, 2N-2-2j)`` over
+    the local driving forces F_k, evaluated from their jets; ``to_text``
+    prints it as the symbolic derivative.  Solving for a different pivot
+    oscillator is done by rotating the ring labels before reducing, not by
+    re-deriving.
     """
     u, c, g = _eliminate(chain)
     return HighOrderIVP(
@@ -175,7 +193,8 @@ def initial_derivatives(chain: OscillatorChain) -> tuple[float, ...]:
     u_0 and u_1 are the last oscillator's own position and velocity; each
     elimination identity  y_N^(2j) + c_j y_j = G_j  and its first
     derivative then supply u_{2j} and u_{2j+1} from oscillator j's initial
-    position and velocity and exact derivatives of the driving forces.
+    position and velocity and the driving forces' derivatives at a, taken
+    from their Taylor jets.
     """
     return _eliminate(chain)[0]
 

@@ -129,7 +129,10 @@ def _method_field(value, path: str) -> Method:
         if key not in known:
             raise ConfigError(f"{path}.{key}", f"unknown key; {family} takes {', '.join(known)}")
     half = tuple(_rational_field(_need(value, name, path), f"{path}.{name}") for name in names)
-    weights = WeightSet(half)
+    try:
+        weights = WeightSet(half)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
     try:
         return Method(f"custom-{family}", weights, value.get(closure_key, default))
     except ValueError as exc:

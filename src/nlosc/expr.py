@@ -22,16 +22,26 @@ functions, so expressions are safe to share between threads.  There is one
 evaluator walk, which computes each shared node once per call.  It carries
 either plain values, for :func:`evaluate` (one point, errors raised) and
 :func:`values_on_grid` (an array, dtype kept), or truncated Taylor series
-("jets") about one point, for :func:`taylor`, which gives every derivative
-up to a chosen order at that point without building a derivative
-expression.  :func:`differentiate` is for when an expression is the
+("jets"), for :func:`taylor`, which gives every derivative up to a chosen
+order at one point without building a derivative expression.  A jet's
+coefficients may also be grid arrays: the walk then carries the series
+about every grid point at once.
+
+Besides the grammar's nodes there is :class:`Deriv`, the k-th derivative
+of an expression, which the walk computes from a jet of its operand k
+coefficients longer (``k! c_k`` for a value, the shifted and scaled tail
+for a jet), so a derivative of any order costs one jet walk of the
+operand.  :func:`differentiate` is for when a symbolic expression is the
 output; each pass differentiates a shared node once, so derivatives stay
-shared.  The operator overloads perform only trivial constant folding (0
-and 1 identities); there is no other simplification machinery.
+shared.  The grammar has no derivative, so :func:`to_text` prints a
+``Deriv`` as its symbolic derivative, which parses back to the same value
+up to rounding.  The operator overloads perform only trivial constant
+folding (0 and 1 identities); there is no other simplification machinery.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -51,6 +61,7 @@ __all__ = [
     "Sin",
     "Cos",
     "Exp",
+    "Deriv",
     "ExpressionError",
     "ParseError",
     "EvaluationError",
@@ -221,6 +232,35 @@ class Exp(Expression):
     arg: Expression
 
 
+@dataclass(frozen=True, init=False)
+class Deriv(Expression):
+    """The ``order``-th derivative of ``operand``, evaluated from a jet of
+    ``operand`` rather than built symbolically.
+
+    Construction folds: order 0 gives ``operand`` itself, and the
+    derivative of a constant is ``Const(0.0)``.
+    """
+
+    operand: Expression
+    order: int
+
+    def __new__(cls, operand: Expression, order: int) -> Expression:
+        order = int(order)
+        if order < 0:
+            raise ValueError("derivative order must be >= 0")
+        if order == 0:
+            return operand
+        if isinstance(operand, Const):
+            return Const(0.0)
+        node = super().__new__(cls)
+        object.__setattr__(node, "operand", operand)
+        object.__setattr__(node, "order", order)
+        return node
+
+    def __init__(self, operand: Expression, order: int):
+        """Fields are set by ``__new__``, which may return another node."""
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -282,8 +322,9 @@ def taylor(e: Expression, t0, count: int) -> np.ndarray:
 
 def _values(e: Expression, t, count: int | None = None):
     """Value of ``e`` at ``t`` (a number or an array), or with ``count``
-    its Taylor coefficients c_0..c_{count-1} about the point ``t`` as a
-    list, computing each node of the shared expression DAG once.
+    its Taylor coefficients c_0..c_{count-1} about ``t`` as a list (of
+    arrays for an array ``t``: one series per point), computing each node
+    of the shared expression DAG once.
 
     Values use the plain operations of :data:`_VALUE_OPS`, jets the series
     recurrences of :data:`_JET_OPS`, whose coefficient 0 is computed by the
@@ -315,6 +356,8 @@ def _values(e: Expression, t, count: int | None = None):
             out = ops[Neg](value(node.operand))
         elif kind in _FUNCTION_KINDS:
             out = ops[kind](value(node.arg))
+        elif kind is Deriv:
+            out = _derived(node, t, count)
         else:
             raise TypeError(f"not an expression node: {node!r}")
         memo[key] = out
@@ -323,17 +366,38 @@ def _values(e: Expression, t, count: int | None = None):
     return value(e)
 
 
+def _derived(node: Deriv, t, count: int | None):
+    """Value, or jet of ``count`` coefficients, of a Deriv node, from a
+    jet of its operand ``order`` coefficients longer: the k-th derivative
+    of sum_i c_i (t - t0)^i has coefficients c_{j+k} (j+k)!/j!."""
+    k = node.order
+    jet = _values(node.operand, t, (count or 1) + k)
+    if count is None:
+        return float(math.factorial(k)) * jet[k]
+    return [float(math.perm(j + k, k)) * jet[j + k] for j in range(count)]
+
+
 # Series recurrences on coefficient lists (Griewank & Walther, ch. 13).
 # Every sum starts from its first term, never from 0, so coefficient 0 is
 # the plain operation on values, signed zeros included.
 
 
+def _is_constant(a: list) -> bool:
+    """Whether every coefficient of ``a`` past c_0 is a zero number.  The
+    truth of a grid array is ambiguous, and a jet with one counts as
+    varying."""
+    try:
+        return not any(a[1:])
+    except ValueError:
+        return False
+
+
 def _product(a: list, b: list) -> list:
     """Cauchy product: c_k = sum_j a_j b_{k-j}.  A constant factor, whose
     coefficients past c_0 are all zero, just scales the other jet."""
-    if not any(a[1:]):
+    if _is_constant(a):
         return [a[0] * v for v in b]
-    if not any(b[1:]):
+    if _is_constant(b):
         return [v * b[0] for v in a]
     out = []
     for k in range(len(a)):
@@ -430,9 +494,9 @@ def differentiate(e: Expression, k: int = 1) -> Expression:
     the result is a DAG: as a tree it grows steeply with k (the 8th
     derivative of exp(t)*sin(t)/(1+t^2) unfolds to millions of nodes),
     but its distinct nodes stay in the tens of thousands, and they grow
-    about 8x per two orders.  For numeric derivatives at a point use
-    :func:`taylor` instead: the k-th derivative is k! * c_k, and order 14
-    takes milliseconds where the symbolic route takes seconds.
+    about 8x per two orders.  For numeric derivatives use :func:`taylor`
+    at a point (the k-th derivative is k! * c_k) or :class:`Deriv`: order
+    14 takes milliseconds where the symbolic route takes seconds.
     """
     k = int(k)
     if k < 1:
@@ -478,6 +542,8 @@ def _derivative(e: Expression) -> Expression:
             out = -Expression._wrap(Sin(node.arg)) * d(node.arg)
         elif isinstance(node, Exp):
             out = Exp(node.arg) * d(node.arg)
+        elif isinstance(node, Deriv):
+            out = Deriv(node.operand, node.order + 1)
         else:
             raise TypeError(f"not an expression node: {node!r}")
         memo[key] = out
@@ -668,5 +734,44 @@ def _paren(e: Expression, minimum: int) -> str:
 def to_text(e: Expression) -> str:
     """Render ``e`` as parseable text; ``parse(to_text(e))`` evaluates
     identically to ``e`` at every point (the printing is structure
-    preserving up to unary-minus/negative-constant equivalence)."""
-    return _render(e)[0]
+    preserving up to unary-minus/negative-constant equivalence).
+
+    The grammar has no derivative, so a :class:`Deriv` is printed as its
+    symbolic derivative: the text of ``Deriv(e, k)`` is that of
+    ``differentiate(e, k)``, and it evaluates to the jet-computed value
+    only up to rounding."""
+    return _render(_expand(e))[0]
+
+
+def _expand(e: Expression) -> Expression:
+    """``e`` with every Deriv node replaced by its symbolic derivative.
+    Nodes above a Deriv are rebuilt by the folding operators, as
+    differentiating them would have built them; all others are kept."""
+    memo: dict[int, Expression] = {}
+
+    def walk(node: Expression) -> Expression:
+        key = id(node)
+        if key in memo:
+            return memo[key]
+        kind = type(node)
+        if kind is Deriv:
+            out = differentiate(walk(node.operand), node.order)
+        elif kind in _BINARY_KINDS:
+            left, right = walk(node.left), walk(node.right)
+            unchanged = left is node.left and right is node.right
+            out = node if unchanged else _VALUE_OPS[kind](left, right)
+        elif kind is Pow:
+            base = walk(node.base)
+            out = node if base is node.base else base**node.exponent
+        elif kind is Neg:
+            operand = walk(node.operand)
+            out = node if operand is node.operand else -operand
+        elif kind in _FUNCTION_KINDS:
+            arg = walk(node.arg)
+            out = node if arg is node.arg else kind(arg)
+        else:
+            out = node
+        memo[key] = out
+        return out
+
+    return walk(e)

@@ -1,9 +1,12 @@
 """Shared fixtures: benchmark cases and a memoized reference oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from nlosc.expr import Const, differentiate, evaluate
 from nlosc.verify import builtin_cases, rk_oracle
 
 settings.register_profile(
@@ -53,6 +56,38 @@ def chain_system_rhs(chain):
         return out
 
     return rhs
+
+
+def distinct_nodes(*roots) -> int:
+    """Number of distinct nodes of the expression DAGs under ``roots``."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(
+                getattr(node, f.name)
+                for f in dataclasses.fields(node)
+                if dataclasses.is_dataclass(getattr(node, f.name))
+            )
+    return len(seen)
+
+
+def symbolic_elimination(chain):
+    """The ring reduction by symbolic differentiation: the initial
+    derivatives u, the coefficient c_N and the forcing G_N, with every
+    force derivative built by ``differentiate`` and evaluated at t = a."""
+    a = chain.interval[0]
+    u = [chain.positions[-1], chain.velocities[-1]]
+    c = chain.omegas[-1] ** 2
+    G = chain.forces[-1]
+    for j in range(1, chain.size):
+        dG = differentiate(G, 1)
+        u.append(evaluate(G, a) - c * chain.positions[j - 1])
+        u.append(evaluate(dG, a) - c * chain.velocities[j - 1])
+        G = differentiate(dG, 1) - Const(c) * chain.forces[j - 1]
+        c = -c * chain.omegas[j - 1] ** 2
+    return tuple(u), c, G
 
 
 def integrate_chain(chain, t0, t1, steps):

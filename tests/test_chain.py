@@ -1,13 +1,14 @@
 """Tests for the oscillator ring: reduction, initial data, recovery."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import integrate_chain
+from conftest import distinct_nodes, integrate_chain, symbolic_elimination
 from nlosc.chain import (
     HighOrderIVP,
     OscillatorChain,
@@ -15,7 +16,7 @@ from nlosc.chain import (
     recover_trajectories,
     reduce_chain,
 )
-from nlosc.expr import Const, differentiate, evaluate, parse, values_on_grid
+from nlosc.expr import Const, EvaluationError, differentiate, evaluate, parse, values_on_grid
 from nlosc.spline import IMPROVED_SET4, GridSolution, solve
 from nlosc.verify import rk_oracle
 
@@ -97,6 +98,70 @@ def test_reduce_four_oscillators_sign():
     ivp = reduce_chain(zero_chain(4))
     assert ivp.order == 8
     assert evaluate(ivp.f, 0.5) == pytest.approx(-1.0, abs=0)
+
+
+def four_ring():
+    forces = ("exp(t)*sin(t)/(1+t^2)", "t^3*cos(2*t)", "1/(2+t)", "exp(-t)*(1+t^2)")
+    return OscillatorChain(
+        omegas=(0.8, 1.3, 0.7, 1.1),
+        forces=tuple(parse(text) for text in forces),
+        interval=(0.0, 1.0),
+        positions=(0.3, -0.2, 0.5, 0.1),
+        velocities=(0.1, 0.4, -0.3, 0.2),
+    )
+
+
+def test_reduced_forcing_matches_symbolic_elimination():
+    chain = four_ring()
+    ivp = reduce_chain(chain)
+    u, c, g = symbolic_elimination(chain)
+    assert evaluate(ivp.f, 0.0) == c
+    assert ivp.u == pytest.approx(u, rel=1e-12)
+    t = np.linspace(0.0, 1.0, 65)
+    expected = values_on_grid(g, t)
+    assert np.max(np.abs(values_on_grid(ivp.g, t) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_force_singular_at_the_start_is_an_evaluation_error():
+    chain = OscillatorChain(
+        omegas=(1.0, 1.0, 1.0),
+        forces=(parse("0"), parse("0"), parse("1/t")),
+        interval=(0.0, 1.0),
+        positions=(0.0,) * 3,
+        velocities=(0.0,) * 3,
+    )
+    with pytest.raises(EvaluationError):
+        reduce_chain(chain)
+
+
+def test_reduced_forcing_grows_linearly_in_the_ring_size():
+    # one Deriv, Const, Mul and Sub per eliminated step on top of the forces
+    chain = four_ring()
+    g = reduce_chain(chain).g
+    assert distinct_nodes(g) <= distinct_nodes(*chain.forces) + 4 * chain.size
+
+
+def test_reduced_forcing_of_a_six_ring_in_milliseconds():
+    # g needs the 10th derivative of each force: built symbolically and
+    # walked on the grid this took about 9 s
+    force = parse("exp(t)*sin(t)/(1+t^2)")
+    chain = OscillatorChain(
+        omegas=(1.0,) * 6,
+        forces=(force,) * 6,
+        interval=(0.0, 1.0),
+        positions=(0.0,) * 6,
+        velocities=(0.0,) * 6,
+    )
+    t = np.linspace(0.0, 1.0, 1025)
+    start = time.perf_counter()
+    g = reduce_chain(chain).g
+    double = values_on_grid(g, t)
+    extended = values_on_grid(g, t.astype(np.longdouble))
+    elapsed = time.perf_counter() - start
+    assert double.dtype == np.float64 and extended.dtype == np.longdouble
+    assert np.all(np.isfinite(double))
+    assert np.max(np.abs(double - extended)) <= 1e-12 * np.max(np.abs(double))
+    assert elapsed < 0.5
 
 
 @given(

@@ -11,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import symbolic_elimination
+from nlosc.chain import reduce_chain
 from nlosc.cli import ConfigError, load_config, main
-from nlosc.expr import evaluate, parse, to_text
+from nlosc.expr import Const, evaluate, parse, to_text
 from nlosc.verify import METHODS, case_by_id, rk_oracle
+from test_spline6 import product_ring
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -76,6 +79,34 @@ def test_reduce_prints_reduced_problem(tmp_path, capsys):
         assert evaluate(g, t) == pytest.approx(4 * math.cos(t), rel=1e-14)
     assert payload["u"][0] == pytest.approx(-2 * math.sin(1.0), abs=1e-15)
     assert payload["mode"] == "ivp" and payload["method"] == "improved4"
+
+
+def test_reduce_prints_what_symbolic_elimination_prints(tmp_path, capsys):
+    config = chain_config()
+    path = write_config(tmp_path, config)
+    assert main(["reduce", "--config", path]) == 0
+    chain = load_config(path).chain
+    u, c, g = symbolic_elimination(chain)
+    expected = {
+        "mode": "ivp",
+        "order": 4,
+        "f": to_text(Const(c)),
+        "g": to_text(g),
+        "interval": list(chain.interval),
+        "u": list(u),
+        **{key: config[key] for key in ("method", "n", "exact")},
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_reduced_forcing_text_of_a_product_ring_is_symbolic():
+    chain, _ = product_ring()
+    ivp = reduce_chain(chain)
+    u, _, g = symbolic_elimination(chain)
+    assert to_text(ivp.g) == to_text(g)
+    # u comes from force jets, which round differently: y^(5)(0) is 4 ulp
+    # from the symbolic value (and 1e-17 from the exact one, against 7e-16)
+    assert ivp.u == pytest.approx(u, rel=1e-14)
 
 
 def test_reduce_rejects_ivp_config(tmp_path, capsys):
@@ -382,6 +413,7 @@ T5_COL1 = {
         (3, {**T5_COL1, "closure": ["printed"]}, "closure"),
         (1, {**IMPROVED4, "end_variant": "printed"}, "end_variant"),
         (3, {**T5_COL1, "closure": "improved"}, "closure"),
+        (1, {"family": "spline4", "alpha": "1/2", "beta": "1/2", "gamma": "1/2"}, None),
     ],
     ids=[
         "misspelt-key",
@@ -392,16 +424,19 @@ T5_COL1 = {
         "closure-not-a-name",
         "order-6-closure-on-spline4",
         "order-4-closure-on-spline6",
+        "weights-not-summing-to-1",
     ],
 )
 def test_method_object_errors_name_their_key(tmp_path, capsys, case_id, method, key):
+    # a fault of the weights as a whole names the method object itself
+    expected = f"$.method.{key}" if key else "$.method"
     path = write_config(tmp_path, case_config(case_id, method, 16))
     with pytest.raises(ConfigError) as info:
         load_config(path)
-    assert info.value.path == f"$.method.{key}"
+    assert info.value.path == expected
     assert main(["solve", "--config", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: $.method.{key}: ")
+    assert err.startswith(f"config error: {expected}: ")
 
 
 def test_series_start_at_order_4_from_a_method_object(tmp_path, capsys):

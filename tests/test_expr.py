@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import distinct_nodes
 from nlosc.expr import (
     Add,
     Const,
     Cos,
+    Deriv,
     Div,
     EvaluationError,
     Exp,
@@ -192,24 +194,10 @@ def test_quotient_rule():
         assert evaluate(d, t) == pytest.approx(expected, rel=1e-12)
 
 
-def _distinct_nodes(e) -> int:
-    seen, stack = set(), [e]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(
-                getattr(node, f.name)
-                for f in dataclasses.fields(node)
-                if dataclasses.is_dataclass(getattr(node, f.name))
-            )
-    return len(seen)
-
-
 def test_high_derivatives_share_subtrees():
     # as a tree this derivative has millions of nodes
     d8 = differentiate(parse("exp(t)*sin(t)/(1+t^2)"), 8)
-    assert _distinct_nodes(d8) < 50_000
+    assert distinct_nodes(d8) < 50_000
 
 
 def test_eighth_derivative_of_exp_sin():
@@ -295,6 +283,64 @@ def test_jet_of_a_constant_multiple_scales_the_jet(dtype):
                 got = taylor(scaled, point, 9)
                 assert got.dtype == dtype
                 assert np.array_equal(got, expected), (c, t0)
+
+
+DERIV_GRID = np.linspace(-0.7, 1.1, 65)
+
+
+def _close(got, expected):
+    # relative, with a floor where the derivative vanishes
+    return np.all(np.abs(got - expected) <= np.maximum(1e-11 * np.abs(expected), 1e-13))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("name", sorted(JET_CASES))
+def test_deriv_matches_symbolic_differentiation(name, dtype):
+    e = JET_CASES[name]
+    derivatives = _symbolic_derivatives(e, JET_ORDER)
+    grid = DERIV_GRID.astype(dtype)
+    for k, d in enumerate(derivatives):
+        node = Deriv(e, k)
+        got = values_on_grid(node, grid)
+        assert got.dtype == dtype and got.shape == grid.shape
+        assert _close(got, values_on_grid(d, grid)), (name, k)
+        for t0 in JET_POINTS:
+            jet = taylor(node, dtype(t0), 4)
+            assert jet.dtype == dtype
+            # the symbolic route is the less accurate one: in double, the
+            # jet of the 7th derivative of "composite" at 1.1 is 2.5e-11
+            # off in c_3, the jet of Deriv 1e-16, so the reference is taken
+            # in long double
+            assert _close(jet, taylor(d, np.longdouble(t0), 4)), (name, k, t0)
+
+
+def test_deriv_folds_and_differentiates_to_a_higher_order():
+    e = parse("exp(t)*sin(t)/(1+t^2)")
+    for c in (0.0, -1.25, 3.0):
+        for k in (1, 2, 7):
+            assert Deriv(Const(c), k) == Const(0.0)
+    assert Deriv(e, 0) is e
+    assert values_on_grid(Deriv(Deriv(e, 2), 3), DERIV_GRID) == pytest.approx(
+        values_on_grid(Deriv(e, 5), DERIV_GRID), rel=1e-13
+    )
+    assert differentiate(Deriv(e, 3), 2) == Deriv(e, 5)
+    with pytest.raises(ValueError):
+        Deriv(e, -1)
+    assert evaluate(Deriv(e, 3), 0.4) == pytest.approx(evaluate(differentiate(e, 3), 0.4), rel=1e-13)
+
+
+def test_deriv_prints_as_its_symbolic_derivative():
+    e = parse("exp(t)*sin(t)/(1+t^2)")
+    t = Var()
+    for node, symbolic in (
+        (Deriv(e, 3), differentiate(e, 3)),
+        (Const(2.5) * Deriv(e, 2) - Deriv(e, 4), Const(2.5) * differentiate(e, 2) - differentiate(e, 4)),
+        (Deriv(parse("t^2"), 3) - Const(-2.0) * Deriv(Sin(t), 1), Const(0.0) - Const(-2.0) * Cos(t)),
+        (Sin(Deriv(parse("t^3"), 1)), Sin(Const(3.0) * t**2)),
+    ):
+        assert to_text(node) == to_text(symbolic)
+    untouched = parse("t*1+0")
+    assert to_text(untouched) == "t*1+0"
 
 
 def test_jet_is_silent_at_a_singular_point():
