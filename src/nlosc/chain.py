@@ -18,9 +18,10 @@ which the evaluator computes from Taylor jets of each force, on a grid or
 at a point; no force is differentiated symbolically, so ``g`` grows by a
 few nodes per oscillator and no differentiation error enters the reduced
 problem.  Once the reduced problem is solved on a grid, the other
-trajectories are recovered by walking the ring backwards with grid second
-derivatives; that recovery step is second-order accurate in the grid
-spacing, which is the documented accuracy floor for recovered neighbors.
+trajectories are recovered by walking the ring backwards and integrating
+each oscillator's own equation twice from its initial state, with a
+sixth-order Stormer-Cowell sum; recovered neighbors carry the pivot's
+accuracy.
 """
 
 from __future__ import annotations
@@ -199,84 +200,50 @@ def initial_derivatives(chain: OscillatorChain) -> tuple[float, ...]:
     return _eliminate(chain)[0]
 
 
-def _extrapolate_ends(out: np.ndarray, count: int) -> None:
-    """Fill ``count`` values at each end by cubic extrapolation from the
-    neighboring clean region (in place)."""
-    n = out.shape[0] - 1
-    for i in range(count - 1, -1, -1):
-        out[i] = 4.0 * out[i + 1] - 6.0 * out[i + 2] + 4.0 * out[i + 3] - out[i + 4]
-        out[n - i] = (
-            4.0 * out[n - i - 1]
-            - 6.0 * out[n - i - 2]
-            + 4.0 * out[n - i - 3]
-            - out[n - i - 4]
-        )
+def _integrate_twice(F: np.ndarray, h: float, y0: float, v0: float) -> np.ndarray:
+    """Grid values of y with y'' = F, y(a) = y0 and y'(a) = v0.
 
-
-def _second_derivative(
-    values: np.ndarray, h: float, margin: int = 0
-) -> tuple[np.ndarray, int]:
-    """Grid second derivative: central stencil inside, second order or
-    better at the two ends.
-
-    ``margin`` counts grid points at each end of ``values`` whose error
-    deviates from the smooth interior error field (zero for solver
-    output).  A difference stencil touching such a point would amplify the
-    deviation by 1/h^2 into an O(1) artifact, so end values inside the
-    widened margin are filled by cubic extrapolation from the clean
-    region instead; the solver output itself gets 5-point one-sided end
-    stencils.  Returns the derivative and the margin of its own ends.
+    Sixth-order central Stormer-Cowell in summed form (Henrici): each second
+    difference is h^2 (F_i + d2F_i/12 - d4F_i/240).  d4F at the two end
+    nodes is extrapolated quadratically from the three nearest interior
+    values, all that the smallest grid (n = 6) has.  The first difference
+    comes from a start formula exact for F of degree <= 4, and y from two
+    cumulative sums.
     """
-    y = np.asarray(values, dtype=float)
-    out = np.empty_like(y)
-    hh = h * h
-    out[1:-1] = (y[:-2] - 2.0 * y[1:-1] + y[2:]) / hh
-    new_margin = margin + 1
-    if margin == 0:
-        out[0] = (
-            35.0 * y[0] - 104.0 * y[1] + 114.0 * y[2] - 56.0 * y[3] + 11.0 * y[4]
-        ) / (12.0 * hh)
-        out[-1] = (
-            35.0 * y[-1] - 104.0 * y[-2] + 114.0 * y[-3] - 56.0 * y[-4] + 11.0 * y[-5]
-        ) / (12.0 * hh)
-    elif 2 * new_margin + 4 <= y.shape[0]:
-        _extrapolate_ends(out, new_margin)
-    else:
-        # grid too short to outrun the contaminated ends; fall back to the
-        # one-sided stencils and accept the degraded boundary accuracy
-        out[0] = (
-            35.0 * y[0] - 104.0 * y[1] + 114.0 * y[2] - 56.0 * y[3] + 11.0 * y[4]
-        ) / (12.0 * hh)
-        out[-1] = (
-            35.0 * y[-1] - 104.0 * y[-2] + 114.0 * y[-3] - 56.0 * y[-4] + 11.0 * y[-5]
-        ) / (12.0 * hh)
-    return out, new_margin
+    d2 = F[:-2] - 2.0 * F[1:-1] + F[2:]
+    d4 = d2[:-2] - 2.0 * d2[1:-1] + d2[2:]
+    d4 = np.concatenate(
+        ([3.0 * (d4[0] - d4[1]) + d4[2]], d4, [3.0 * (d4[-1] - d4[-2]) + d4[-3]])
+    )
+    steps = np.empty(F.shape[0] - 1)
+    steps[0] = h * v0 + h * h * (
+        367.0 * F[0] + 540.0 * F[1] - 282.0 * F[2] + 116.0 * F[3] - 21.0 * F[4]
+    ) / 1440.0
+    steps[1:] = h * h * (F[1:-1] + d2 / 12.0 - d4 / 240.0)
+    return y0 + np.concatenate(([0.0], np.cumsum(np.cumsum(steps))))
 
 
 def recover_trajectories(chain: OscillatorChain, solution) -> TrajectorySet:
     """Translate a solved grid for y_N back into all N oscillator paths.
 
     ``solution`` is a GridSolution for the reduced problem of this chain.
-    y_N is copied from the solution; the ring is then walked backwards:
-    y_1 = (g_N - y_N'') / omega_N^2 and y_{k+1} = (g_k - y_k'') / omega_k^2,
-    with second derivatives taken from the grid.  Needs at least five grid
-    points for the end stencils.
+    y_N is copied from the solution; the ring is then walked backwards,
+    integrating each oscillator's own equation y_k'' = g_k - omega_k^2 y_{k+1}
+    twice from its initial state, for k = N-1 down to 1.  Equation N holds
+    through the reduction.  The integration is sixth order in the grid
+    spacing, so each neighbor carries the pivot's accuracy; it needs at
+    least six grid intervals.
     """
     t = np.asarray(solution.t, dtype=float)
     n = t.shape[0] - 1
-    if n < 4:
-        raise ValueError(f"grid too short to recover neighbors (n={n} < 4)")
+    if n < 6:
+        raise ValueError(f"grid too short to recover neighbors (n={n} < 6)")
     h = (t[-1] - t[0]) / n
     N = chain.size
 
     rows = np.empty((N, n + 1))
     rows[N - 1] = np.asarray(solution.y, dtype=float)
-    # y_1 from the last oscillator's equation, then forward around the ring
-    g_last = values_on_grid(chain.forces[-1], t)
-    d2, margin = _second_derivative(rows[N - 1], h)
-    rows[0] = (g_last - d2) / chain.omegas[-1] ** 2
-    for k in range(1, N - 1):
-        g_k = values_on_grid(chain.forces[k - 1], t)
-        d2, margin = _second_derivative(rows[k - 1], h, margin)
-        rows[k] = (g_k - d2) / chain.omegas[k - 1] ** 2
+    for k in range(N - 1, 0, -1):
+        F = values_on_grid(chain.forces[k - 1], t) - chain.omegas[k - 1] ** 2 * rows[k]
+        rows[k - 1] = _integrate_twice(F, h, chain.positions[k - 1], chain.velocities[k - 1])
     return TrajectorySet(grid=t, trajectories=rows)

@@ -13,9 +13,6 @@ numeric initial data may be given either as JSON numbers or as expression
 strings, which are evaluated at the interval's left endpoint.  Weight sets
 are exact rationals written "p/q".  CSV output uses 17 significant digits,
 '.' as the decimal separator and '\\n' line endings.
-
-The environment variable NLOSC_ORACLE_STEPS overrides the default
-resolution of the reference integrator in :mod:`nlosc.verify`.
 """
 
 from __future__ import annotations
@@ -98,6 +95,11 @@ def _rational_field(value, path: str) -> Fraction:
 def _interval_field(value, path: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(path, "expected [a, b]")
+    for v in value:
+        # type(), not isinstance(): a JSON true is a bool, which is an int;
+        # the bound rejects inf, nan and ints past the float range
+        if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+            raise ConfigError(path, f"expected two finite numbers, got {v!r}")
     a, b = (float(v) for v in value)
     if not a < b:
         raise ConfigError(path, f"empty interval [{a}, {b}]")
@@ -343,7 +345,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nlosc",
         description="Nonlocal oscillator rings via high-order spline collocation.",
-        epilog="NLOSC_ORACLE_STEPS overrides the reference-integrator resolution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

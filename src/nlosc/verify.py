@@ -15,7 +15,6 @@ ground truth where no analytic solution is available.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import log2
@@ -48,7 +47,6 @@ __all__ = [
     "max_abs_error",
     "slopes_from_errors",
     "convergence_order",
-    "oracle_steps",
     "integrate_first_order",
     "rk_oracle",
     "oracle_max_error",
@@ -56,9 +54,6 @@ __all__ = [
     "render_table",
     "build_report",
 ]
-
-DEFAULT_ORACLE_STEPS = 100_000
-_ORACLE_STEPS_ENV = "NLOSC_ORACLE_STEPS"
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,12 +266,6 @@ def convergence_order(case: AnalyticCase, method: Method, ns) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def oracle_steps() -> int:
-    """Default oracle resolution; can be overridden via NLOSC_ORACLE_STEPS."""
-    raw = os.environ.get(_ORACLE_STEPS_ENV)
-    return int(raw) if raw else DEFAULT_ORACLE_STEPS
-
-
 def integrate_first_order(ivp: HighOrderIVP, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Classical 4-stage one-step integration of the equivalent first-order
     system z = (y, y', ..., y^(order-1)).
@@ -322,16 +311,13 @@ def integrate_first_order(ivp: HighOrderIVP, steps: int) -> tuple[np.ndarray, np
     return t, out
 
 
-def rk_oracle(ivp: HighOrderIVP, steps: int | None = None, grid_n: int | None = None) -> GridSolution:
+def rk_oracle(ivp: HighOrderIVP, steps: int, grid_n: int | None = None) -> GridSolution:
     """Fine-step ground truth for an initial value problem.
 
-    Integrates with ``steps`` uniform steps (default from
-    NLOSC_ORACLE_STEPS, else 100000) and subsamples the result onto a
-    coarser grid of ``grid_n`` subintervals, which must divide ``steps``
+    Integrates with ``steps`` uniform steps and subsamples the result onto
+    a coarser grid of ``grid_n`` subintervals, which must divide ``steps``
     evenly.
     """
-    if steps is None:
-        steps = oracle_steps()
     steps = int(steps)
     if grid_n is None:
         grid_n = steps

@@ -18,7 +18,7 @@ from nlosc.chain import (
 )
 from nlosc.expr import Const, EvaluationError, differentiate, evaluate, parse, values_on_grid
 from nlosc.spline import IMPROVED_SET4, GridSolution, solve
-from nlosc.verify import rk_oracle
+from nlosc.verify import METHODS, rk_oracle
 
 COS1, SIN1 = math.cos(1.0), math.sin(1.0)
 
@@ -33,6 +33,29 @@ def example_chain():
         positions=(-2 * COS1 - 2 * SIN1, -2 * SIN1),
         velocities=(-SIN1 + 2 * COS1, 2 * COS1 + SIN1),
     )
+
+
+def closed_form_ring():
+    """The 3-ring of test_spline6.product_ring with its trajectories y_k as
+    expressions and forces g_k = y_k'' + w_k^2 y_(k+1); returns the chain
+    and the y_k."""
+    w = (0.73, 1.27, 0.76)
+    y = tuple(
+        parse(text)
+        for text in (
+            "1.53*exp(0.41*t)*sin(1.57*t)",
+            "1.46*t^3*cos(1.63*t)",
+            "(0.62+0.58*t^2)*exp(-0.47*t)",
+        )
+    )
+    chain = OscillatorChain(
+        omegas=w,
+        forces=tuple(differentiate(y[k], 2) + Const(w[k] ** 2) * y[(k + 1) % 3] for k in range(3)),
+        interval=(0.0, 1.0),
+        positions=tuple(evaluate(e, 0.0) for e in y),
+        velocities=tuple(evaluate(differentiate(e, 1), 0.0) for e in y),
+    )
+    return chain, y
 
 
 def zero_chain(size=2):
@@ -335,6 +358,35 @@ def test_recover_three_oscillators_against_ring_oracle():
         bound = 10.0 * (step_bound + inherited) + 1e-9
         assert np.max(np.abs(paths.oscillator(k) - reference)) <= bound
         inherited = step_bound + inherited
+
+
+def test_recovered_neighbors_carry_the_pivot_accuracy():
+    """Each neighbor is within twice the pivot's error (or 1e-7), and
+    converges at sixth order until it reaches the pivot's error."""
+    chain, exact = closed_form_ring()
+    ivp = reduce_chain(chain)
+    errors = {}
+    for n in (32, 64, 128):
+        paths = recover_trajectories(chain, METHODS["improved6"].solve(ivp, n))
+        errors[n] = [
+            np.max(np.abs(paths.oscillator(k) - values_on_grid(exact[k - 1], paths.grid)))
+            for k in (1, 2, 3)
+        ]
+        pivot = errors[n][-1]
+        for k, error in enumerate(errors[n][:-1], start=1):
+            assert error <= max(2.0 * pivot, 1e-7), (n, k, error, pivot)
+    for k, (coarse, fine) in enumerate(zip(errors[32][:-1], errors[64][:-1]), start=1):
+        assert fine <= coarse / 32.0 or fine <= 2.0 * errors[64][-1], (k, coarse, fine)
+
+
+@pytest.mark.parametrize("n", [6, 48])
+def test_recovered_paths_start_at_the_initial_positions(n):
+    for chain in (example_chain(), closed_form_ring()[0]):
+        ivp = reduce_chain(chain)
+        method = METHODS["improved4" if ivp.order == 4 else "improved6"]
+        paths = recover_trajectories(chain, method.solve(ivp, max(n, method.min_n)))
+        for k in range(1, chain.size + 1):
+            assert paths.oscillator(k)[0] == chain.positions[k - 1]
 
 
 def test_recover_grid_too_short():

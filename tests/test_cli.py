@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,18 @@ def test_grid_below_method_minimum(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["solve", "--config", path]) == 2
     assert "$.n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("interval", ["[null, 1]", '["zero", 1]', "[0, 1e400]", "[true, 2]"])
+def test_interval_entries_must_be_finite_numbers(tmp_path, capsys, interval):
+    cfg = chain_config()
+    cfg["interval"] = "INTERVAL"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"INTERVAL"', interval))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: $.interval: ")
 
 
 def test_unknown_preset_lists_choices(tmp_path, capsys):

@@ -16,7 +16,6 @@ from nlosc.verify import (
     integrate_first_order,
     max_abs_error,
     oracle_max_error,
-    oracle_steps,
     render_table,
     reproduce_table,
     rk_oracle,
@@ -135,13 +134,6 @@ def test_oracle_self_convergence(cases):
         case = cases[case_id]
         errs = [max_abs_error(rk_oracle(case.ivp, steps=s), case.exact) for s in (100, 200)]
         assert errs[0] / errs[1] >= 12.0
-
-
-def test_oracle_env_override(monkeypatch):
-    monkeypatch.setenv("NLOSC_ORACLE_STEPS", "1234")
-    assert oracle_steps() == 1234
-    monkeypatch.delenv("NLOSC_ORACLE_STEPS")
-    assert oracle_steps() == 100_000
 
 
 def test_integrate_first_order_carries_all_components(cases):
