@@ -1,4 +1,5 @@
-"""Shared row assembly for the spline collocation systems.
+"""Shared row assembly and the marching solve for the spline collocation
+systems.
 
 The spline solver (:mod:`nlosc.spline`) discretizes  y^(p) + f(t) y = g(t)
 on the uniform grid t_i = a + i*h with unknowns y_1..y_n (y_0 is pinned by
@@ -12,21 +13,26 @@ Two row families close the system:
   between a few D_j, a few grid values, and the known initial derivatives.
 
 Everywhere, D_j is eliminated through the differential equation itself,
-D_j = -f(t_j) y_j + g(t_j), so the assembled matrix acts on grid values
-only.  Every row is scaled by h^p so its entries stay O(1).
+D_j = -f(t_j) y_j + g(t_j), so the rows act on grid values only.
 
-Row r of the system touches the unknowns r-p..r+3 only: p sub-diagonals
-and 3 super-diagonals, and past the p-1 closure rows none above the
-diagonal.  The rows are therefore assembled in band form, O(n*p) and never
-n x n, and solved by block forward substitution: each block of at most
-``_BLOCK`` rows is a dense solve with numpy's LAPACK solver (``dgesv``)
-once its coupling to the block before is subtracted.  Two refinement
-passes follow, with residuals accumulated in extended precision (see
-:func:`solve_collocation`).
+Past the closure rows the system is a recurrence: the consistency row of
+the window ending at node i is the only row that holds y_i.  :func:`march`
+solves it in Henrici's summed form (*Discrete Variable Methods in ODEs*,
+1962): it carries the backward differences of y from node to node and adds
+each new p-th difference down that stack, O(n*p) work in double precision.
+Each addition is rounded at the size of the difference it updates, so the
+rounding error grows about linearly in n, where the binomial form of the
+same recurrence amplifies it like eps*n^p.
+
+:func:`build_arrays` assembles the rows themselves in band form (row r
+touches the unknowns r-p..r+3 only); a tabulated closure takes its head
+block from there, and the band is the reference the march is tested
+against.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,20 +45,14 @@ __all__ = [
     "EndCondition",
     "band_to_dense",
     "build_arrays",
-    "solve_collocation",
-    "grid_for",
+    "grid_values",
+    "march",
+    "min_n",
     "require_finite",
+    "solve_head",
 ]
 
 Terms = tuple[tuple[int, Fraction], ...]
-
-# Rows per forward-substitution block.  The first block holds every closure
-# row together with the columns its super-diagonals reach, so the block
-# size must be at least p + 2; grids up to this size take one dense solve.
-# OpenBLAS factors a matrix with fewer than 10,000 entries on one thread, so
-# blocks of this size never wait on its thread pool, and the cost per row,
-# which grows with the block size, stays small.
-_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,26 @@ def require_finite(*arrays) -> None:
         raise ValueError("system contains non-finite entries")
 
 
-def grid_for(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float]:
+def min_n(order: int) -> int:
+    """The smallest grid every closure fits at ``order``: the tabulated rows
+    reach node order + 2."""
+    return order + 2
+
+
+def grid_values(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """``(t, h, f, g)``: the grid t_i = a + i*h, i = 0..n, and the values
+    of f and g on it; ``ValueError`` if n is below :func:`min_n` or a value
+    is not finite."""
+    if n < min_n(ivp.order):
+        raise ValueError(
+            f"grid too coarse: n={n} but the closure rows need n >= {min_n(ivp.order)}"
+        )
     a, b = ivp.interval
     h = (b - a) / n
-    return a + h * np.arange(n + 1), h
+    t = a + h * np.arange(n + 1)
+    f, g = values_on_grid(ivp.f, t), values_on_grid(ivp.g, t)
+    require_finite(f, g)
+    return t, h, f, g
 
 
 def build_arrays(
@@ -94,9 +110,7 @@ def build_arrays(
     n: int,
     weights: tuple[Fraction, ...],
     end_conditions: tuple[EndCondition, ...],
-    min_n: int,
     pinned: tuple[tuple[int, float], ...] = (),
-    dtype=np.float64,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the n collocation rows in the unknowns y_1..y_n in band
     form: returns ``(band, rhs)`` with ``band`` of shape (n, p + 4), where
@@ -109,20 +123,18 @@ def build_arrays(
     starting procedure).  Together they must contribute p - 1 rows.  Known
     quantities (y_0 = u_0, the initial derivatives, and y^(p)(a) obtained
     from the equation itself) are moved to the right-hand side.
-
-    Exact rational coefficients are rounded directly into ``dtype``, so an
-    extended-precision assembly does not inherit double rounding.
     """
-    p = ivp.order
-    if len(weights) != p + 1:
-        raise ValueError(f"need {p + 1} consistency weights, got {len(weights)}")
+    _, h, f, g = grid_values(ivp, n)
+    return _band_rows(f, g, h, ivp.u, weights, end_conditions, pinned)
+
+
+def _band_rows(f, g, h, u, weights, end_conditions, pinned=()):
+    """The rows of :func:`build_arrays` from the values of f and g at the
+    nodes 0..n; the first rows depend on the first nodes only, so a prefix
+    of f and g gives a prefix of the rows."""
+    n, p = len(f) - 1, len(weights) - 1
     if len(end_conditions) + len(pinned) != p - 1:
         raise ValueError(f"closure must contribute {p - 1} rows")
-    if n < min_n:
-        raise ValueError(f"grid too coarse: n={n} but the closure rows need n >= {min_n}")
-
-    def cast(q: Fraction) -> np.floating:
-        return dtype(q.numerator) / dtype(q.denominator)
 
     def at(row: int, j: int) -> tuple[int, int]:
         """Band position of node j in a closure row."""
@@ -131,47 +143,38 @@ def build_arrays(
             raise ValueError(f"closure row {row} reaches node {j}, outside the band")
         return row, k
 
-    a, b = ivp.interval
-    h = (dtype(b) - dtype(a)) / dtype(n)
-    t = dtype(a) + h * np.arange(n + 1, dtype=dtype)
-    f_vals = values_on_grid(ivp.f, t)
-    g_vals = values_on_grid(ivp.g, t)
-    require_finite(f_vals, g_vals)
-    u = [dtype(v) for v in ivp.u]
     hp = h**p
-
     # difference stencil: alternating binomial coefficients of order p
     binom = [1] + [0] * p
     for _ in range(p):
         binom = [1] + [binom[i] + binom[i + 1] for i in range(p)]
-    delta = [dtype(((-1) ** (p - k)) * binom[k]) for k in range(p + 1)]
+    delta = [float((-1) ** (p - k) * binom[k]) for k in range(p + 1)]
 
     # node j sits at band[r, j - 1 - r + p]; node 0 carries the known
     # y_0 = u_0 and appears only in rows r < p, at k = p - 1 - r, whence it
     # moves to the right-hand side at the end
-    band = np.zeros((n, p + 4), dtype=dtype)
-    rhs = np.zeros(n, dtype=dtype)
+    band = np.zeros((n, p + 4))
+    rhs = np.zeros(n)
 
     row = 0
     for j, value in pinned:
-        band[at(row, j)] = dtype(1)
-        rhs[row] = dtype(value)
+        band[at(row, j)] = 1.0
+        rhs[row] = value
         row += 1
     for cond in end_conditions:
-        value = dtype(0)
+        value = 0.0
         net: dict[int, Fraction] = {}
         for j, c in cond.node_derivs:
             net[j] = net.get(j, Fraction(0)) + c
         for j, o in cond.bracket_derivs:
             net[j] = net.get(j, Fraction(0)) - o
         for j, c in net.items():
-            cf = cast(c)
-            band[at(row, j)] += hp * cf * f_vals[j]
-            value += hp * cf * g_vals[j]
+            band[at(row, j)] += hp * float(c) * f[j]
+            value += hp * float(c) * g[j]
         for j, d in cond.node_values:
-            band[at(row, j)] += cast(d)
+            band[at(row, j)] += float(d)
         for m, e in cond.initial_derivs:
-            value -= cast(e) * h**m * u[m]
+            value -= float(e) * h**m * u[m]
         rhs[row] = value
         row += 1
 
@@ -180,9 +183,9 @@ def build_arrays(
     # which is band column k
     width = n - p + 1
     for k in range(p + 1):
-        w = cast(weights[k])
-        band[row:, k] = delta[k] + hp * w * f_vals[k : k + width]
-        rhs[row:] += hp * w * g_vals[k : k + width]
+        w = float(weights[k])
+        band[row:, k] = delta[k] + hp * w * f[k : k + width]
+        rhs[row:] += hp * w * g[k : k + width]
 
     first = np.arange(p)
     rhs[:p] -= band[first, p - 1 - first] * u[0]
@@ -190,108 +193,67 @@ def build_arrays(
     return band, rhs
 
 
-def _padded(band: np.ndarray) -> np.ndarray:
-    """The rows of ``band`` laid out densely: entry [r, r + k] is band[r, k].
+def band_to_dense(band: np.ndarray) -> np.ndarray:
+    """The n x n matrix of a band from :func:`build_arrays`.
 
     Writing the band into a buffer whose rows are one entry longer than the
-    result's shifts each row one place right of the row above it.
+    band's places entry [r, k] at column r + k of a row-shifted layout."""
+    n, w = band.shape
+    p = w - 4
+    buffer = np.zeros(n * (n + w))
+    buffer.reshape(n, n + w)[:, :w] = band
+    return buffer[: n * (n + w - 1)].reshape(n, n + w - 1)[:, p : p + n]
+
+
+def solve_head(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list]:
+    """y_0..y_{p+2} of a tabulated closure and their backward differences
+    nabla^k y_{p+2}, k = 0..p-1: its p - 1 rows and the first three
+    consistency rows reach node p + 2 and hold no other unknown, so one
+    dense solve fixes them.  ``f`` and ``g`` start at node 0."""
+    p = len(weights) - 1
+    size = min_n(p)
+    band, rhs = _band_rows(f[: size + 1], g[: size + 1], h, u, weights, end_conditions)
+    values = np.concatenate(([u[0]], np.linalg.solve(band_to_dense(band), rhs)))
+    return values, [np.diff(values, k)[-1] for k in range(p)]
+
+
+def march(f, g, h, weights, head, stack) -> np.ndarray:
+    """y_0..y_n from the consistency rows past the head, in summed form.
+
+    ``head`` holds y_0..y_s and ``stack`` the backward differences
+    nabla^k y_s for k = 0..p-1.  With D_j = g_j - f_j y_j and P the sum of the stack at node i - 1, the
+    row of the window ending at node i reads
+
+        nabla^p y_i = h^p * sum_{k<p} w_k D_{i-p+k} + h^p w_p (g_i - f_i (P + nabla^p y_i)),
+
+    which is solved for nabla^p y_i and added down the stack.  The g part of
+    every row and the pivots 1 + h^p w_p f_i are taken once, in numpy.
+
+    Raises ``numpy.linalg.LinAlgError`` at a zero pivot and ``ValueError``
+    if a coefficient is not finite.
     """
-    m, w = band.shape
-    buffer = np.zeros(m * (m + w), dtype=band.dtype)
-    buffer.reshape(m, m + w)[:, :w] = band
-    return buffer[: m * (m + w - 1)].reshape(m, m + w - 1)
+    p, n, s = len(weights) - 1, len(f) - 1, len(head) - 1
+    hp = h**p
+    c = [hp * float(w) for w in weights]
+    pivot = 1 + c[p] * f[s + 1 :]
+    g_part = hp * np.correlate(g, np.array(weights, dtype=float), "valid")[s + 1 - p :]
+    require_finite(pivot, g_part)
+    if not np.all(pivot):
+        i = s + 1 + int(np.argmin(np.abs(pivot)))
+        raise np.linalg.LinAlgError(f"singular system: the row of node {i} has a zero pivot")
+    inverse = (1 / pivot).tolist()
+    g_part = g_part.tolist()
 
-
-def band_to_dense(band: np.ndarray) -> np.ndarray:
-    """The n x n matrix of a band from :func:`build_arrays`."""
-    n, p = len(band), band.shape[1] - 4
-    return _padded(band)[:, p : p + n]
-
-
-def _blocks(band: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """``(start, coupling, diagonal)`` for each block of at most ``_BLOCK``
-    rows: ``diagonal`` is the block's square part and ``coupling`` its p
-    columns just left of it.  Past the closure rows no row reaches above
-    the diagonal, so nothing couples a block to the blocks after it."""
-    n, p = len(band), band.shape[1] - 4
-    blocks = []
-    for start in range(0, n, _BLOCK):
-        rows = _padded(band[start : start + _BLOCK])
-        size = len(rows)
-        blocks.append((start, rows[:, :p], rows[:, p : p + size]))
-    return blocks
-
-
-def _forward_substitute(blocks, rhs: np.ndarray) -> np.ndarray:
-    """Solve the block lower-triangular system one block at a time."""
-    x = np.empty_like(rhs)
-    for start, coupling, diagonal in blocks:
-        stop = start + len(diagonal)
-        b = rhs[start:stop]
-        if start:
-            b = b - coupling @ x[start - coupling.shape[1] : start]
-        x[start:stop] = np.linalg.solve(diagonal, b)
-    return x
-
-
-def _band_residual(band: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """rhs - A x in the dtype of ``band``, from the band in one pass.
-
-    Each row is summed in column order, as a dense row-times-vector
-    product would sum it, so the rounding matches the dense residual."""
-    n, p = len(band), band.shape[1] - 4
-    padded = np.zeros(n + p + 3, dtype=band.dtype)
-    padded[p : p + n] = x
-    windows = np.lib.stride_tricks.as_strided(padded, (n, p + 4), padded.strides * 2)
-    return rhs - (band[:, None, :] @ windows[:, :, None])[:, 0, 0]
-
-
-def solve_collocation(
-    ivp: HighOrderIVP,
-    n: int,
-    weights: tuple[Fraction, ...],
-    end_conditions: tuple[EndCondition, ...],
-    min_n: int,
-    pinned: tuple[tuple[int, float], ...] = (),
-) -> np.ndarray:
-    """Solve for y_1..y_n: a double-precision block forward substitution
-    plus two refinement passes with extended-precision residual
-    accumulation.
-
-    Blocks of at most ``_BLOCK`` rows are solved in order, each by one
-    dense LAPACK solve after the unknowns already found are moved to its
-    right-hand side, so time grows linearly in n and no n x n array is
-    formed; a grid of at most ``_BLOCK`` nodes is one dense solve.
-
-    Without pinned rows the residuals are taken against the double-precision
-    rows themselves (classical mixed-precision refinement): the result is
-    the ordinary double-precision answer with the elimination round-off
-    flushed.  That is the right tool for the tabulated closure rows, whose
-    own truncation dominates rounding at every tabulated grid.
-
-    With pinned rows (the series starting procedure) the residuals are
-    taken against an extended-precision reassembly of the rows, so the
-    iteration converges to the solution of the un-rounded system.  The
-    series start pushes its boundary error so far down that double-rounded
-    matrix entries, amplified by the system's h^-p conditioning, would
-    otherwise cap fine grids near 1e-10 and mask the design order of the
-    boosted weight sets.  On platforms whose long double equals double this
-    degrades gracefully to plain refinement.
-
-    Raises ``ValueError`` if the system has a non-finite entry and
-    ``numpy.linalg.LinAlgError`` if it is singular.
-    """
-    band, rhs = build_arrays(ivp, n, weights, end_conditions, min_n, pinned)
-    require_finite(band, rhs)
-    blocks = _blocks(band)
-    x = _forward_substitute(blocks, rhs)
-    wide = np.longdouble
-    if pinned:
-        band_w, rhs_w = build_arrays(ivp, n, weights, end_conditions, min_n, pinned, dtype=wide)
-    else:
-        band_w = band.astype(wide)
-        rhs_w = rhs.astype(wide)
-    for _ in range(2):
-        residual = _band_residual(band_w, rhs_w, x).astype(float)
-        x = x + _forward_substitute(blocks, residual)
-    return x
+    f = f.tolist()
+    y = [float(v) for v in head]
+    fy = list(map(operator.mul, f, y))
+    diffs = [float(v) for v in stack]
+    cp = c.pop()
+    for r, i in enumerate(range(s + 1, n + 1)):
+        step = g_part[r] - sum(map(operator.mul, c, fy[i - p : i])) - cp * f[i] * sum(diffs)
+        step *= inverse[r]
+        for k in range(p - 1, -1, -1):
+            step = diffs[k] = diffs[k] + step
+        y.append(step)
+        fy.append(f[i] * step)
+    return np.array(y)

@@ -174,7 +174,7 @@ def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
     The constant coefficient is ``(-1)^(N+1) * prod(omega_k^2)`` and the
     forcing is ``Deriv(F_N, 2N-2) - sum_j c_j Deriv(F_j, 2N-2-2j)`` over
     the local driving forces F_k, evaluated from their jets; ``to_text``
-    prints it as the symbolic derivative.  Solving for a different pivot
+    prints each ``Deriv(F, k)`` as ``diff(F, k)``.  Solving for a different pivot
     oscillator is done by rotating the ring labels before reducing, not by
     re-deriving.
     """

@@ -67,18 +67,23 @@ def _expr_field(value, path: str) -> Expression:
         raise ConfigError(path, str(exc)) from exc
 
 
+def _finite(value, path: str) -> float:
+    """A JSON number inside the float range, as a float."""
+    # type(), not isinstance(): a JSON true is a bool, which is an int;
+    # the bound rejects inf, nan and ints past the float range
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(path, "expected a finite number")
+    return float(value)
+
+
 def _number_field(value, path: str, at: float) -> float:
-    """A JSON number, or a closed-form expression evaluated at ``at``."""
-    if isinstance(value, bool):
-        raise ConfigError(path, "expected a number")
-    if isinstance(value, (int, float)):
-        return float(value)
+    """A finite JSON number, or a closed-form expression evaluated at ``at``."""
     if isinstance(value, str):
         try:
-            return evaluate(parse(value), at)
+            value = evaluate(parse(value), at)
         except ExpressionError as exc:
             raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(path, "expected a number or expression string")
+    return _finite(value, path)
 
 
 def _rational_field(value, path: str) -> Fraction:
@@ -95,12 +100,7 @@ def _rational_field(value, path: str) -> Fraction:
 def _interval_field(value, path: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(path, "expected [a, b]")
-    for v in value:
-        # type(), not isinstance(): a JSON true is a bool, which is an int;
-        # the bound rejects inf, nan and ints past the float range
-        if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
-            raise ConfigError(path, f"expected two finite numbers, got {v!r}")
-    a, b = (float(v) for v in value)
+    a, b = (_finite(v, path) for v in value)
     if not a < b:
         raise ConfigError(path, f"empty interval [{a}, {b}]")
     return a, b
@@ -178,6 +178,7 @@ def load_config(path: str) -> RunConfig:
         if not isinstance(omegas, list) or len(omegas) < 2:
             raise ConfigError("$.omegas", "expected a list of at least two frequencies")
         count = len(omegas)
+        omegas = tuple(_finite(w, f"$.omegas[{i}]") for i, w in enumerate(omegas))
         forces_raw = _need(raw, "forces", "$")
         if not isinstance(forces_raw, list) or len(forces_raw) != count:
             raise ConfigError("$.forces", f"expected {count} force expressions")
@@ -199,7 +200,7 @@ def load_config(path: str) -> RunConfig:
         )
         try:
             chain = OscillatorChain(
-                omegas=tuple(float(w) for w in omegas),
+                omegas=omegas,
                 forces=forces,
                 interval=interval,
                 positions=positions,
@@ -230,7 +231,7 @@ def load_config(path: str) -> RunConfig:
 
     method = _method_field(raw["method"], "$.method") if "method" in raw else None
     n = raw.get("n")
-    if n is not None and (not isinstance(n, int) or n < 1):
+    if n is not None and (type(n) is not int or n < 1):
         raise ConfigError("$.n", "expected a positive integer")
     exact = _expr_field(raw["exact"], "$.exact") if "exact" in raw else None
 

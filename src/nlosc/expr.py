@@ -1,18 +1,20 @@
 """Closed-form expressions in the time variable ``t``.
 
 The grammar is deliberately tiny: decimal constants, the variable ``t``,
-the operators ``+ - * /``, integer powers ``^``, and the functions ``sin``,
-``cos`` and ``exp``.  That is enough to express every driving force,
-reduced forcing term, coefficient function and analytic reference solution
-this package works with, while keeping symbolic differentiation exact and
-total (no finite-difference approximation anywhere).
+the operators ``+ - * /``, integer powers ``^``, the functions ``sin``,
+``cos`` and ``exp``, and ``diff(e, k)``, the k-th derivative of ``e``.
+That is enough to express every driving force, reduced forcing term,
+coefficient function and analytic reference solution this package works
+with, while keeping differentiation exact and total (no finite-difference
+approximation anywhere).
 
 Grammar (whitespace insignificant)::
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := base ('^' uint)?
-    base   := number | 't' | func '(' expr ')' | '(' expr ')' | '-' base
+    base   := number | 't' | func '(' expr ')' | 'diff' '(' expr ',' uint ')'
+            | '(' expr ')' | '-' base
     func   := 'sin' | 'cos' | 'exp'
     number := decimal literal, optionally with an exponent part (1e-3)
 
@@ -27,16 +29,15 @@ order at one point without building a derivative expression.  A jet's
 coefficients may also be grid arrays: the walk then carries the series
 about every grid point at once.
 
-Besides the grammar's nodes there is :class:`Deriv`, the k-th derivative
-of an expression, which the walk computes from a jet of its operand k
-coefficients longer (``k! c_k`` for a value, the shifted and scaled tail
-for a jet), so a derivative of any order costs one jet walk of the
-operand.  :func:`differentiate` is for when a symbolic expression is the
-output; each pass differentiates a shared node once, so derivatives stay
-shared.  The grammar has no derivative, so :func:`to_text` prints a
-``Deriv`` as its symbolic derivative, which parses back to the same value
-up to rounding.  The operator overloads perform only trivial constant
-folding (0 and 1 identities); there is no other simplification machinery.
+``diff(e, k)`` is a :class:`Deriv` node, which the walk computes from a
+jet of its operand k coefficients longer (``k! c_k`` for a value, the
+shifted and scaled tail for a jet), so a derivative of any order costs one
+jet walk of the operand, and :func:`to_text` prints it back as
+``diff(e, k)``.  :func:`differentiate` is for when the derivative itself
+is wanted as an expression in the other nodes; each pass differentiates a
+shared node once, so derivatives stay shared.  The operator overloads
+perform only trivial constant folding (0 and 1 identities); there is no
+other simplification machinery.
 """
 
 from __future__ import annotations
@@ -561,7 +562,7 @@ _FUNCTIONS = ("sin", "cos", "exp")
 _TOKEN = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])"
+    r"|(?P<op>[-+*/^(),])"
 )
 
 
@@ -623,16 +624,19 @@ class _Parser:
             else:
                 return node
 
+    def uint(self, what: str) -> int:
+        kind, value, pos = self.advance()
+        if kind != "num" or not value.isdigit():
+            raise ParseError(f"{what} must be a nonnegative integer", pos)
+        return int(value)
+
     def factor(self) -> Expression:
         node = self.base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            kind, value, pos = self.peek()
-            if kind != "num" or not value.isdigit():
-                raise ParseError("exponent must be a nonnegative integer", pos)
-            self.advance()
-            node = Pow(node, int(value)) if int(value) > 1 else node ** int(value)
+            exponent = self.uint("exponent")
+            node = Pow(node, exponent) if exponent > 1 else node**exponent
         return node
 
     def base(self) -> Expression:
@@ -647,6 +651,13 @@ class _Parser:
                 arg = self.expression()
                 self.expect_op(")")
                 return {"sin": Sin, "cos": Cos, "exp": Exp}[value](arg)
+            if value == "diff":
+                self.expect_op("(")
+                arg = self.expression()
+                self.expect_op(",")
+                order = self.uint("derivative order")
+                self.expect_op(")")
+                return Deriv(arg, order)
             raise ParseError(f"unknown identifier {value!r}", pos)
         if kind == "op":
             if value == "(":
@@ -723,6 +734,8 @@ def _render(e: Expression) -> tuple[str, int]:
         return f"cos({_render(e.arg)[0]})", _PREC_ATOM
     if isinstance(e, Exp):
         return f"exp({_render(e.arg)[0]})", _PREC_ATOM
+    if isinstance(e, Deriv):
+        return f"diff({_render(e.operand)[0]}, {e.order})", _PREC_ATOM
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -734,44 +747,6 @@ def _paren(e: Expression, minimum: int) -> str:
 def to_text(e: Expression) -> str:
     """Render ``e`` as parseable text; ``parse(to_text(e))`` evaluates
     identically to ``e`` at every point (the printing is structure
-    preserving up to unary-minus/negative-constant equivalence).
-
-    The grammar has no derivative, so a :class:`Deriv` is printed as its
-    symbolic derivative: the text of ``Deriv(e, k)`` is that of
-    ``differentiate(e, k)``, and it evaluates to the jet-computed value
-    only up to rounding."""
-    return _render(_expand(e))[0]
-
-
-def _expand(e: Expression) -> Expression:
-    """``e`` with every Deriv node replaced by its symbolic derivative.
-    Nodes above a Deriv are rebuilt by the folding operators, as
-    differentiating them would have built them; all others are kept."""
-    memo: dict[int, Expression] = {}
-
-    def walk(node: Expression) -> Expression:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        kind = type(node)
-        if kind is Deriv:
-            out = differentiate(walk(node.operand), node.order)
-        elif kind in _BINARY_KINDS:
-            left, right = walk(node.left), walk(node.right)
-            unchanged = left is node.left and right is node.right
-            out = node if unchanged else _VALUE_OPS[kind](left, right)
-        elif kind is Pow:
-            base = walk(node.base)
-            out = node if base is node.base else base**node.exponent
-        elif kind is Neg:
-            operand = walk(node.operand)
-            out = node if operand is node.operand else -operand
-        elif kind in _FUNCTION_KINDS:
-            arg = walk(node.arg)
-            out = node if arg is node.arg else kind(arg)
-        else:
-            out = node
-        memo[key] = out
-        return out
-
-    return walk(e)
+    preserving up to unary-minus/negative-constant equivalence).  A
+    :class:`Deriv` prints as ``diff(e, k)``."""
+    return _render(e)[0]

@@ -13,8 +13,8 @@ symmetric, w_k = w_{p-k}, and valid whenever the full stencil sums to 1;
 a :class:`WeightSet` holds the half-stencil w_0..w_{p/2} (the paper's
 alpha, beta, gamma, ...) as exact rationals.
 
-p - 1 boundary-closure rows complete the banded n x n system; the
-closures are named in :data:`CLOSURES`:
+p - 1 boundary-closure rows complete the n x n system; the closures are
+named in :data:`CLOSURES`:
 
 * ``standard`` (p = 4): rows exact through degree 5 (local error O(h^6));
 * ``improved`` (p = 4): rows exact through degree 9 (local error O(h^10)),
@@ -28,6 +28,14 @@ closures are named in :data:`CLOSURES`:
   derivatives come from the initial data extended through the equation,
   with g and f differentiated at a by Taylor jets
   (:func:`nlosc.expr.taylor`), not symbolically.
+
+Every closure is solved the same way (:func:`solve`): past its first
+nodes the system is a recurrence, which :func:`nlosc._assembly.march`
+steps through in summed form, carrying the backward differences of y.  A
+tabulated closure fixes y_0..y_{p+2} by one dense solve of its rows and
+the first three consistency rows; the series closure gives y_0..y_{p-1}
+and their differences directly, each difference summed from the exact
+integer differences of the monomials of its polynomial.
 
 The sixth-order interior truncation error expands in even powers of h with
 bracket coefficients that are linear in the weights; choosing weights that
@@ -44,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, fsum
 from typing import NamedTuple
 
 import numpy as np
@@ -53,9 +61,11 @@ from nlosc._assembly import (
     EndCondition,
     band_to_dense,
     build_arrays,
-    grid_for,
+    grid_values,
+    march,
+    min_n,
     require_finite,
-    solve_collocation,
+    solve_head,
 )
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import taylor
@@ -437,13 +447,8 @@ def closure_rows(closure: str, order: int) -> tuple[EndCondition, ...]:
     return rows
 
 
-def min_n(order: int) -> int:
-    """The smallest grid every closure fits at ``order``."""
-    return order + 2
-
-
-def _start_derivatives(ivp: HighOrderIVP, count: int, scalar) -> list:
-    """y(a), y'(a), ..., y^(count-1)(a) in the requested scalar type.
+def derivatives_at_start(ivp: HighOrderIVP, count: int) -> list[float]:
+    """y(a), y'(a), ..., y^(count-1)(a), extended through the equation.
 
     The given initial data is extended through the equation itself,
     y^(p) = g - f*y, by Leibniz's rule on f*y.  The derivatives of g and f
@@ -451,79 +456,90 @@ def _start_derivatives(ivp: HighOrderIVP, count: int, scalar) -> list:
     :func:`nlosc.expr.taylor`), exact up to rounding, so no numerical
     differentiation error enters.
     """
-    a = np.asarray(ivp.interval[0], dtype=scalar)
-    derivs = [scalar(v) for v in ivp.u]
+    derivs = [float(v) for v in ivp.u]
     extra = count - len(derivs)
     if extra <= 0:
         return derivs[:count]
+    a = ivp.interval[0]
     g_jet, f_jet = taylor(ivp.g, a, extra), taylor(ivp.f, a, extra)
     require_finite(g_jet, f_jet)
-    f_values = [scalar(factorial(k) * c) for k, c in enumerate(f_jet)]
+    f_values = [factorial(k) * float(c) for k, c in enumerate(f_jet)]
     for k, c in enumerate(g_jet):
-        value = scalar(factorial(k) * c)
+        value = factorial(k) * float(c)
         for i in range(k + 1):
             value -= comb(k, i) * f_values[i] * derivs[k - i]
         derivs.append(value)
     return derivs
 
 
-def derivatives_at_start(ivp: HighOrderIVP, count: int) -> list[float]:
-    """y(a), y'(a), ..., y^(count-1)(a), extended through the equation."""
-    return [float(v) for v in _start_derivatives(ivp, count, float)]
+def _series_start(ivp: HighOrderIVP, h: float) -> tuple[list[float], list[float]]:
+    """y_0..y_{p-1} of the Taylor polynomial about t = a of degree
+    SERIES_START_DEGREE, and its backward differences nabla^k y_{p-1} for
+    k = 0..p-1.
 
-
-def _series_start_rows(ivp: HighOrderIVP, n: int) -> tuple[tuple[int, float], ...]:
-    """Pin y_1..y_{p-1} to one-sided series expansions about t = a, exact
-    through degree SERIES_START_DEGREE.
-
-    Evaluated in extended precision: these values carry the whole boundary
-    accuracy of the series closure, and double rounding here would be
-    amplified by the marching growth of the (p+1)-point recurrence.
+    With a_m = y^(m)(a) h^m / m!, node j carries sum_m a_m j^m, and the
+    differences of the monomials j^m are exact integers, so each difference
+    is summed from its own terms and none is a cancellation of rounded
+    values: the higher differences keep their full relative accuracy.
     """
-    scalar = np.longdouble
-    a, b = ivp.interval
-    h = (scalar(b) - scalar(a)) / scalar(n)
-    derivs = _start_derivatives(ivp, SERIES_START_DEGREE + 1, scalar)
-    rows = []
-    for j in range(1, ivp.order):
-        x = j * h
-        value = sum(derivs[m] * x**m / scalar(factorial(m)) for m in range(SERIES_START_DEGREE + 1))
-        rows.append((j, value))
-    return tuple(rows)
+    p, degrees = ivp.order, range(SERIES_START_DEGREE + 1)
+    derivs = derivatives_at_start(ivp, len(degrees))
+    scaled = [d * h**m / factorial(m) for m, d in zip(degrees, derivs)]
+
+    def combine(powers) -> float:
+        return fsum(c * q for c, q in zip(powers, scaled))
+
+    def difference(k: int, m: int) -> int:
+        """nabla^k of j^m at j = p - 1."""
+        return sum((-1) ** i * comb(k, i) * (p - 1 - i) ** m for i in range(k + 1))
+
+    values = [combine([j**m for m in degrees]) for j in range(p)]
+    stack = [combine([difference(k, m) for m in degrees]) for k in range(p)]
+    return values, stack
 
 
-def _collocation(ivp: HighOrderIVP, n: int, weights: WeightSet, closure: str) -> dict:
-    """Weights, closure rows, pinned rows and minimum grid of the system."""
+def _closure(ivp: HighOrderIVP, weights: WeightSet, closure: str) -> tuple[EndCondition, ...]:
+    """The tabulated rows of ``closure`` for ``ivp``, checking the weights fit."""
     if weights.order != ivp.order:
         raise ValueError(f"weights of order {weights.order} cannot solve order {ivp.order}")
-    rows = closure_rows(closure, ivp.order)
-    return {
-        "weights": weights.weights,
-        "end_conditions": rows,
-        "min_n": min_n(ivp.order),
-        "pinned": () if rows else _series_start_rows(ivp, n),
-    }
+    return closure_rows(closure, ivp.order)
 
 
 def assemble_system(
     ivp: HighOrderIVP, n: int, weights: WeightSet, closure: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The system ``(matrix, rhs)`` in y_1..y_n, as a dense n x n matrix
-    (the solver itself keeps it in band form).
+    """The system ``(matrix, rhs)`` in y_1..y_n, as a dense n x n matrix;
+    the solver itself marches it (see :func:`solve`).
 
-    The p - 1 closure rows (or, for ``"series"``, the pinned rows) come
-    first, followed by the consistency rows for windows ending at
-    i = p..n.  Requires n >= p + 2.
+    The p - 1 closure rows (or, for ``"series"``, rows pinning
+    y_1..y_{p-1} to the series start) come first, followed by the
+    consistency rows for windows ending at i = p..n.  Requires n >= p + 2.
     """
-    band, rhs = build_arrays(ivp, n, **_collocation(ivp, n, weights, closure))
+    rows = _closure(ivp, weights, closure)
+    pinned = ()
+    if not rows:
+        a, b = ivp.interval
+        pinned = tuple(enumerate(_series_start(ivp, (b - a) / n)[0]))[1:]
+    band, rhs = build_arrays(ivp, n, weights.weights, rows, pinned)
     return band_to_dense(band), rhs
 
 
 def solve(ivp: HighOrderIVP, n: int, weights: WeightSet, closure: str) -> GridSolution:
-    """Solve on n subintervals; y_0 is pinned to u_0."""
-    inner = solve_collocation(ivp, n, **_collocation(ivp, n, weights, closure))
-    t, h = grid_for(ivp, n)
-    y = np.concatenate(([ivp.u[0]], inner))
+    """Solve on n subintervals; y_0 is pinned to u_0.
+
+    A tabulated closure fixes y_0..y_{p+2} by one dense solve of its head
+    block, the series closure fixes y_0..y_{p-1} and their differences from
+    the series start; the consistency rows are then marched to node n.
+    Raises ``ValueError`` on a non-finite coefficient and
+    ``numpy.linalg.LinAlgError`` on a singular system.
+    """
+    rows = _closure(ivp, weights, closure)
+    t, h, f, g = grid_values(ivp, n)
+    if rows:
+        head = solve_head(f, g, h, ivp.u, weights.weights, rows)
+    else:
+        head = _series_start(ivp, h)
+    y = march(f, g, h, weights.weights, *head)
     return GridSolution(t=t, y=y, method=f"spline{ivp.order}-{closure}", n=n, h=h)
 
 

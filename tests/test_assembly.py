@@ -1,4 +1,4 @@
-"""Tests for the band assembly and the block forward-substitution solve."""
+"""Tests for the band assembly and the marching solve."""
 
 import math
 import tracemalloc
@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nlosc._assembly import _BLOCK, band_to_dense, build_arrays, solve_collocation
-from nlosc.expr import values_on_grid
-from nlosc.spline import _collocation, assemble_system
-from nlosc.verify import METHODS, case_by_id
+from nlosc._assembly import band_to_dense, build_arrays, march
+from nlosc.chain import HighOrderIVP
+from nlosc.expr import parse, values_on_grid
+from nlosc.spline import _series_start, assemble_system, closure_rows
+from nlosc.verify import METHODS, case_by_id, max_abs_error
 
 # each built-in case with the presets of its order: improved and standard
 # fourth-order closure, printed sixth-order closure and the series start
@@ -30,11 +31,17 @@ ONE_PER_CASE = [(1, "improved4"), (2, "table3-col1"), (3, "table5-col1"), (4, "i
 
 
 def collocation(method, ivp, n):
+    """The row data :func:`assemble_system` passes to build_arrays."""
     m = METHODS[method]
-    return _collocation(ivp, n, m.coefficients, m.closure)
+    rows = closure_rows(m.closure, ivp.order)
+    pinned = ()
+    if not rows:
+        a, b = ivp.interval
+        pinned = tuple(enumerate(_series_start(ivp, (b - a) / n)[0]))[1:]
+    return {"weights": m.coefficients.weights, "end_conditions": rows, "pinned": pinned}
 
 
-def dense_assembly(ivp, n, weights, end_conditions, min_n, pinned=(), dtype=np.float64):
+def dense_assembly(ivp, n, weights, end_conditions, pinned=(), dtype=np.float64):
     """Row-by-row dense assembly of the n x n collocation system.
 
     The reference for the band form: every row is built on its own over
@@ -86,83 +93,103 @@ def dense_assembly(ivp, n, weights, end_conditions, min_n, pinned=(), dtype=np.f
     return rows[:, 1:], rhs
 
 
-def dense_refined_solve(ivp, n, kw):
-    """One dense LAPACK solve of the whole system plus the refinement of
-    solve_collocation, with residuals from the dense matrices."""
-    band, rhs = build_arrays(ivp, n, **kw)
-    matrix = band_to_dense(band)
-    x = np.linalg.solve(matrix, rhs)
-    wide = np.longdouble
-    if kw.get("pinned"):
-        band_w, rhs_w = build_arrays(ivp, n, **kw, dtype=wide)
-        matrix_w = band_to_dense(band_w)
-    else:
-        matrix_w, rhs_w = matrix.astype(wide), rhs.astype(wide)
-    for _ in range(2):
-        residual = (rhs_w - matrix_w @ x.astype(wide)).astype(float)
-        x = x + np.linalg.solve(matrix, residual)
-    return x
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("dtype", [np.float64])
 @pytest.mark.parametrize("n", [8, 48, 200])
 @pytest.mark.parametrize("case_id, method", CASE_PRESETS)
 def test_densified_band_matches_dense_assembly(case_id, method, n, dtype):
     ivp = case_by_id(case_id).ivp
     kw = collocation(method, ivp, n)
-    band, rhs = build_arrays(ivp, n, **kw, dtype=dtype)
+    band, rhs = build_arrays(ivp, n, **kw)
     assert band.shape == (n, ivp.order + 4) and band.dtype == dtype
     matrix, expected_rhs = dense_assembly(ivp, n, **kw, dtype=dtype)
     assert np.array_equal(band_to_dense(band), matrix)
     assert np.array_equal(rhs, expected_rhs)
-    if dtype is np.float64:
-        m = METHODS[method]
-        public = assemble_system(ivp, n, m.coefficients, m.closure)
-        assert np.array_equal(public[0], matrix)
-        assert np.array_equal(public[1], expected_rhs)
+    m = METHODS[method]
+    public = assemble_system(ivp, n, m.coefficients, m.closure)
+    assert np.array_equal(public[0], matrix)
+    assert np.array_equal(public[1], expected_rhs)
 
 
-def backward_error(ivp, n, kw, x):
-    """Normwise backward error of x against the rows the refinement
-    targets: long double, and re-assembled when rows are pinned."""
-    wide = np.longdouble
-    band, rhs = build_arrays(ivp, n, **kw, dtype=wide if kw.get("pinned") else np.float64)
-    matrix, rhs = band_to_dense(band).astype(wide), rhs.astype(wide)
-    residual = rhs - matrix @ x.astype(wide)
-    scale = np.max(np.sum(np.abs(matrix), axis=1)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+def backward_error(band, rhs, x):
+    """Normwise backward error of x against the band rows, from the band."""
+    n, p = len(band), band.shape[1] - 4
+    padded = np.zeros(n + p + 3)
+    padded[p : p + n] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, p + 4)
+    residual = rhs - np.einsum("ij,ij->i", band, windows)
+    scale = np.max(np.sum(np.abs(band), axis=1)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
     return float(np.max(np.abs(residual)) / scale)
 
 
-@pytest.mark.parametrize("case_id, method", ONE_PER_CASE)
-def test_block_solve_matches_dense_solve_at_block_boundaries(case_id, method):
+@pytest.mark.parametrize("case_id, method", CASE_PRESETS)
+def test_march_matches_dense_solve(case_id, method):
     ivp = case_by_id(case_id).ivp
     p = ivp.order
-    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + p, 3 * _BLOCK + 5):
-        kw = collocation(method, ivp, n)
-        x = solve_collocation(ivp, n, **kw)
-        reference = dense_refined_solve(ivp, n, kw)
-        if n <= _BLOCK:
-            # one block is the dense solve itself
+    for n in (p + 2, p + 3, 16, 33, 64):
+        band, rhs = build_arrays(ivp, n, **collocation(method, ivp, n))
+        matrix = band_to_dense(band)
+        x = METHODS[method].solve(ivp, n).y[1:]
+        reference = np.linalg.solve(matrix, rhs)
+        if n == p + 2 and METHODS[method].closure != "series":
+            # the head block of a tabulated closure is the whole system
             assert np.array_equal(x, reference), n
-        # both solvers leave the residual at the rounding level (about
-        # 1e-17 here); a block coupled wrongly leaves it at O(h^p) or worse
-        assert backward_error(ivp, n, kw, x) <= 1e-15, n
-        assert backward_error(ivp, n, kw, reference) <= 1e-15, n
+        # two backward-stable solves differ by at most the forward-error
+        # bound cond * eps; a wrong row is off by O(h^p) or worse
+        bound = np.linalg.cond(matrix, np.inf) * np.finfo(float).eps
+        assert np.max(np.abs(x - reference)) <= bound * np.max(np.abs(reference)), n
+
+
+@pytest.mark.parametrize("case_id, method", CASE_PRESETS)
+def test_march_satisfies_assembled_rows(case_id, method):
+    ivp = case_by_id(case_id).ivp
+    for n in (ivp.order + 2, 64, 65, 200, 1000, 4096):
+        band, rhs = build_arrays(ivp, n, **collocation(method, ivp, n))
+        x = METHODS[method].solve(ivp, n).y[1:]
+        # about 1e-17..2e-16 here; a wrong row leaves O(h^p) or worse
+        assert backward_error(band, rhs, x) <= 1e-15, n
+
+
+@pytest.mark.parametrize("n", [128, 256, 1024, 4096])
+@pytest.mark.parametrize("case_id", [3, 4])
+def test_series_start_holds_the_rounding_floor_on_fine_grids(case_id, n):
+    # the truncation error is below 1e-15 here, so what is left is rounding
+    case = case_by_id(case_id)
+    assert max_abs_error(METHODS["improved6"].solve(case.ivp, n), case.exact) <= 1e-13
+
+
+def test_series_start_differences_are_exact_for_polynomials():
+    # y = 1 + t - t^3/2 + 3 t^5 with h = 1/8: every value and difference is
+    # a short dyadic fraction, so the start must hit each one exactly
+    coefficients = (1, 1, 0, Fraction(-1, 2), 0, 3)
+    u = [math.factorial(m) * float(c) for m, c in enumerate(coefficients)]
+    ivp = HighOrderIVP(order=6, f=parse("0"), g=parse("0"), interval=(0.0, 1.0), u=u)
+    h = Fraction(1, 8)
+    exact = [sum(c * (j * h) ** m for m, c in enumerate(coefficients)) for j in range(6)]
+    values, stack = _series_start(ivp, float(h))
+    assert values == [float(v) for v in exact]
+    for k in range(6):
+        difference = sum((-1) ** i * math.comb(k, i) * exact[5 - i] for i in range(k + 1))
+        assert stack[k] == float(difference), k
+
+
+def test_zero_pivot_is_a_linear_algebra_error():
+    # h^4 * w_4 * f = (1/2)^4 * (-1) * 16 = -1 at every node
+    f, g = np.full(9, 16.0), np.zeros(9)
+    weights = (-1, 2, 1, 2, -1)
+    with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
+        march(f, g, 0.5, weights, np.zeros(4), np.zeros(4))
 
 
 @pytest.mark.parametrize("case_id, method", ONE_PER_CASE)
 def test_fine_grid_solve_allocates_no_square_array(case_id, method):
     n = 4096
     ivp = case_by_id(case_id).ivp
-    kw = collocation(method, ivp, n)
-    band, _ = build_arrays(ivp, n, **kw)
-    assert band.size <= n * (ivp.order + 4)
     tracemalloc.start()
     try:
-        x = solve_collocation(ivp, n, **kw)
+        y = METHODS[method].solve(ivp, n).y
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert x.shape == (n,) and np.all(np.isfinite(x))
+    assert y.shape == (n + 1,) and np.all(np.isfinite(y))
     # one n x n double matrix is 8 n^2 bytes; the whole solve stays far below
     assert peak < n * n

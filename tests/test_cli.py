@@ -15,7 +15,7 @@ import pytest
 from conftest import symbolic_elimination
 from nlosc.chain import reduce_chain
 from nlosc.cli import ConfigError, load_config, main
-from nlosc.expr import Const, evaluate, parse, to_text
+from nlosc.expr import Const, evaluate, parse, to_text, values_on_grid
 from nlosc.verify import METHODS, case_by_id, rk_oracle
 from test_spline6 import product_ring
 
@@ -88,26 +88,72 @@ def test_reduce_prints_what_symbolic_elimination_prints(tmp_path, capsys):
     assert main(["reduce", "--config", path]) == 0
     chain = load_config(path).chain
     u, c, g = symbolic_elimination(chain)
+    payload = json.loads(capsys.readouterr().out)
     expected = {
         "mode": "ivp",
         "order": 4,
         "f": to_text(Const(c)),
-        "g": to_text(g),
+        "g": payload["g"],
         "interval": list(chain.interval),
         "u": list(u),
         **{key: config[key] for key in ("method", "n", "exact")},
     }
-    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+    assert payload == expected
+    # g is printed with diff(e, k), which symbolic elimination expands
+    grid = np.linspace(*chain.interval, 9)
+    assert values_on_grid(parse(payload["g"]), grid) == pytest.approx(
+        values_on_grid(g, grid), rel=1e-14, abs=1e-14
+    )
 
 
 def test_reduced_forcing_text_of_a_product_ring_is_symbolic():
     chain, _ = product_ring()
     ivp = reduce_chain(chain)
     u, _, g = symbolic_elimination(chain)
-    assert to_text(ivp.g) == to_text(g)
+    text = to_text(ivp.g)
+    assert to_text(parse(text)) == text
+    grid = np.linspace(*chain.interval, 9)
+    assert values_on_grid(parse(text), grid) == pytest.approx(values_on_grid(g, grid), rel=1e-12)
     # u comes from force jets, which round differently: y^(5)(0) is 4 ulp
     # from the symbolic value (and 1e-17 from the exact one, against 7e-16)
     assert ivp.u == pytest.approx(u, rel=1e-14)
+
+
+def ring_config(size, force):
+    """A ring of ``size`` oscillators, every one driven by ``force``."""
+    return {
+        "mode": "chain",
+        "omegas": [1.0 + 0.25 * k for k in range(size)],
+        "forces": [force] * size,
+        "interval": [0, 1],
+        "positions": [0.5 * k for k in range(size)],
+        "velocities": [1.0] * size,
+    }
+
+
+def test_reduced_three_ring_solves_bit_identically(tmp_path, capsys):
+    config = {**ring_config(3, "exp(t)*sin(t)/(1+t^2)"), "method": "improved6", "n": 32}
+    chain_path = write_config(tmp_path, config)
+    assert main(["reduce", "--config", chain_path]) == 0
+    ivp_path = write_config(tmp_path, json.loads(capsys.readouterr().out), name="reduced.json")
+    columns = []
+    for path in (chain_path, ivp_path):
+        assert main(["solve", "--config", path]) == 0
+        header, rows = read_csv(capsys.readouterr().out)
+        columns.append(rows[:, header.index("y")])
+    assert columns[0].tobytes() == columns[1].tobytes()
+
+
+def test_reduced_five_ring_prints_compactly(tmp_path, capsys):
+    # no method solves order 10, but reduce needs none
+    path = write_config(tmp_path, ring_config(5, "exp(t)*sin(t)/(1+t^2)"))
+    start = time.perf_counter()
+    assert main(["reduce", "--config", path]) == 0
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 2048
+    assert json.loads(out)["order"] == 10
+    assert elapsed < 1.0
 
 
 def test_reduce_rejects_ivp_config(tmp_path, capsys):
@@ -359,6 +405,39 @@ def test_interval_entries_must_be_finite_numbers(tmp_path, capsys, interval):
         warnings.simplefilter("error")
         assert main(["solve", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: $.interval: ")
+
+
+@pytest.mark.parametrize(
+    "mode, key, entry, error",
+    [
+        ("chain", "velocities", "1" + "0" * 400, "$.velocities[0]: expected a finite number"),
+        ("chain", "omegas", "1e400", "$.omegas[0]: expected a finite number"),
+        ("chain", "omegas", "null", "$.omegas[0]: expected a finite number"),
+        ("chain", "positions", "1e400", "$.positions[0]: expected a finite number"),
+        ("ivp", "u", "-1e400", "$.u[0]: expected a finite number"),
+        ("chain", "n", "true", "$.n: expected a positive integer"),
+    ],
+    ids=[
+        "huge-int-velocity",
+        "infinite-omega",
+        "null-omega",
+        "infinite-position",
+        "infinite-u",
+        "bool-n",
+    ],
+)
+def test_numeric_fields_must_be_finite_numbers(tmp_path, capsys, mode, key, entry, error):
+    cfg = chain_config() if mode == "chain" else case_config(1, "improved4", 16)
+    if key == "n":
+        cfg[key] = "ENTRY"
+    else:
+        cfg[key][0] = "ENTRY"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg).replace('"ENTRY"', entry))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
 
 
 def test_unknown_preset_lists_choices(tmp_path, capsys):

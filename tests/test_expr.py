@@ -329,18 +329,34 @@ def test_deriv_folds_and_differentiates_to_a_higher_order():
     assert evaluate(Deriv(e, 3), 0.4) == pytest.approx(evaluate(differentiate(e, 3), 0.4), rel=1e-13)
 
 
-def test_deriv_prints_as_its_symbolic_derivative():
+def test_deriv_prints_as_diff_and_parses_back():
     e = parse("exp(t)*sin(t)/(1+t^2)")
     t = Var()
-    for node, symbolic in (
-        (Deriv(e, 3), differentiate(e, 3)),
-        (Const(2.5) * Deriv(e, 2) - Deriv(e, 4), Const(2.5) * differentiate(e, 2) - differentiate(e, 4)),
-        (Deriv(parse("t^2"), 3) - Const(-2.0) * Deriv(Sin(t), 1), Const(0.0) - Const(-2.0) * Cos(t)),
-        (Sin(Deriv(parse("t^3"), 1)), Sin(Const(3.0) * t**2)),
+    for node, text in (
+        (Deriv(e, 3), "diff(exp(t)*sin(t)/(1+t^2), 3)"),
+        (
+            Const(2.5) * Deriv(e, 2) - Deriv(e, 4),
+            "2.5*diff(exp(t)*sin(t)/(1+t^2), 2)-diff(exp(t)*sin(t)/(1+t^2), 4)",
+        ),
+        (
+            Deriv(parse("t^2"), 3) - Const(-2.0) * Deriv(Sin(t), 1),
+            "diff(t^2, 3)--2*diff(sin(t), 1)",
+        ),
+        (Sin(Deriv(parse("t^3"), 1)), "sin(diff(t^3, 1))"),
     ):
-        assert to_text(node) == to_text(symbolic)
-    untouched = parse("t*1+0")
-    assert to_text(untouched) == "t*1+0"
+        assert to_text(node) == text
+        reparsed = parse(text)
+        assert to_text(reparsed) == text
+        values = values_on_grid(node, DERIV_GRID)
+        assert values_on_grid(reparsed, DERIV_GRID).tobytes() == values.tobytes()
+    assert parse("diff(7, 2)") == Const(0.0)
+    assert parse("diff( t , 0 )") == Var()
+
+
+@pytest.mark.parametrize("text", ["diff(t)", "diff(t, 1.5)", "diff(t, -1)", "sin(t, 2)", "1,2"])
+def test_parse_rejects_malformed_derivatives(text):
+    with pytest.raises(ParseError):
+        parse(text)
 
 
 def test_jet_is_silent_at_a_singular_point():

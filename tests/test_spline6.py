@@ -15,7 +15,6 @@ from nlosc.spline import (
     END_CONDITIONS6,
     IMPROVED_SET6,
     WeightSet,
-    _series_start_rows,
     assemble_system,
     derivatives_at_start,
     derive_parameters6,
@@ -226,48 +225,6 @@ def test_start_derivatives_of_a_product_ring():
     elapsed = time.perf_counter() - start
     assert derivs == pytest.approx(expected, rel=1e-9)
     assert elapsed < 0.2
-
-
-# y_1..y_5 of the series start as computed before the fourth- and
-# sixth-order solvers shared one module, printed as the shortest strings
-# that round-trip in x87 extended precision
-SERIES_ROWS = {
-    ("case3", 8): (
-        "9.9150489643347302726e-01",
-        "9.630190625158061136e-01",
-        "9.0936963413637600167e-01",
-        "8.24360635350073513e-01",
-        "7.0059223403730003807e-01",
-    ),
-    ("case4", 64): (
-        "5.0706291029295033655e-02",
-        "9.761138420344329183e-02",
-        "1.4068065084154946763e-01",
-        "1.7989300833656883575e-01",
-        "2.1524077623144560127e-01",
-    ),
-    ("ring", 32): (
-        "6.115184457715542445e-01",
-        "6.042524362412009549e-01",
-        "5.9815229026913129483e-01",
-        "5.9316975087559685995e-01",
-        "5.892579508637311829e-01",
-    ),
-}
-
-
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="needs x87 extended precision")
-@pytest.mark.parametrize("name, n", list(SERIES_ROWS))
-def test_series_start_rows_are_unchanged(name, n):
-    ivp = {
-        "case3": case_by_id(3).ivp,
-        "case4": case_by_id(4).ivp,
-        "ring": reduce_chain(product_ring()[0]),
-    }[name]
-    rows = _series_start_rows(ivp, n)
-    assert [j for j, _ in rows] == [1, 2, 3, 4, 5]
-    got = tuple(np.format_float_scientific(v, unique=True) for _, v in rows)
-    assert got == SERIES_ROWS[name, n]
 
 
 def test_start_derivatives_reject_a_singular_forcing_silently():
