@@ -28,6 +28,7 @@ from nlosc.spline import (
     WeightSet,
     derive_parameters6,
     solve,
+    truncation_brackets,
 )
 
 __version__ = "0.1.0"
@@ -51,5 +52,6 @@ __all__ = [
     "IMPROVED_SET6",
     "solve",
     "derive_parameters6",
+    "truncation_brackets",
     "__version__",
 ]

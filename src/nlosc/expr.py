@@ -23,7 +23,7 @@ DAG rather than a tree.  Parsing, evaluation and differentiation are pure
 functions, so expressions are safe to share between threads.  There is one
 evaluator walk, which computes each shared node once per call.  It carries
 either plain values, for :func:`evaluate` (one point, errors raised) and
-:func:`values_on_grid` (an array, dtype kept), or truncated Taylor series
+:func:`values_on_grid` (an array of doubles), or truncated Taylor series
 ("jets"), for :func:`taylor`, which gives every derivative up to a chosen
 order at one point without building a derivative expression.  A jet's
 coefficients may also be grid arrays: the walk then carries the series
@@ -285,16 +285,13 @@ def evaluate(e: Expression, t: float) -> float:
 def values_on_grid(e: Expression, t) -> np.ndarray:
     """Evaluate ``e`` on an array of time points, broadcasting constants.
 
-    ``t`` may also be a 0-d point.  A long-double ``t`` is evaluated and
-    returned in long double, any other in double.  Points where ``e`` is
-    singular come back as inf or nan without a warning; callers check
+    ``t`` may also be a 0-d point; values are doubles.  Points where ``e``
+    is singular come back as inf or nan without a warning; callers check
     finiteness.
     """
-    t = np.asarray(t)
-    dtype = np.longdouble if t.dtype == np.longdouble else np.float64
-    t = t.astype(dtype, copy=False)
+    t = np.asarray(t, dtype=np.float64)
     with np.errstate(all="ignore"):
-        out = np.asarray(_values(e, t), dtype=dtype)
+        out = np.asarray(_values(e, t), dtype=np.float64)
     if out.ndim == 0:
         out = np.full(t.shape, out)
     return out
@@ -307,18 +304,16 @@ def taylor(e: Expression, t0, count: int) -> np.ndarray:
     The same walk as :func:`values_on_grid`, on truncated power series
     ("jets", Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
     ch. 13): O(count^2) work per node, and no derivative expression is
-    built.  A long-double ``t0`` gives long-double coefficients, any other
-    double.  At a singular point the coefficients come back as inf or nan
-    without a warning; callers check finiteness.
+    built.  The coefficients are doubles.  At a singular point they come
+    back as inf or nan without a warning; callers check finiteness.
     """
-    t0 = np.asarray(t0)
+    t0 = np.asarray(t0, dtype=np.float64)
     if t0.ndim != 0:
         raise ValueError("jets are taken about a single point")
     if count < 1:
         raise ValueError("a jet needs at least one coefficient")
-    dtype = np.longdouble if t0.dtype == np.longdouble else np.float64
     with np.errstate(all="ignore"):
-        return np.array(_values(e, t0.astype(dtype), count), dtype=dtype)
+        return np.array(_values(e, t0, count), dtype=np.float64)
 
 
 def _values(e: Expression, t, count: int | None = None):

@@ -37,10 +37,16 @@ the first three consistency rows; the series closure gives y_0..y_{p-1}
 and their differences directly, each difference summed from the exact
 integer differences of the monomials of its polynomial.
 
-The sixth-order interior truncation error expands in even powers of h with
-bracket coefficients that are linear in the weights; choosing weights that
-kill successive brackets raises the method order up to h^8, whose unique
-weight set is (1/30240, 41/5040, 2189/10080, 4153/7560).
+At every order the interior truncation error comes from one generating
+series: on y = e^(st) with x = sh, the relation's residual is
+x^p (sum_j w_j e^((j-p/2) x) - (2 sinh(x/2)/x)^p) about the window centre,
+so it expands in even powers of h with brackets B_k
+(:func:`truncation_brackets`) that are linear in the weights.  Zeroing
+B_p..B_2p fixes the half-stencil uniquely and gives interior truncation
+O(h^(2p+2)), design order p + 2: that is IMPROVED_SET4 and IMPROVED_SET6,
+(1/30240, 41/5040, 2189/10080, 4153/7560) at p = 6.  Holding some weights
+at chosen values and zeroing fewer brackets gives the lower orders of
+:func:`derive_parameters6`.
 
 Theta-parameterized weights are provided for validation only, because the
 printed closed forms carry an inconsistency that is surfaced via their
@@ -85,8 +91,7 @@ __all__ = [
     "solve",
     "theta_coefficients4",
     "theta_coefficients6",
-    "truncation_leading4",
-    "truncation_series6",
+    "truncation_brackets",
 ]
 
 #: Truncation degree of the series starting procedure: start rows are
@@ -138,15 +143,99 @@ class WeightSet:
     delta = property(lambda self: self.half[3])
 
 
+def _bracket_forms(p: int, count: int) -> list[tuple[list[Fraction], Fraction]]:
+    """B_p, B_{p+2}, ..., B_{p+2(count-1)} as linear forms in the
+    half-stencil: the coefficient of each half weight, and the constant
+    [x^{2m}] (2 sinh(x/2)/x)^p, from the series sum_m x^{2m} / (4^m (2m+1)!)."""
+    sinhc = [Fraction(1, 4**m * factorial(2 * m + 1)) for m in range(count)]
+    power = [Fraction(1)] + [Fraction(0)] * (count - 1)
+    for _ in range(p):
+        power = [sum(power[i] * sinhc[m - i] for i in range(m + 1)) for m in range(count)]
+    centre = p // 2
+
+    def coefficient(j: int, m: int) -> Fraction:
+        """sum of w_j (j - p/2)^(2m) / (2m)! over both copies of w_j"""
+        copies = 1 if j == centre else 2
+        return Fraction(copies * (j - centre) ** (2 * m), factorial(2 * m))
+
+    return [([coefficient(j, m) for j in range(centre + 1)], power[m]) for m in range(count)]
+
+
+def truncation_brackets(weights: WeightSet, count: int) -> tuple[Fraction, ...]:
+    """Exact brackets B_p, B_{p+2}, ..., B_{p+2(count-1)} of the interior
+    truncation error, whose residual on the exact solution is
+    sum_k B_k h^k y^(k) about the window centre, with
+
+        B_k = sum_j w_j (j - p/2)^(k-p) / (k-p)!  -  [x^(k-p)] (2 sinh(x/2)/x)^p.
+
+    The odd brackets vanish because the stencil is symmetric.
+    """
+    return tuple(
+        sum(c * w for c, w in zip(coefficients, weights.half)) - constant
+        for coefficients, constant in _bracket_forms(weights.order, count)
+    )
+
+
+def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Tiny exact Gaussian elimination over Fractions (no pivot growth
+    concerns at these sizes)."""
+    m = [row[:] + [r] for row, r in zip(rows, rhs)]
+    size = len(m)
+    for col in range(size):
+        pivot_row = next(r for r in range(col, size) if m[r][col] != 0)
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        pivot = m[col][col]
+        m[col] = [v / pivot for v in m[col]]
+        for r in range(size):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
+    return [m[r][size] for r in range(size)]
+
+
+def _zeroing_weights(p: int, held: dict[int, Fraction]) -> WeightSet:
+    """The order-p weight set whose half weights w_j for j in ``held`` take
+    the given values and whose first brackets B_p, B_{p+2}, ... vanish, one
+    for each remaining half weight."""
+    free = [j for j in range(p // 2 + 1) if j not in held]
+    rows, rhs = [], []
+    for coefficients, constant in _bracket_forms(p, len(free)):
+        rows.append([coefficients[j] for j in free])
+        rhs.append(constant - sum(coefficients[j] * w for j, w in held.items()))
+    half = {**held, **dict(zip(free, _solve_exact(rows, rhs)))}
+    return WeightSet(tuple(half[j] for j in range(p // 2 + 1)))
+
+
 #: The unique weight set whose interior truncation drops from O(h^6) to
-#: O(h^10); used together with the improved closure rows.
-IMPROVED_SET4 = WeightSet((Fraction(-1, 720), Fraction(31, 180), Fraction(79, 120)))
+#: O(h^10): B_4 = B_6 = B_8 = 0; used together with the improved closure rows.
+IMPROVED_SET4 = _zeroing_weights(4, {})
 
 #: The unique weight set that kills the h^6..h^12 truncation brackets,
 #: giving an O(h^8) method.
-IMPROVED_SET6 = WeightSet(
-    (Fraction(1, 30240), Fraction(41, 5040), Fraction(2189, 10080), Fraction(4153, 7560))
-)
+IMPROVED_SET6 = _zeroing_weights(6, {})
+
+# half weights held by each target order of :func:`derive_parameters6`;
+# the remaining ones zero one bracket each
+_HELD6 = {
+    2: {0: Fraction(0), 1: Fraction(0), 2: Fraction(1, 4)},
+    4: {0: Fraction(0), 2: Fraction(0)},
+    6: {0: Fraction(0)},
+    8: {},
+}
+
+
+def derive_parameters6(target_order: int) -> WeightSet:
+    """Weight set achieving a requested convergence order in {2, 4, 6, 8}.
+
+    Order 2 kills only the h^6 bracket, order 4 also h^8, order 6 also
+    h^10, and order 8 additionally h^12.  The lower orders are
+    underdetermined; the canonical tie-break fixes alpha = 0 (for order 4
+    also gamma = 0; for order 2 also beta = 0 and gamma = 1/4).  The
+    order-8 system is uniquely determined.
+    """
+    if target_order not in _HELD6:
+        raise ValueError(f"target order must be one of 2, 4, 6, 8; got {target_order}")
+    return _zeroing_weights(6, _HELD6[target_order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,102 +631,3 @@ def solve(ivp: HighOrderIVP, n: int, weights: WeightSet, closure: str) -> GridSo
     y = march(f, g, h, weights.weights, *head)
     return GridSolution(t=t, y=y, method=f"spline{ivp.order}-{closure}", n=n, h=h)
 
-
-def truncation_leading4(coefficients: WeightSet) -> tuple[int, Fraction]:
-    """Leading interior truncation term of the fourth-order consistency
-    relation.
-
-    Returns ``(6, c6)`` with c6 = (-1 + 24*alpha + 6*beta)/6 when that
-    coefficient is nonzero, else ``(10, c10)`` with
-    c10 = (-17 + 5376*alpha + 84*beta)/30240; both are exact rationals
-    multiplying h^power * y^(power) at the window nodes.
-    """
-    a, b = coefficients.alpha, coefficients.beta
-    c6 = Fraction(1, 6) * (-1 + 24 * a + 6 * b)
-    if c6 != 0:
-        return 6, c6
-    return 10, Fraction(1, 30240) * (-17 + 5376 * a + 84 * b)
-
-
-# truncation brackets of the sixth-order consistency relation: the residual
-# on the exact solution is sum_k B_k(weights) * h^k * y^(k) over even
-# k = 6..16
-_BRACKETS = (
-    (6, Fraction(1), (-1, 2, 2, 2, 1)),
-    (8, Fraction(1, 4), (-1, 36, 16, 4, 0)),
-    (10, Fraction(1, 240), (-7, 1620, 320, 20, 0)),
-    (12, Fraction(1, 7560), (-16, 15309, 1344, 21, 0)),
-    (14, Fraction(1, 120960), (-13, 39366, 1536, 6, 0)),
-    (16, Fraction(1, 159667200), (-651, 5196312, 90112, 88, 0)),
-)
-
-
-def truncation_series6(coefficients: WeightSet) -> tuple[Fraction, ...]:
-    """Exact bracket coefficients of h^6, h^8, ..., h^16 in the interior
-    truncation error, as functions of the weight set."""
-    a, b, g, d = (
-        coefficients.alpha,
-        coefficients.beta,
-        coefficients.gamma,
-        coefficients.delta,
-    )
-    out = []
-    for _, scale, (c0, ca, cb, cg, cd) in _BRACKETS:
-        out.append(scale * (c0 + ca * a + cb * b + cg * g + cd * d))
-    return tuple(out)
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Tiny exact Gaussian elimination over Fractions (no pivot growth
-    concerns at these sizes)."""
-    m = [row[:] + [r] for row, r in zip(rows, rhs)]
-    size = len(m)
-    for col in range(size):
-        pivot_row = next(r for r in range(col, size) if m[r][col] != 0)
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        pivot = m[col][col]
-        m[col] = [v / pivot for v in m[col]]
-        for r in range(size):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return [m[r][size] for r in range(size)]
-
-
-def derive_parameters6(target_order: int) -> WeightSet:
-    """Weight set achieving a requested convergence order in {2, 4, 6, 8}.
-
-    Order 2 kills only the h^6 bracket, order 4 also h^8, order 6 also
-    h^10, and order 8 additionally h^12.  The lower orders are
-    underdetermined; the canonical tie-break fixes alpha = 0 (for order 4
-    also gamma = 0; for order 2 also beta = 0 and gamma = 1/4).  The
-    order-8 system is uniquely determined.
-    """
-    one = Fraction(1)
-    if target_order == 2:
-        alpha, beta, gamma = Fraction(0), Fraction(0), Fraction(1, 4)
-        delta = 1 - 2 * gamma  # h^6 bracket: 2a + 2b + 2g + d = 1
-    elif target_order == 4:
-        alpha, gamma = Fraction(0), Fraction(0)
-        beta = _solve_exact([[Fraction(16)]], [one])[0]  # h^8 bracket
-        delta = 1 - 2 * beta
-    elif target_order == 6:
-        alpha = Fraction(0)
-        beta, gamma = _solve_exact(
-            [[Fraction(16), Fraction(4)], [Fraction(320), Fraction(20)]],
-            [one, Fraction(7)],
-        )
-        delta = 1 - 2 * beta - 2 * gamma
-    elif target_order == 8:
-        alpha, beta, gamma, delta = _solve_exact(
-            [
-                [Fraction(2), Fraction(2), Fraction(2), Fraction(1)],
-                [Fraction(36), Fraction(16), Fraction(4), Fraction(0)],
-                [Fraction(1620), Fraction(320), Fraction(20), Fraction(0)],
-                [Fraction(15309), Fraction(1344), Fraction(21), Fraction(0)],
-            ],
-            [one, one, Fraction(7), Fraction(16)],
-        )
-    else:
-        raise ValueError(f"target order must be one of 2, 4, 6, 8; got {target_order}")
-    return WeightSet((alpha, beta, gamma, delta))

@@ -1,12 +1,29 @@
 """Shared fixtures: benchmark cases and a memoized reference oracle."""
 
 import dataclasses
+import operator
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nlosc.expr import Const, differentiate, evaluate
+from nlosc.expr import (
+    Add,
+    Const,
+    Cos,
+    Deriv,
+    Div,
+    Exp,
+    Mul,
+    Neg,
+    Pow,
+    Sin,
+    Sub,
+    Var,
+    differentiate,
+    evaluate,
+)
 from nlosc.verify import builtin_cases, rk_oracle
 
 settings.register_profile(
@@ -142,21 +159,67 @@ def monomial_residual(cond, order, degree):
     return lhs - rhs
 
 
-def consistency_residual(weights, order, degree):
-    """Exact residual of the interior consistency relation on y = t^degree
-    over the window t_j = j (unit grid): weighted derivative sum minus the
-    order-th difference."""
+def consistency_residual(weights, order, degree, origin=0):
+    """Exact residual of the interior consistency relation on
+    y = (t - origin)^degree over the window t_j = j (unit grid): weighted
+    derivative sum minus the order-th difference."""
     from fractions import Fraction
     from math import comb, factorial
 
     def deriv(k, p, x):
         if k < p:
             return Fraction(0)
-        return Fraction(factorial(k), factorial(k - p)) * Fraction(x) ** (k - p)
+        return Fraction(factorial(k), factorial(k - p)) * Fraction(x - origin) ** (k - p)
 
     lhs = sum(Fraction(w) * deriv(degree, order, j) for j, w in enumerate(weights))
     diff = sum(
-        Fraction((-1) ** (order - j) * comb(order, j)) * Fraction(j) ** degree
+        Fraction((-1) ** (order - j) * comb(order, j)) * Fraction(j - origin) ** degree
         for j in range(order + 1)
     )
     return lhs - diff
+
+
+_MP_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+_MP_FUNCTIONS = {Sin: mpmath.sin, Cos: mpmath.cos, Exp: mpmath.exp}
+
+
+def mp_value(e, t):
+    """Value of ``e`` at the mpmath number ``t`` in mpmath's working
+    precision; a reference walk independent of the package's evaluator.
+    A Deriv node is differentiated numerically by ``mpmath.diffs``, which
+    raises the precision to keep the working precision in the result."""
+    memo, derivatives = {}, {}
+
+    def value(node):
+        key = id(node)
+        if key not in memo:
+            kind = type(node)
+            if kind is Const:
+                memo[key] = mpmath.mpf(node.value)
+            elif kind is Var:
+                memo[key] = t
+            elif kind in _MP_BINARY:
+                memo[key] = _MP_BINARY[kind](value(node.left), value(node.right))
+            elif kind is Pow:
+                memo[key] = value(node.base) ** node.exponent
+            elif kind is Neg:
+                memo[key] = -value(node.operand)
+            elif kind in _MP_FUNCTIONS:
+                memo[key] = _MP_FUNCTIONS[kind](value(node.arg))
+            elif kind is Deriv:  # one diffs call per operand serves every order
+                known = derivatives.get(id(node.operand), [])
+                if len(known) <= node.order:
+                    known = derivatives[id(node.operand)] = mp_derivatives(
+                        node.operand, t, node.order
+                    )
+                memo[key] = known[node.order]
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+        return memo[key]
+
+    return value(e)
+
+
+def mp_derivatives(e, t, order):
+    """e(t), e'(t), ..., e^(order)(t) in mpmath's working precision."""
+    return list(mpmath.diffs(lambda s: mp_value(e, s), t, order))

@@ -29,7 +29,7 @@ from nlosc.spline import (
     WeightSet,
     derive_parameters6,
     solve,
-    truncation_series6,
+    truncation_brackets,
 )
 from nlosc.verify import (
     METHODS,
@@ -177,7 +177,7 @@ def test_criterion_6_exact_identities():
         cs = METHODS[name].coefficients
         if cs.alpha + cs.beta + cs.gamma + F(cs.delta, 2) != F(1, 2):
             failures.append(f"order-6 normalization broken for {name}")
-    if truncation_series6(IMPROVED_SET6)[:4] != (0, 0, 0, 0):
+    if truncation_brackets(IMPROVED_SET6, 4) != (0, 0, 0, 0):
         failures.append("improved 6th-order kill conditions broken")
     derived = derive_parameters6(8)
     expected = (F(1, 30240), F(41, 5040), F(2189, 10080), F(4153, 7560))

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import consistency_residual
+from nlosc import spline
 from nlosc.spline import (
     CLOSURES,
     IMPROVED_SET4,
@@ -14,6 +16,7 @@ from nlosc.spline import (
     closure_rows,
     min_n,
     solve,
+    truncation_brackets,
 )
 from nlosc.verify import METHODS, Method, case_by_id, max_abs_error
 
@@ -24,6 +27,41 @@ def test_weight_set_order_and_full_stencil():
     assert IMPROVED_SET4.order == 4 and IMPROVED_SET6.order == 6
     assert IMPROVED_SET4.weights == (F(-1, 720), F(31, 180), F(79, 120), F(31, 180), F(-1, 720))
     assert sum(IMPROVED_SET6.weights) == 1 and len(IMPROVED_SET6.weights) == 7
+    assert IMPROVED_SET6.half == (F(1, 30240), F(41, 5040), F(2189, 10080), F(4153, 7560))
+
+
+# the weight set zeroing B_8..B_16 at p = 8
+SET8 = WeightSet(
+    (F(-1, 1209600), F(31, 151200), F(7193, 302400), F(35737, 151200), F(57977, 120960))
+)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [method.coefficients for method in METHODS.values()] + [SET8],
+    ids=[*METHODS, "order8"],
+)
+def test_brackets_are_the_centred_monomial_residuals(weights):
+    """On (t - p/2)^k the exact residual of the relation is k! B_k for
+    every k, and zero for odd k."""
+    p = weights.order
+    brackets = truncation_brackets(weights, 7)
+    for k in range(p, p + 14):
+        residual = consistency_residual(weights.weights, p, k, origin=p // 2)
+        expected = brackets[(k - p) // 2] if k % 2 == 0 else 0
+        assert residual / math.factorial(k) == expected, k
+
+
+def test_order8_set_zeroes_its_first_five_brackets():
+    assert truncation_brackets(SET8, 6)[:5] == (0,) * 5
+    assert truncation_brackets(SET8, 6)[5] != 0
+    assert spline._zeroing_weights(8, {}) == SET8
+
+
+def test_brackets_do_not_skip_h8_at_order_4():
+    weights = WeightSet((F(0), F(1, 6), F(2, 3)))
+    assert truncation_brackets(weights, 3) == (0, 0, F(1, 720))
+    assert consistency_residual(weights.weights, 4, 8) / math.factorial(8) == F(1, 720)
 
 
 @pytest.mark.parametrize("closure", [name for name, rows in CLOSURES.items() if rows])

@@ -18,7 +18,7 @@ from nlosc.spline import (
     assemble_system,
     solve,
     theta_coefficients4,
-    truncation_leading4,
+    truncation_brackets,
 )
 from nlosc.verify import METHODS, case_by_id, max_abs_error, rk_oracle, oracle_max_error
 
@@ -147,18 +147,19 @@ def test_interior_truncation_matches_bracket(weights):
 
 
 # ---------------------------------------------------------------------------
-# truncation_leading4
+# truncation brackets B_4, B_6, ... at order 4
 # ---------------------------------------------------------------------------
 
 
 def test_truncation_leading_order6_sets():
-    assert truncation_leading4(WeightSet((F(1, 6), F(1, 6), F(1, 3)))) == (6, F(2, 3))
-    assert truncation_leading4(SET_COL1) == (6, F(-1, 6))
+    assert truncation_brackets(WeightSet((F(1, 6), F(1, 6), F(1, 3))), 2) == (0, F(2, 3))
+    assert truncation_brackets(SET_COL1, 2) == (0, F(-1, 6))
 
 
 def test_truncation_leading_improved_set():
-    power, constant = truncation_leading4(IMPROVED_SET4)
-    assert power == 10
+    brackets = truncation_brackets(IMPROVED_SET4, 4)
+    assert brackets[:3] == (0, 0, 0)  # the leading term is h^10
+    constant = brackets[3]
     assert constant == F(-17, 30240) + F(5376, 30240) * F(-1, 720) + F(84, 30240) * F(31, 180)
     assert constant == F(-1, 3024)
 

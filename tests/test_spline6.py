@@ -20,7 +20,7 @@ from nlosc.spline import (
     derive_parameters6,
     solve,
     theta_coefficients6,
-    truncation_series6,
+    truncation_brackets,
 )
 from nlosc.verify import case_by_id, max_abs_error
 
@@ -106,7 +106,7 @@ def test_closure_leading_truncation(row):
 
 
 def test_improved_set_kills_first_four_brackets():
-    brackets = truncation_series6(IMPROVED_SET6)
+    brackets = truncation_brackets(IMPROVED_SET6, 6)
     assert brackets[0] == brackets[1] == brackets[2] == brackets[3] == 0
     assert brackets[4] == F(1, 57600)
     assert brackets[4] != 0 and brackets[5] != 0
@@ -114,30 +114,30 @@ def test_improved_set_kills_first_four_brackets():
 
 def test_bracket_example_sets():
     cs = WeightSet((F(1, 120), F(15, 120), F(30, 120), F(28, 120)))
-    brackets = truncation_series6(cs)
+    brackets = truncation_brackets(cs, 6)
     assert brackets[0] == 0
     assert brackets[1] == F(23, 40)  # (1/4)(-1 + 3.3) = 0.575
     zero = WeightSet((F(0), F(0), F(0), F(0)), unchecked=True)
-    assert truncation_series6(zero)[0] == -1
+    assert truncation_brackets(zero, 6)[0] == -1
 
 
 def test_brackets_match_monomial_residuals():
-    """Independent check of the printed bracket formulas: the residual of
-    the seven-point relation on t^k equals bracket_k * k! once all lower
+    """Independent check of the bracket series: the residual of the
+    seven-point relation on t^k equals bracket_k * k! once all lower
     brackets vanish."""
     unnormalized = WeightSet((F(1, 100), F(1, 50), F(1, 25), F(1, 10)), unchecked=True)
-    b = truncation_series6(unnormalized)
+    b = truncation_brackets(unnormalized, 6)
     assert consistency_residual(unnormalized.weights, 6, 6) == b[0] * math.factorial(6)
 
     for cs in TABLE5_SETS:  # h^6 bracket vanishes
-        b = truncation_series6(cs)
+        b = truncation_brackets(cs, 6)
         assert consistency_residual(cs.weights, 6, 8) == b[1] * math.factorial(8)
 
     h6 = derive_parameters6(6)  # h^6..h^10 brackets vanish
-    b = truncation_series6(h6)
+    b = truncation_brackets(h6, 6)
     assert consistency_residual(h6.weights, 6, 12) == b[3] * math.factorial(12)
 
-    b = truncation_series6(IMPROVED_SET6)  # h^6..h^12 brackets vanish
+    b = truncation_brackets(IMPROVED_SET6, 6)  # h^6..h^12 brackets vanish
     assert consistency_residual(IMPROVED_SET6.weights, 6, 14) == b[4] * math.factorial(14)
 
 
@@ -167,7 +167,7 @@ def test_derive_order_2_canonical_tie_break():
 
 
 def test_derive_order_6_kills_three_brackets():
-    brackets = truncation_series6(derive_parameters6(6))
+    brackets = truncation_brackets(derive_parameters6(6), 6)
     assert brackets[0] == brackets[1] == brackets[2] == 0
 
 
