@@ -28,6 +28,13 @@ same recurrence amplifies it like eps*n^p.
 touches the unknowns r-p..r+3 only); a tabulated closure takes its head
 block from there, and the band is the reference the march is tested
 against.
+
+What depends only on the scheme is built once per process, on first use:
+the float coefficients of each closure row (:attr:`EndCondition.float_terms`,
+with the c - o sums taken exactly first) and the p-th difference stencil
+of each order.  Each solve then builds its closure rows in Python floats
+from those, in the same order of operations, so a solve gives the same
+bits whether or not they were built already.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
+from math import comb
 
 import numpy as np
 
@@ -75,6 +84,20 @@ class EndCondition:
     node_values: Terms
     initial_derivs: Terms
     bracket_derivs: Terms = field(default=())
+
+    @cached_property
+    def float_terms(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """``(net, node_values, initial_derivs)`` in floats, converted on
+        first use: net holds (j, c_j - o_j), summed exactly before rounding."""
+        net: dict[int, Fraction] = {}
+        for j, c in self.node_derivs:
+            net[j] = net.get(j, Fraction(0)) + c
+        for j, o in self.bracket_derivs:
+            net[j] = net.get(j, Fraction(0)) - o
+        return tuple(
+            tuple((j, float(c)) for j, c in terms)
+            for terms in (net.items(), self.node_values, self.initial_derivs)
+        )
 
 
 def require_finite(*arrays) -> None:
@@ -118,11 +141,12 @@ def build_arrays(
     y_{r+k-p+1}); :func:`band_to_dense` gives the n x n matrix.
 
     ``weights`` is the full symmetric weight stencil of the consistency
-    relation (length p+1); ``end_conditions`` supplies closure rows placed
-    first, and ``pinned`` adds plain rows y_j = value (used by the series
-    starting procedure).  Together they must contribute p - 1 rows.  Known
-    quantities (y_0 = u_0, the initial derivatives, and y^(p)(a) obtained
-    from the equation itself) are moved to the right-hand side.
+    relation (length p+1), exact or in floats; ``end_conditions`` supplies
+    closure rows placed first, and ``pinned`` adds plain rows y_j = value
+    (used by the series starting procedure).  Together they must
+    contribute p - 1 rows.  Known quantities (y_0 = u_0, the initial
+    derivatives, and y^(p)(a) obtained from the equation itself) are moved
+    to the right-hand side.
     """
     _, h, f, g = grid_values(ivp, n)
     return _band_rows(f, g, h, ivp.u, weights, end_conditions, pinned)
@@ -136,51 +160,49 @@ def _band_rows(f, g, h, u, weights, end_conditions, pinned=()):
     if len(end_conditions) + len(pinned) != p - 1:
         raise ValueError(f"closure must contribute {p - 1} rows")
 
-    def at(row: int, j: int) -> tuple[int, int]:
-        """Band position of node j in a closure row."""
+    def column(row: int, j: int) -> int:
+        """Band column of node j in closure row ``row``."""
         k = j - 1 - row + p
-        if not 0 <= k < p + 4:
+        if j < 0 or not 0 <= k < p + 4:
             raise ValueError(f"closure row {row} reaches node {j}, outside the band")
-        return row, k
+        return k
 
     hp = h**p
-    # difference stencil: alternating binomial coefficients of order p
-    binom = [1] + [0] * p
-    for _ in range(p):
-        binom = [1] + [binom[i] + binom[i + 1] for i in range(p)]
-    delta = [float((-1) ** (p - k) * binom[k]) for k in range(p + 1)]
-
     # node j sits at band[r, j - 1 - r + p]; node 0 carries the known
     # y_0 = u_0 and appears only in rows r < p, at k = p - 1 - r, whence it
     # moves to the right-hand side at the end
     band = np.zeros((n, p + 4))
     rhs = np.zeros(n)
 
-    row = 0
+    # the p - 1 closure rows, built in Python floats; a row inside the band
+    # reaches node p + 2 at most
+    f_head, g_head = f[: p + 3].tolist(), g[: p + 3].tolist()
+    lines, values = [], []
     for j, value in pinned:
-        band[at(row, j)] = 1.0
-        rhs[row] = value
-        row += 1
+        line = [0.0] * (p + 4)
+        line[column(len(lines), j)] = 1.0
+        lines.append(line)
+        values.append(value)
     for cond in end_conditions:
-        value = 0.0
-        net: dict[int, Fraction] = {}
-        for j, c in cond.node_derivs:
-            net[j] = net.get(j, Fraction(0)) + c
-        for j, o in cond.bracket_derivs:
-            net[j] = net.get(j, Fraction(0)) - o
-        for j, c in net.items():
-            band[at(row, j)] += hp * float(c) * f[j]
-            value += hp * float(c) * g[j]
-        for j, d in cond.node_values:
-            band[at(row, j)] += float(d)
-        for m, e in cond.initial_derivs:
-            value -= float(e) * h**m * u[m]
-        rhs[row] = value
-        row += 1
+        row, line, value = len(lines), [0.0] * (p + 4), 0.0
+        net, nodes, initial = cond.float_terms
+        for j, c in net:
+            line[column(row, j)] += hp * c * f_head[j]
+            value += hp * c * g_head[j]
+        for j, d in nodes:
+            line[column(row, j)] += d
+        for m, e in initial:
+            value -= e * h**m * u[m]
+        lines.append(line)
+        values.append(value)
+    row = len(lines)
+    band[:row] = lines
+    rhs[:row] = values
 
     # consistency rows, one diagonal at a time: the window ending at node
     # i = p..n is row i - 1 and puts its k-th weight on node i - p + k,
     # which is band column k
+    delta = _difference_stencil(p)
     width = n - p + 1
     for k in range(p + 1):
         w = float(weights[k])
@@ -191,6 +213,13 @@ def _band_rows(f, g, h, u, weights, end_conditions, pinned=()):
     rhs[:p] -= band[first, p - 1 - first] * u[0]
     band[first, p - 1 - first] = 0
     return band, rhs
+
+
+@cache
+def _difference_stencil(p: int) -> tuple[float, ...]:
+    """The p-th difference stencil, (-1)^(p-k) C(p, k) for k = 0..p, built
+    once per order."""
+    return tuple(float((-1) ** (p - k) * comb(p, k)) for k in range(p + 1))
 
 
 def band_to_dense(band: np.ndarray) -> np.ndarray:

@@ -13,6 +13,11 @@ numeric initial data may be given either as JSON numbers or as expression
 strings, which are evaluated at the interval's left endpoint.  Weight sets
 are exact rationals written "p/q".  CSV output uses 17 significant digits,
 '.' as the decimal separator and '\\n' line endings.
+
+:func:`main` may be called many times in one process.  Later calls reuse
+what the solver built once per scheme (float weights, closure rows, series
+tables) and the built-in cases parsed by the first ``table`` or
+``convergence`` call, and write the same bytes as a fresh process.
 """
 
 from __future__ import annotations
@@ -46,10 +51,6 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 def _need(obj: dict, key: str, path: str):
@@ -88,7 +89,8 @@ def _number_field(value, path: str, at: float) -> float:
 
 def _rational_field(value, path: str) -> Fraction:
     try:
-        if isinstance(value, int):
+        # a JSON true is a bool, which is an int
+        if type(value) is int:
             return Fraction(value)
         if isinstance(value, str):
             return Fraction(value)
@@ -212,7 +214,7 @@ def load_config(path: str) -> RunConfig:
     else:
         interval = _interval_field(_need(raw, "interval", "$"), "$.interval")
         order = _need(raw, "order", "$")
-        if not isinstance(order, int):
+        if type(order) is not int:
             raise ConfigError("$.order", "expected an integer")
         u_raw = _need(raw, "u", "$")
         if not isinstance(u_raw, list):
@@ -294,10 +296,11 @@ def _solve_config(config: RunConfig):
 
 
 def _write_csv(columns, stream) -> None:
+    """Write ``(name, values)`` columns as CSV, each value "%.17g"."""
     stream.write(",".join(name for name, _ in columns) + "\n")
-    length = len(columns[0][1])
-    for i in range(length):
-        stream.write(",".join(_fmt(values[i]) for _, values in columns) + "\n")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    values = [np.asarray(v).tolist() for _, v in columns]
+    stream.writelines(row % line for line in zip(*values))
 
 
 def _cmd_solve(args) -> int:

@@ -37,6 +37,13 @@ the first three consistency rows; the series closure gives y_0..y_{p-1}
 and their differences directly, each difference summed from the exact
 integer differences of the monomials of its polynomial.
 
+What depends only on the scheme is built on first use and kept for the
+rest of the process: the float form of each weight set
+(:attr:`WeightSet.float_weights`), the float coefficients of each closure
+row (see :mod:`nlosc._assembly`) and the series start's integer tables,
+one per order and degree (:func:`_series_tables`).  None of it is built at
+import, and a solve gives the same bits either way.
+
 At every order the interior truncation error comes from one generating
 series: on y = e^(st) with x = sh, the relation's residual is
 x^p (sum_j w_j e^((j-p/2) x) - (2 sinh(x/2)/x)^p) about the window centre,
@@ -56,8 +63,10 @@ normalization defect rather than silently corrected (see
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from math import comb, factorial, fsum
 from typing import NamedTuple
 
@@ -135,6 +144,11 @@ class WeightSet:
     def weights(self) -> tuple[Fraction, ...]:
         """The full symmetric stencil w_0..w_p."""
         return self.half + self.half[-2::-1]
+
+    @cached_property
+    def float_weights(self) -> tuple[float, ...]:
+        """:attr:`weights` in floats, converted on first use."""
+        return tuple(map(float, self.weights))
 
     # the paper's names, outermost weight first
     alpha = property(lambda self: self.half[0])
@@ -561,29 +575,36 @@ def derivatives_at_start(ivp: HighOrderIVP, count: int) -> list[float]:
     return derivs
 
 
+@cache
+def _series_tables(p: int, degree: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``(powers, differences)``: the exact integers j^m for j = 0..p-1 and
+    nabla^k j^m at j = p - 1 for k = 0..p-1, each row over m = 0..degree;
+    built once per (p, degree)."""
+    powers = [[j**m for m in range(degree + 1)] for j in range(p)]
+    differences, column = [], powers
+    for _ in range(p):
+        differences.append(column[-1])
+        column = [[a - b for a, b in zip(hi, lo)] for lo, hi in zip(column, column[1:])]
+    return tuple(map(tuple, powers)), tuple(map(tuple, differences))
+
+
 def _series_start(ivp: HighOrderIVP, h: float) -> tuple[list[float], list[float]]:
     """y_0..y_{p-1} of the Taylor polynomial about t = a of degree
     SERIES_START_DEGREE, and its backward differences nabla^k y_{p-1} for
     k = 0..p-1.
 
     With a_m = y^(m)(a) h^m / m!, node j carries sum_m a_m j^m, and the
-    differences of the monomials j^m are exact integers, so each difference
-    is summed from its own terms and none is a cancellation of rounded
-    values: the higher differences keep their full relative accuracy.
+    differences of the monomials j^m are exact integers
+    (:func:`_series_tables`), so each difference is summed from its own
+    terms and none is a cancellation of rounded values: the higher
+    differences keep their full relative accuracy.
     """
-    p, degrees = ivp.order, range(SERIES_START_DEGREE + 1)
+    degrees = range(SERIES_START_DEGREE + 1)
     derivs = derivatives_at_start(ivp, len(degrees))
     scaled = [d * h**m / factorial(m) for m, d in zip(degrees, derivs)]
-
-    def combine(powers) -> float:
-        return fsum(c * q for c, q in zip(powers, scaled))
-
-    def difference(k: int, m: int) -> int:
-        """nabla^k of j^m at j = p - 1."""
-        return sum((-1) ** i * comb(k, i) * (p - 1 - i) ** m for i in range(k + 1))
-
-    values = [combine([j**m for m in degrees]) for j in range(p)]
-    stack = [combine([difference(k, m) for m in degrees]) for k in range(p)]
+    powers, differences = _series_tables(ivp.order, SERIES_START_DEGREE)
+    values = [fsum(map(operator.mul, row, scaled)) for row in powers]
+    stack = [fsum(map(operator.mul, row, scaled)) for row in differences]
     return values, stack
 
 
@@ -625,9 +646,9 @@ def solve(ivp: HighOrderIVP, n: int, weights: WeightSet, closure: str) -> GridSo
     rows = _closure(ivp, weights, closure)
     t, h, f, g = grid_values(ivp, n)
     if rows:
-        head = solve_head(f, g, h, ivp.u, weights.weights, rows)
+        head = solve_head(f, g, h, ivp.u, weights.float_weights, rows)
     else:
         head = _series_start(ivp, h)
-    y = march(f, g, h, weights.weights, *head)
+    y = march(f, g, h, weights.float_weights, *head)
     return GridSolution(t=t, y=y, method=f"spline{ivp.order}-{closure}", n=n, h=h)
 

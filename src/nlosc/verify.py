@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import log2
 
 import numpy as np
@@ -73,8 +74,10 @@ def _u(expressions: tuple[str, ...], at: float) -> tuple[float, ...]:
     return tuple(evaluate(parse(text), at) for text in expressions)
 
 
+@cache
 def builtin_cases() -> tuple[AnalyticCase, ...]:
-    """The four built-in benchmark cases."""
+    """The four built-in benchmark cases, parsed on the first call and
+    shared by every later one."""
     return (
         AnalyticCase(
             case_id=1,

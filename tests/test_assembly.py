@@ -2,15 +2,16 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nlosc._assembly import band_to_dense, build_arrays, march
+from nlosc._assembly import band_to_dense, build_arrays, grid_values, march, solve_head
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import parse, values_on_grid
-from nlosc.spline import _series_start, assemble_system, closure_rows
+from nlosc.spline import IMPROVED_SET4, _series_start, assemble_system, closure_rows
 from nlosc.verify import METHODS, case_by_id, max_abs_error
 
 # each built-in case with the presets of its order: improved and standard
@@ -108,6 +109,26 @@ def test_densified_band_matches_dense_assembly(case_id, method, n, dtype):
     public = assemble_system(ivp, n, m.coefficients, m.closure)
     assert np.array_equal(public[0], matrix)
     assert np.array_equal(public[1], expected_rhs)
+
+
+@pytest.mark.parametrize(
+    "field, node",
+    [("node_derivs", 6), ("node_values", 7), ("bracket_derivs", 6), ("node_values", -1)],
+)
+def test_closure_row_outside_the_band_is_rejected_on_every_call(field, node):
+    # row 1 of an order-4 closure reaches band columns 0..7, nodes -2..5;
+    # a node below 0 is no grid node at all
+    ivp = case_by_id(1).ivp
+    rows = list(closure_rows("standard", 4))
+    rows[1] = replace(rows[1], **{field: getattr(rows[1], field) + ((node, Fraction(1)),)})
+    weights = IMPROVED_SET4.weights
+    _, h, f, g = grid_values(ivp, 16)
+    message = f"closure row 1 reaches node {node}, outside the band"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            build_arrays(ivp, 16, weights, tuple(rows))
+        with pytest.raises(ValueError, match=message):
+            solve_head(f, g, h, ivp.u, weights, tuple(rows))
 
 
 def backward_error(band, rhs, x):

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import io
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 
 from conftest import symbolic_elimination
 from nlosc.chain import reduce_chain
-from nlosc.cli import ConfigError, load_config, main
+from nlosc.cli import ConfigError, _write_csv, load_config, main
 from nlosc.expr import Const, evaluate, parse, to_text, values_on_grid
 from nlosc.verify import METHODS, case_by_id, rk_oracle
 from test_spline6 import product_ring
@@ -262,6 +263,22 @@ def test_solve_csv_uses_17_significant_digits(tmp_path, capsys):
     assert len(first_value.replace("-", "").replace(".", "")) >= 16
 
 
+def test_csv_rows_equal_per_value_formatting():
+    values = np.array([-0.0, 5e-324, 1e16, 1 / 3])
+    columns = [
+        ("n", [6, 12, 24, 48]),
+        ("x", values),
+        ("y", list(-values)),
+        ("z", np.arange(4)),
+    ]
+    stream = io.StringIO()
+    _write_csv(columns, stream)
+    rows = ["n,x,y,z"]
+    rows += [",".join(f"{v[i]:.17g}" for _, v in columns) for i in range(4)]
+    assert stream.getvalue() == "\n".join(rows) + "\n"
+    assert stream.getvalue().split("\n")[1] == "6,-0,0,0"
+
+
 @pytest.mark.parametrize("method, order", [("improved4", 4), ("improved6", 6)])
 def test_forcing_infinite_at_a_node_fails_without_output(tmp_path, capsys, method, order):
     # g = 1/t is infinite at t_0 = 0; improved6 takes the series closure
@@ -416,6 +433,8 @@ def test_interval_entries_must_be_finite_numbers(tmp_path, capsys, interval):
         ("chain", "positions", "1e400", "$.positions[0]: expected a finite number"),
         ("ivp", "u", "-1e400", "$.u[0]: expected a finite number"),
         ("chain", "n", "true", "$.n: expected a positive integer"),
+        ("ivp", "order", "true", "$.order: expected an integer"),
+        ("chain", "method", "true", '$.method.alpha: expected an integer or a "p/q" string'),
     ],
     ids=[
         "huge-int-velocity",
@@ -424,14 +443,19 @@ def test_interval_entries_must_be_finite_numbers(tmp_path, capsys, interval):
         "infinite-position",
         "infinite-u",
         "bool-n",
+        "bool-order",
+        "bool-weight",
     ],
 )
 def test_numeric_fields_must_be_finite_numbers(tmp_path, capsys, mode, key, entry, error):
     cfg = chain_config() if mode == "chain" else case_config(1, "improved4", 16)
-    if key == "n":
-        cfg[key] = "ENTRY"
-    else:
+    if key == "method":
+        # read as the weight 1, these weights would sum to 1 and load
+        cfg[key] = {"family": "spline4", "alpha": "ENTRY", "beta": "0", "gamma": "-1"}
+    elif isinstance(cfg[key], list):
         cfg[key][0] = "ENTRY"
+    else:
+        cfg[key] = "ENTRY"
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg).replace('"ENTRY"', entry))
     with warnings.catch_warnings():

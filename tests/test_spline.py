@@ -1,7 +1,9 @@
 """Tests for the order-generic parts of the spline solver: the weight-set
 type, the closure table and the series start at order 4."""
 
+import importlib
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -116,3 +118,54 @@ def test_series_start_at_order_4_converges_below_the_improved_closure(case_id):
     # measured slopes 5.7-5.9 on both cases
     assert all(math.log2(series[i] / series[i + 1]) >= 5 for i in range(2)), series
     assert all(s < i for s, i in zip(series, improved)), (series, improved)
+
+
+def cold_verify_module():
+    """nlosc.verify from a second copy of the package, every module imported
+    anew: nothing the running copy built once per scheme is shared."""
+    running = {name: m for name, m in sys.modules.items() if name.split(".")[0] == "nlosc"}
+    for name in running:
+        del sys.modules[name]
+    try:
+        return importlib.import_module("nlosc.verify")
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == "nlosc"]:
+            del sys.modules[name]
+        sys.modules.update(running)
+
+
+PRESET_CASES = [
+    (name, case_id)
+    for name, method in METHODS.items()
+    for case_id in (1, 2, 3, 4)
+    if case_by_id(case_id).ivp.order == method.order
+]
+
+
+@pytest.mark.parametrize("name, case_id", PRESET_CASES)
+def test_scheme_caches_give_the_same_bits_cold_and_warm(name, case_id):
+    ns = (METHODS[name].min_n, 48)
+    cold = cold_verify_module()
+    first = [cold.METHODS[name].solve(cold.case_by_id(case_id).ivp, n).y for n in ns]
+
+    # warm: every other closure and order solved in between
+    for other in METHODS.values():
+        other.solve(case_by_id(1 if other.order == 4 else 3).ivp, other.min_n + 5)
+    method, ivp = METHODS[name], case_by_id(case_id).ivp
+    for n, y in zip(ns, first):
+        assert method.solve(ivp, n).y.tobytes() == y.tobytes(), n
+
+
+@pytest.mark.parametrize("p", [4, 6, 8, 12, 16])
+def test_series_tables_are_the_exact_monomial_differences(p):
+    degree = max(13, 2 * p + 1)
+    powers, differences = spline._series_tables(p, degree)
+    assert powers == tuple(tuple(j**m for m in range(degree + 1)) for j in range(p))
+    assert differences == tuple(
+        tuple(
+            sum((-1) ** i * math.comb(k, i) * (p - 1 - i) ** m for i in range(k + 1))
+            for m in range(degree + 1)
+        )
+        for k in range(p)
+    )
+    assert all(type(v) is int for row in powers + differences for v in row)
