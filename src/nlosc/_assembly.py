@@ -24,6 +24,24 @@ Each addition is rounded at the size of the difference it updates, so the
 rounding error grows about linearly in n, where the binomial form of the
 same recurrence amplifies it like eps*n^p.
 
+The march is run one of two ways, chosen by its length alone, and both
+give the same bits.  A march shorter than :data:`SWEEP_MIN_NODES` nodes
+runs :func:`_loop`, one node at a time in Python floats.  A longer one
+runs :func:`_sweep`, Picard iteration over all its nodes at once
+(waveform relaxation, Lelarasmee, Ruehli & Sangiovanni-Vincentelli, 1982)
+in numpy: from a guess of every new p-th difference, a sweep rebuilds the
+stack at every node and solves every row for the next guess, each sum in
+the loop's order of operations.  The row of node i reads only nodes below
+i, so once a sweep leaves the first j guesses unchanged, they satisfy
+their rows exactly as the loop computes them and are the loop's own
+values; each sweep settles at least one more.  The sweeps stop when one
+changes no bit of any guess, 4-8 sweeps on the built-in cases.  A stiff
+or overflowing march settles few nodes per sweep, so after
+:data:`SWEEP_LIMIT` sweeps the loop takes over from the first node the
+sweeps have not settled.  Sums over
+a sweep's arrays are element-wise, never ``np.sum`` along a row, BLAS or
+``np.correlate``, whose orders of addition differ from the loop's.
+
 :func:`build_arrays` assembles the rows themselves in band form (row r
 touches the unknowns r-p..r+3 only); a tabulated closure takes its head
 block from there, and the band is the reference the march is tested
@@ -238,51 +256,162 @@ def solve_head(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list]:
     """y_0..y_{p+2} of a tabulated closure and their backward differences
     nabla^k y_{p+2}, k = 0..p-1: its p - 1 rows and the first three
     consistency rows reach node p + 2 and hold no other unknown, so one
-    dense solve fixes them.  ``f`` and ``g`` start at node 0."""
+    dense solve fixes them.  ``f`` and ``g`` start at node 0.  The
+    differences are taken in one pass over the last p values, each as the
+    same subtraction ``np.diff`` makes."""
     p = len(weights) - 1
     size = min_n(p)
     band, rhs = _band_rows(f[: size + 1], g[: size + 1], h, u, weights, end_conditions)
     values = np.concatenate(([u[0]], np.linalg.solve(band_to_dense(band), rhs)))
-    return values, [np.diff(values, k)[-1] for k in range(p)]
+    column, stack = values[-p:].tolist(), []
+    for _ in range(p):
+        stack.append(column[-1])
+        column = list(map(operator.sub, column[1:], column[:-1]))
+    return values, stack
+
+
+#: Marches of at least this many nodes run :func:`_sweep`, shorter ones
+#: :func:`_loop`.  Near this length a sweep costs 20-35 microseconds, most
+#: of it numpy call overhead, and a march takes 4-8 sweeps, about what the
+#: loop takes for the whole march (measured on a 2-vCPU Xeon).
+SWEEP_MIN_NODES = 128
+
+#: Sweeps before :func:`_sweep` hands the steps it has not settled to
+#: :func:`_loop`.  The built-in cases take 4-8 and |f| T^p = 1e6 about 25
+#: at p = 4, but a stiff march settles few nodes per sweep (159 sweeps at
+#: |f| T^p = 1e10), and one that overflows about one.
+SWEEP_LIMIT = 32
 
 
 def march(f, g, h, weights, head, stack) -> np.ndarray:
     """y_0..y_n from the consistency rows past the head, in summed form.
 
     ``head`` holds y_0..y_s and ``stack`` the backward differences
-    nabla^k y_s for k = 0..p-1.  With D_j = g_j - f_j y_j and P the sum of the stack at node i - 1, the
-    row of the window ending at node i reads
+    nabla^k y_s for k = 0..p-1.  With D_j = g_j - f_j y_j and P the sum of
+    the stack at node i - 1, the row of the window ending at node i reads
 
         nabla^p y_i = h^p * sum_{k<p} w_k D_{i-p+k} + h^p w_p (g_i - f_i (P + nabla^p y_i)),
 
-    which is solved for nabla^p y_i and added down the stack.  The g part of
-    every row and the pivots 1 + h^p w_p f_i are taken once, in numpy.
+    which is solved for nabla^p y_i and added down the stack.  A march of
+    at least :data:`SWEEP_MIN_NODES` nodes runs :func:`_sweep`, a shorter
+    one :func:`_loop`; both give the same bits.
 
     Raises ``numpy.linalg.LinAlgError`` at a zero pivot and ``ValueError``
     if a coefficient is not finite.
     """
-    p, n, s = len(weights) - 1, len(f) - 1, len(head) - 1
+    rows = _march_rows(f, g, h, weights, len(head) - 1)
+    run = _sweep if len(f) - len(head) >= SWEEP_MIN_NODES else _loop
+    return run(f, *rows, head, stack)
+
+
+def _march_rows(f, g, h, weights, s) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """``(c, g_part, inverse)`` for the rows of nodes s+1..n: the
+    coefficients c_k = h^p w_k, the g part h^p * sum_k w_k g_{i-p+k} of
+    each row and the reciprocals of its pivot 1 + c_p f_i, taken once in
+    numpy; ``LinAlgError`` at a zero pivot, ``ValueError`` at a
+    non-finite one."""
+    p, n = len(weights) - 1, len(f) - 1
     hp = h**p
     c = [hp * float(w) for w in weights]
     pivot = 1 + c[p] * f[s + 1 :]
-    g_part = hp * np.correlate(g, np.array(weights, dtype=float), "valid")[s + 1 - p :]
+    if n < p:  # no row; np.correlate would swap g and the shorter weights
+        g_part = np.zeros(0)
+    else:
+        g_part = hp * np.correlate(g, np.array(weights, dtype=float), "valid")[s + 1 - p :]
     require_finite(pivot, g_part)
     if not np.all(pivot):
         i = s + 1 + int(np.argmin(np.abs(pivot)))
         raise np.linalg.LinAlgError(f"singular system: the row of node {i} has a zero pivot")
-    inverse = (1 / pivot).tolist()
-    g_part = g_part.tolist()
+    return c, g_part, 1 / pivot
 
-    f = f.tolist()
+
+def _loop(f, c, g_part, inverse, head, stack) -> np.ndarray:
+    """The march one node at a time, from the rows of :func:`_march_rows`:
+    each row's step is solved and added down the stack before the next row
+    is read.
+
+    Both sums are left folds from 0.0 in Python floats, so the bits do not
+    depend on the interpreter (``sum`` of floats is compensated from
+    Python 3.12 on)."""
+    p, n, s = len(c) - 1, len(f) - 1, len(head) - 1
+    *c, cp = c
+    inverse, g_part, f = inverse.tolist(), g_part.tolist(), f.tolist()
     y = [float(v) for v in head]
     fy = list(map(operator.mul, f, y))
     diffs = [float(v) for v in stack]
-    cp = c.pop()
     for r, i in enumerate(range(s + 1, n + 1)):
-        step = g_part[r] - sum(map(operator.mul, c, fy[i - p : i])) - cp * f[i] * sum(diffs)
-        step *= inverse[r]
+        window = total = 0.0
+        for term in map(operator.mul, c, fy[i - p : i]):
+            window += term
+        for d in diffs:
+            total += d
+        step = (g_part[r] - window - cp * f[i] * total) * inverse[r]
         for k in range(p - 1, -1, -1):
             step = diffs[k] = diffs[k] + step
         y.append(step)
         fy.append(f[i] * step)
     return np.array(y)
+
+
+def _sweep(f, c, g_part, inverse, head, stack) -> np.ndarray:
+    """The march as Picard sweeps over all its nodes at once, stopped at
+    the recurrence's exact fixed point: the bits of :func:`_loop`.
+
+    Row k < p of ``levels`` holds nabla^k y at nodes s..n, and the last two
+    rows alternate as the current and the next guess of nabla^p y at nodes
+    s+1..n, the first guess 0.  A sweep adds the current guess down the
+    levels with ``np.add.accumulate``, which adds in sequence exactly as
+    the loop's ``diffs[k] + step`` does.  It then forms each row's stack
+    sum P, f*y and the window sum in the loop's order of operations, and
+    from them the next guess.
+
+    The step of node i reads only nodes below i.  So sweep k settles at
+    least the first k steps, and a sweep that changes no bit of any step
+    has reached the loop's output.  The steps before the first one a sweep
+    changes are settled too, so after :data:`SWEEP_LIMIT` sweeps the loop
+    marches on from there.
+    """
+    p, n, s = len(c) - 1, len(f) - 1, len(head) - 1
+    m = n - s
+    levels = np.zeros((p + 2, m + 1))
+    levels[:p, 0] = stack
+    fy = np.empty(n + 1)
+    fy[: s + 1] = f[: s + 1] * np.array(head, dtype=float)
+    # row k holds f*y at nodes s+1-p+k .. n-p+k: term k of every window
+    windows = np.lib.stride_tricks.sliding_window_view(fy, m)[s + 1 - p : s + 1]
+    weights = np.array(c[:p])[:, None]
+    products = np.empty((p, m))
+    f_tail, cpf = f[s + 1 :], c[p] * f[s + 1 :]
+    total, window = np.empty(m), np.empty(m)
+    step, following = levels[p], levels[p + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(SWEEP_LIMIT):
+            # column 0 of the row above holds the start of each level while
+            # it is accumulated, and gets its own value back after
+            for k in range(p - 1, -1, -1):
+                above = step if k == p - 1 else levels[k + 1]
+                above[0] = stack[k]
+                np.add.accumulate(above, out=levels[k])
+            levels[:p, 0] = stack
+            # P and the window sums start from 0.0, as the loop's folds do
+            np.add(levels[0, :m], 0.0, out=total)
+            for k in range(1, p):
+                np.add(total, levels[k, :m], out=total)
+            np.multiply(f_tail, levels[0, 1:], out=fy[s + 1 :])
+            np.multiply(windows, weights, out=products)
+            np.add(products[0], 0.0, out=window)
+            for k in range(1, p):
+                np.add(window, products[k], out=window)
+            np.subtract(g_part, window, out=window)
+            np.multiply(cpf, total, out=total)
+            np.subtract(window, total, out=window)
+            np.multiply(window, inverse, out=following[1:])
+            if following[1:].tobytes() == step[1:].tobytes():
+                return np.concatenate((np.array(head, dtype=float), levels[0, 1:]))
+            step, following = following, step
+    # the levels hold the guess before the last, whose first d steps the
+    # last sweep left unchanged: those steps are settled, and so are the
+    # levels at nodes s..s+d
+    d = int(np.argmax(step[1:].view(np.int64) != following[1:].view(np.int64)))
+    head = np.concatenate((np.array(head, dtype=float), levels[0, 1 : d + 1]))
+    return _loop(f, c, g_part[d:], inverse[d:], head, levels[:p, d])

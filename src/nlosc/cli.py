@@ -15,14 +15,16 @@ are exact rationals written "p/q".  CSV output uses 17 significant digits,
 '.' as the decimal separator and '\\n' line endings.
 
 :func:`main` may be called many times in one process.  Later calls reuse
-what the solver built once per scheme (float weights, closure rows, series
-tables) and the built-in cases parsed by the first ``table`` or
-``convergence`` call, and write the same bytes as a fresh process.
+the argument parser, what the solver built once per scheme (float
+weights, closure rows, series tables) and the built-in cases parsed by the
+first ``table`` or ``convergence`` call, and write the same bytes as a
+fresh process, also after a call that failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -345,7 +347,9 @@ def _cmd_convergence(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="nlosc",
         description="Nonlocal oscillator rings via high-order spline collocation.",
@@ -371,8 +375,11 @@ def main(argv=None) -> int:
     p_conv.add_argument("--method", required=True)
     p_conv.add_argument("--n", required=True, help="comma-separated grid sizes, e.g. 6,12,24")
     p_conv.set_defaults(func=_cmd_convergence)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

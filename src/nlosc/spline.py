@@ -23,15 +23,17 @@ named in :data:`CLOSURES`:
 * ``printed`` (p = 6): the five tabulated rows (local error O(h^8)); these
   reproduce the standard-weight benchmark tables;
 * ``series`` (any p): y_1..y_{p-1} pinned to a Taylor expansion about
-  t = a of degree SERIES_START_DEGREE (local error O(h^14)), so boundary
-  error no longer masks the high-order interior weight sets.  Its
+  t = a of degree max(SERIES_START_DEGREE, 2p + 1) (local error O(h^14)
+  through p = 6, O(h^(2p+2)) above), so boundary error no longer masks
+  the high-order interior weight sets.  Its
   derivatives come from the initial data extended through the equation,
   with g and f differentiated at a by Taylor jets
   (:func:`nlosc.expr.taylor`), not symbolically.
 
 Every closure is solved the same way (:func:`solve`): past its first
 nodes the system is a recurrence, which :func:`nlosc._assembly.march`
-steps through in summed form, carrying the backward differences of y.  A
+solves in summed form, carrying the backward differences of y, node by
+node on short grids and by numpy sweeps with the same bits on long ones.  A
 tabulated closure fixes y_0..y_{p+2} by one dense solve of its rows and
 the first three consistency rows; the series closure gives y_0..y_{p-1}
 and their differences directly, each difference summed from the exact
@@ -103,10 +105,11 @@ __all__ = [
     "truncation_brackets",
 ]
 
-#: Truncation degree of the series starting procedure: start rows are
-#: exact for polynomials through this degree, i.e. local error O(h^14),
-#: matching the interior truncation order of the order-8 weight set the
-#: same way the improved fourth-order closure matches its O(h^10) interior.
+#: Least truncation degree of the series starting procedure: start rows
+#: are exact for polynomials through this degree, i.e. local error O(h^14).
+#: At order p the start uses degree max(13, 2p + 1), so its local error
+#: keeps pace with the O(h^(2p+2)) interior truncation of the derived
+#: order-p weights (IMPROVED_SET6 at p = 6).
 SERIES_START_DEGREE = 13
 
 
@@ -590,8 +593,8 @@ def _series_tables(p: int, degree: int) -> tuple[tuple[tuple[int, ...], ...], ..
 
 def _series_start(ivp: HighOrderIVP, h: float) -> tuple[list[float], list[float]]:
     """y_0..y_{p-1} of the Taylor polynomial about t = a of degree
-    SERIES_START_DEGREE, and its backward differences nabla^k y_{p-1} for
-    k = 0..p-1.
+    max(SERIES_START_DEGREE, 2p + 1), and its backward differences
+    nabla^k y_{p-1} for k = 0..p-1.
 
     With a_m = y^(m)(a) h^m / m!, node j carries sum_m a_m j^m, and the
     differences of the monomials j^m are exact integers
@@ -599,10 +602,10 @@ def _series_start(ivp: HighOrderIVP, h: float) -> tuple[list[float], list[float]
     terms and none is a cancellation of rounded values: the higher
     differences keep their full relative accuracy.
     """
-    degrees = range(SERIES_START_DEGREE + 1)
-    derivs = derivatives_at_start(ivp, len(degrees))
-    scaled = [d * h**m / factorial(m) for m, d in zip(degrees, derivs)]
-    powers, differences = _series_tables(ivp.order, SERIES_START_DEGREE)
+    degree = max(SERIES_START_DEGREE, 2 * ivp.order + 1)
+    derivs = derivatives_at_start(ivp, degree + 1)
+    scaled = [d * h**m / factorial(m) for m, d in enumerate(derivs)]
+    powers, differences = _series_tables(ivp.order, degree)
     values = [fsum(map(operator.mul, row, scaled)) for row in powers]
     stack = [fsum(map(operator.mul, row, scaled)) for row in differences]
     return values, stack

@@ -7,12 +7,33 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nlosc._assembly import band_to_dense, build_arrays, grid_values, march, solve_head
+from nlosc import _assembly
+from nlosc._assembly import (
+    SWEEP_MIN_NODES,
+    _loop,
+    _march_rows,
+    _sweep,
+    band_to_dense,
+    build_arrays,
+    grid_values,
+    march,
+    min_n,
+    solve_head,
+)
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import parse, values_on_grid
-from nlosc.spline import IMPROVED_SET4, _series_start, assemble_system, closure_rows
+from nlosc.spline import (
+    IMPROVED_SET4,
+    _series_start,
+    _zeroing_weights,
+    assemble_system,
+    closure_rows,
+)
 from nlosc.verify import METHODS, case_by_id, max_abs_error
+from test_spline import PRESET_CASES, four_ring
 
 # each built-in case with the presets of its order: improved and standard
 # fourth-order closure, printed sixth-order closure and the series start
@@ -193,12 +214,111 @@ def test_series_start_differences_are_exact_for_polynomials():
         assert stack[k] == float(difference), k
 
 
-def test_zero_pivot_is_a_linear_algebra_error():
+@pytest.mark.parametrize("nodes", [5, SWEEP_MIN_NODES + 5], ids=["loop", "sweep"])
+def test_zero_pivot_is_a_linear_algebra_error(nodes):
     # h^4 * w_4 * f = (1/2)^4 * (-1) * 16 = -1 at every node
-    f, g = np.full(9, 16.0), np.zeros(9)
+    f, g = np.full(nodes + 4, 16.0), np.zeros(nodes + 4)
     weights = (-1, 2, 1, 2, -1)
-    with pytest.raises(np.linalg.LinAlgError, match="zero pivot"):
+    with pytest.raises(np.linalg.LinAlgError, match="the row of node 4 has a zero pivot"):
         march(f, g, 0.5, weights, np.zeros(4), np.zeros(4))
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def loop_and_sweep(f, g, h, weights, head, stack):
+    """The march by :func:`_loop` and by :func:`_sweep`, each called
+    directly, and by :func:`march`, which picks one of them by length."""
+    rows = _march_rows(f, g, h, weights, len(head) - 1)
+    loop, sweep = _loop(f, *rows, head, stack), _sweep(f, *rows, head, stack)
+    assert_same_bits(march(f, g, h, weights, head, stack), loop)
+    return loop, sweep
+
+
+def head_end(ivp, method):
+    """s, the last node of the head: p + 2 for a tabulated closure, p - 1
+    for the series start."""
+    return ivp.order + 2 if method.closure != "series" else ivp.order - 1
+
+
+def march_inputs(ivp, method, nodes):
+    """``(f, g, h, weights, head, stack)`` of a march of ``nodes`` nodes
+    past the head of ``method``; the grid is cut to those nodes, so a march
+    shorter than the smallest grid allows is a prefix of one."""
+    rows, s = closure_rows(method.closure, ivp.order), head_end(ivp, method)
+    _, h, f, g = grid_values(ivp, max(min_n(ivp.order), s + nodes))
+    weights = method.coefficients.float_weights
+    head = solve_head(f, g, h, ivp.u, weights, rows) if rows else _series_start(ivp, h)
+    assert len(head[0]) == s + 1
+    return (f[: s + nodes + 1], g[: s + nodes + 1], h, weights, *head)
+
+
+@pytest.mark.parametrize("name, case_id", PRESET_CASES)
+def test_sweep_gives_the_bits_of_the_loop(name, case_id):
+    ivp, method = case_by_id(case_id).ivp, METHODS[name]
+    s = head_end(ivp, method)
+    for nodes in (0, 1, SWEEP_MIN_NODES - 1, SWEEP_MIN_NODES + 1, 512 - s, 4096 - s):
+        loop, sweep = loop_and_sweep(*march_inputs(ivp, method, nodes))
+        assert len(loop) == s + nodes + 1
+        assert_same_bits(sweep, loop)
+
+
+@pytest.mark.parametrize("n", [64, 512, 4096])
+def test_sweep_gives_the_bits_of_the_loop_at_order_8(n):
+    ivp = four_ring()
+    _, h, f, g = grid_values(ivp, n)
+    weights = _zeroing_weights(8, {}).float_weights
+    loop, sweep = loop_and_sweep(f, g, h, weights, *_series_start(ivp, h))
+    assert np.all(np.isfinite(loop))
+    assert_same_bits(sweep, loop)
+
+
+@given(
+    order=st.sampled_from([4, 6, 8]),
+    nodes=st.integers(min_value=0, max_value=600),
+    scale=st.floats(min_value=-2.0, max_value=10.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    variable=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sweep_gives_the_bits_of_the_loop_for_any_forcing(
+    order, nodes, scale, sign, variable, seed
+):
+    # on [0, 1], |f| * T^p is 10^scale, up to 1e10; the head, the stack and
+    # g are random, so the rows need not come from any smooth solution
+    rng = np.random.default_rng(seed)
+    n = order - 1 + nodes
+    t = np.linspace(0.0, 1.0, n + 1)
+    f = sign * 10.0**scale * (1 + 0.5 * np.sin(7 * t) if variable else np.ones_like(t))
+    g = rng.standard_normal(n + 1)
+    head, stack = rng.uniform(-1, 1, order), rng.uniform(-1, 1, order)
+    weights = _zeroing_weights(order, {}).float_weights
+    loop, sweep = loop_and_sweep(f, g, 1.0 / n, weights, head, stack)
+    assert_same_bits(sweep, loop)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+def test_sweep_hands_unsettled_steps_to_the_loop(monkeypatch, limit):
+    # the built-in cases need 4-8 sweeps, so each limit here ends the
+    # sweeps early and the loop finishes from the first unsettled step
+    monkeypatch.setattr(_assembly, "SWEEP_LIMIT", limit)
+    for case_id, name in ONE_PER_CASE:
+        ivp, method = case_by_id(case_id).ivp, METHODS[name]
+        loop, sweep = loop_and_sweep(*march_inputs(ivp, method, 512 - head_end(ivp, method)))
+        assert_same_bits(sweep, loop)
+
+
+def test_sweep_ends_when_the_march_overflows():
+    # y grows like exp(1000 t): past about t = 0.7 it overflows to inf and
+    # then to NaN, and the sweep still stops, with the loop's bits
+    n = 600
+    f, g = np.full(n + 1, -1e12), np.sin(np.arange(n + 1.0))
+    head, stack = [0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0]
+    loop, sweep = loop_and_sweep(f, g, 1.0 / n, IMPROVED_SET4.float_weights, head, stack)
+    assert np.any(np.isinf(loop)) and np.any(np.isnan(loop))
+    assert_same_bits(sweep, loop)
 
 
 @pytest.mark.parametrize("case_id, method", ONE_PER_CASE)

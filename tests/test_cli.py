@@ -584,3 +584,31 @@ def test_cli_import_loads_no_heavy_numerics():
         check=True,
     )
     assert run.stdout.strip() == "[]"
+
+
+def test_main_after_a_failing_call_matches_fresh_processes(tmp_path, capsys):
+    # main reuses one argument parser per process; an argparse error, a
+    # config error and a solve in a row must each give what a fresh
+    # process gives: exit code, stderr and CSV bytes
+    good = write_config(tmp_path, {**chain_config(), "n": 256})
+    bad = write_config(tmp_path, {**chain_config(), "n": 4}, name="bad.json")
+    calls = [["solve"], ["solve", "--config", bad], ["solve", "--config", good, "--out", "{}"]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for k, argv in enumerate(calls * 2):
+        here, fresh = tmp_path / f"here-{k}.csv", tmp_path / f"fresh-{k}.csv"
+        try:
+            code = main([str(here) if a == "{}" else a for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        run = subprocess.run(
+            [sys.executable, "-m", "nlosc", *(str(fresh) if a == "{}" else a for a in argv)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert (code, err) == (run.returncode, run.stderr), argv
+        assert here.exists() == fresh.exists(), argv
+        if here.exists():
+            assert here.read_bytes() == fresh.read_bytes()

@@ -1,15 +1,18 @@
 """Tests for the order-generic parts of the spline solver: the weight-set
-type, the closure table and the series start at order 4."""
+type, the closure table and the series start at orders 4 and 8."""
 
 import importlib
 import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import consistency_residual
 from nlosc import spline
+from nlosc.chain import OscillatorChain, reduce_chain
+from nlosc.expr import parse
 from nlosc.spline import (
     CLOSURES,
     IMPROVED_SET4,
@@ -20,7 +23,7 @@ from nlosc.spline import (
     solve,
     truncation_brackets,
 )
-from nlosc.verify import METHODS, Method, case_by_id, max_abs_error
+from nlosc.verify import METHODS, Method, case_by_id, max_abs_error, rk_oracle
 
 F = Fraction
 
@@ -169,3 +172,26 @@ def test_series_tables_are_the_exact_monomial_differences(p):
         for k in range(p)
     )
     assert all(type(v) is int for row in powers + differences for v in row)
+
+
+def four_ring():
+    """The order-8 problem of a 4-ring with unit frequencies, the same
+    force on every oscillator, staggered positions and no initial motion."""
+    chain = OscillatorChain(
+        omegas=(1.0,) * 4,
+        forces=(parse("exp(t)*sin(t)/(1+t^2)"),) * 4,
+        interval=(0.0, 1.0),
+        positions=tuple(0.1 * k for k in range(4)),
+        velocities=(0.0,) * 4,
+    )
+    return reduce_chain(chain)
+
+
+def test_series_start_degree_grows_with_the_order():
+    # at p = 8 the start is exact through degree 2p + 1 = 17; degree 13
+    # left the pivot at 4.1e-8 here (5.8e-12 now)
+    ivp = four_ring()
+    assert ivp.order == 8
+    y = solve(ivp, 64, spline._zeroing_weights(8, {}), "series").y
+    reference = rk_oracle(ivp, steps=51200, grid_n=64).y
+    assert np.max(np.abs(y - reference)) <= 1e-10
