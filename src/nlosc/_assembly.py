@@ -39,12 +39,17 @@ changes no bit of any guess, 4-8 sweeps on the built-in cases.  A stiff
 or overflowing march settles few nodes per sweep, so after
 :data:`SWEEP_LIMIT` sweeps the loop takes over from the first node the
 sweeps have not settled.  Sums over
-a sweep's arrays are element-wise, never ``np.sum`` along a row, BLAS or
-``np.correlate``, whose orders of addition differ from the loop's.
+a sweep's arrays are element-wise or folds down axis 0
+(``np.add.reduce(..., axis=0, initial=0.0)``, which adds row after row
+from 0.0, as the loop does); never ``np.sum`` along a row (pairwise),
+BLAS or ``np.correlate``, whose orders of addition differ from the loop's.
 
-:func:`build_arrays` assembles the rows themselves in band form (row r
-touches the unknowns r-p..r+3 only); a tabulated closure takes its head
-block from there, and the band is the reference the march is tested
+One builder, :func:`_band_rows`, makes every collocation row in Python
+floats, in band form (row r touches the unknowns r-p..r+3 only).  A
+tabulated closure solves its head from the rows of the first p + 3 nodes
+(:func:`head_system`, :func:`solve_head`); :func:`build_arrays` lays out
+all n rows as the (n, p + 4) band, which
+:func:`nlosc.spline.assemble_system` densifies and the march is tested
 against.
 
 What depends only on the scheme is built once per process, on first use:
@@ -73,6 +78,7 @@ __all__ = [
     "band_to_dense",
     "build_arrays",
     "grid_values",
+    "head_system",
     "march",
     "min_n",
     "require_finite",
@@ -120,7 +126,7 @@ class EndCondition:
 
 def require_finite(*arrays) -> None:
     """Raise ``ValueError`` unless every entry of ``arrays`` is finite."""
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("system contains non-finite entries")
 
 
@@ -167,13 +173,16 @@ def build_arrays(
     to the right-hand side.
     """
     _, h, f, g = grid_values(ivp, n)
-    return _band_rows(f, g, h, ivp.u, weights, end_conditions, pinned)
+    lines, values = _band_rows(f, g, h, ivp.u, weights, end_conditions, pinned)
+    return np.array(lines), np.array(values)
 
 
 def _band_rows(f, g, h, u, weights, end_conditions, pinned=()):
     """The rows of :func:`build_arrays` from the values of f and g at the
-    nodes 0..n; the first rows depend on the first nodes only, so a prefix
-    of f and g gives a prefix of the rows."""
+    nodes 0..n, as Python floats: ``(lines, values)``, where ``lines[r][k]``
+    multiplies y_{r+k-p+1} and ``values[r]`` is the right-hand side of row
+    r.  The first rows depend on the first nodes only, so a prefix of f and
+    g gives a prefix of the rows."""
     n, p = len(f) - 1, len(weights) - 1
     if len(end_conditions) + len(pinned) != p - 1:
         raise ValueError(f"closure must contribute {p - 1} rows")
@@ -186,16 +195,9 @@ def _band_rows(f, g, h, u, weights, end_conditions, pinned=()):
         return k
 
     hp = h**p
-    # node j sits at band[r, j - 1 - r + p]; node 0 carries the known
-    # y_0 = u_0 and appears only in rows r < p, at k = p - 1 - r, whence it
-    # moves to the right-hand side at the end
-    band = np.zeros((n, p + 4))
-    rhs = np.zeros(n)
-
-    # the p - 1 closure rows, built in Python floats; a row inside the band
-    # reaches node p + 2 at most
-    f_head, g_head = f[: p + 3].tolist(), g[: p + 3].tolist()
+    f, g = f.tolist(), g.tolist()
     lines, values = [], []
+    # the p - 1 closure rows; a row inside the band reaches node p + 2 at most
     for j, value in pinned:
         line = [0.0] * (p + 4)
         line[column(len(lines), j)] = 1.0
@@ -205,32 +207,33 @@ def _band_rows(f, g, h, u, weights, end_conditions, pinned=()):
         row, line, value = len(lines), [0.0] * (p + 4), 0.0
         net, nodes, initial = cond.float_terms
         for j, c in net:
-            line[column(row, j)] += hp * c * f_head[j]
-            value += hp * c * g_head[j]
+            line[column(row, j)] += hp * c * f[j]
+            value += hp * c * g[j]
         for j, d in nodes:
             line[column(row, j)] += d
         for m, e in initial:
             value -= e * h**m * u[m]
         lines.append(line)
         values.append(value)
-    row = len(lines)
-    band[:row] = lines
-    rhs[:row] = values
 
-    # consistency rows, one diagonal at a time: the window ending at node
-    # i = p..n is row i - 1 and puts its k-th weight on node i - p + k,
-    # which is band column k
+    # the consistency rows: the window ending at node i = p..n is row i - 1
+    # and puts its k-th weight on node i - p + k, which is band column k
     delta = _difference_stencil(p)
-    width = n - p + 1
-    for k in range(p + 1):
-        w = float(weights[k])
-        band[row:, k] = delta[k] + hp * w * f[k : k + width]
-        rhs[row:] += hp * w * g[k : k + width]
+    c = [hp * float(w) for w in weights]
+    for i in range(p, n + 1):
+        entries = map(operator.add, delta, map(operator.mul, c, f[i - p : i + 1]))
+        lines.append([*entries, 0.0, 0.0, 0.0])
+        value = 0.0
+        for term in map(operator.mul, c, g[i - p : i + 1]):
+            value += term
+        values.append(value)
 
-    first = np.arange(p)
-    rhs[:p] -= band[first, p - 1 - first] * u[0]
-    band[first, p - 1 - first] = 0
-    return band, rhs
+    # node 0 carries the known y_0 = u_0 and appears only in rows r < p, at
+    # band column p - 1 - r, whence it moves to the right-hand side
+    for r in range(p):
+        values[r] -= lines[r][p - 1 - r] * u[0]
+        lines[r][p - 1 - r] = 0.0
+    return lines, values
 
 
 @cache
@@ -252,18 +255,35 @@ def band_to_dense(band: np.ndarray) -> np.ndarray:
     return buffer[: n * (n + w - 1)].reshape(n, n + w - 1)[:, p : p + n]
 
 
-def solve_head(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list]:
+def head_system(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list[float]]:
+    """``(block, rhs)``: the (p+2) x (p+2) system in y_1..y_{p+2} of a
+    tabulated closure, its p - 1 rows and the first three consistency rows.
+    These are the rows of :func:`_band_rows` on the nodes 0..p+2 (``f`` and
+    ``g`` start at node 0), so the block is the leading block that
+    :func:`band_to_dense` gives of the whole band, bit for bit."""
+    p = len(weights) - 1
+    size = min_n(p)
+    lines, rhs = _band_rows(f[: size + 1], g[: size + 1], h, u, weights, end_conditions)
+    # row r holds y_j at band column j - 1 - r + p; one zero on the left
+    # covers the last row, whose band starts at y_2.  A flat list converts
+    # to an array faster than a nested one.
+    block, right = [], [0.0] * size
+    for r, line in enumerate(lines):
+        block += ([0.0] + line + right)[1 + p - r : 1 + p - r + size]
+    return np.array(block).reshape(size, size), rhs
+
+
+def solve_head(f, g, h, u, weights, end_conditions) -> tuple[list[float], list[float]]:
     """y_0..y_{p+2} of a tabulated closure and their backward differences
     nabla^k y_{p+2}, k = 0..p-1: its p - 1 rows and the first three
     consistency rows reach node p + 2 and hold no other unknown, so one
-    dense solve fixes them.  ``f`` and ``g`` start at node 0.  The
-    differences are taken in one pass over the last p values, each as the
-    same subtraction ``np.diff`` makes."""
+    dense solve of :func:`head_system` fixes them.  The differences are
+    taken in one pass over the last p values, each as the same subtraction
+    ``np.diff`` makes."""
     p = len(weights) - 1
-    size = min_n(p)
-    band, rhs = _band_rows(f[: size + 1], g[: size + 1], h, u, weights, end_conditions)
-    values = np.concatenate(([u[0]], np.linalg.solve(band_to_dense(band), rhs)))
-    column, stack = values[-p:].tolist(), []
+    x = np.linalg.solve(*head_system(f, g, h, u, weights, end_conditions))
+    values = [float(u[0]), *x.tolist()]
+    column, stack = values[-p:], []
     for _ in range(p):
         stack.append(column[-1])
         column = list(map(operator.sub, column[1:], column[:-1]))
@@ -319,7 +339,7 @@ def _march_rows(f, g, h, weights, s) -> tuple[list[float], np.ndarray, np.ndarra
     else:
         g_part = hp * np.correlate(g, np.array(weights, dtype=float), "valid")[s + 1 - p :]
     require_finite(pivot, g_part)
-    if not np.all(pivot):
+    if not pivot.all():
         i = s + 1 + int(np.argmin(np.abs(pivot)))
         raise np.linalg.LinAlgError(f"singular system: the row of node {i} has a zero pivot")
     return c, g_part, 1 / pivot
@@ -373,6 +393,10 @@ def _sweep(f, c, g_part, inverse, head, stack) -> np.ndarray:
     """
     p, n, s = len(c) - 1, len(f) - 1, len(head) - 1
     m = n - s
+    if m < 2:
+        # numpy reduces a single column along it, pairwise from 8 rows on,
+        # not row after row; one step is the loop's anyway
+        return _loop(f, c, g_part, inverse, head, stack)
     levels = np.zeros((p + 2, m + 1))
     levels[:p, 0] = stack
     fy = np.empty(n + 1)
@@ -393,15 +417,12 @@ def _sweep(f, c, g_part, inverse, head, stack) -> np.ndarray:
                 above[0] = stack[k]
                 np.add.accumulate(above, out=levels[k])
             levels[:p, 0] = stack
-            # P and the window sums start from 0.0, as the loop's folds do
-            np.add(levels[0, :m], 0.0, out=total)
-            for k in range(1, p):
-                np.add(total, levels[k, :m], out=total)
+            # P and the window sums are folds down axis 0 from 0.0, row
+            # after row, as the loop's folds are
+            np.add.reduce(levels[:p, :m], axis=0, initial=0.0, out=total)
             np.multiply(f_tail, levels[0, 1:], out=fy[s + 1 :])
             np.multiply(windows, weights, out=products)
-            np.add(products[0], 0.0, out=window)
-            for k in range(1, p):
-                np.add(window, products[k], out=window)
+            np.add.reduce(products, axis=0, initial=0.0, out=window)
             np.subtract(g_part, window, out=window)
             np.multiply(cpf, total, out=total)
             np.subtract(window, total, out=window)

@@ -330,16 +330,35 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _grid_sizes(text: str, method: Method) -> list[int]:
+    """The ``--n`` list: at least two comma-separated integers, strictly
+    increasing, each at least ``method.min_n``; ``ConfigError`` naming
+    ``--n`` otherwise."""
+    try:
+        ns = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ConfigError("--n", f"expected comma-separated integers, got {text!r}") from None
+    if len(ns) < 2:
+        raise ConfigError("--n", f"a slope needs at least two grid sizes, got {text!r}")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError("--n", f"grid sizes must be strictly increasing, got {text!r}")
+    if ns[0] < method.min_n:
+        raise ConfigError(
+            "--n", f"grid too coarse: n={ns[0]} but {method.name} needs n >= {method.min_n}"
+        )
+    return ns
+
+
 def _cmd_convergence(args) -> int:
     case = case_by_id(args.case)
     if args.method not in METHODS:
         raise ConfigError("--method", f"unknown method preset {args.method!r}")
     method = METHODS[args.method]
-    ns = [int(part) for part in args.n.split(",")]
     if case.ivp.order != method.order:
         raise ConfigError(
             "--method", f"case {args.case} has order {case.ivp.order}, method solves {method.order}"
         )
+    ns = _grid_sizes(args.n, method)
     slopes = convergence_order(case, method, ns)
     print(f"case {case.case_id} ({case.label}), method {method.name}")
     for (na, nb), slope in zip(zip(ns, ns[1:]), slopes):

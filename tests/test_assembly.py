@@ -19,6 +19,7 @@ from nlosc._assembly import (
     band_to_dense,
     build_arrays,
     grid_values,
+    head_system,
     march,
     min_n,
     solve_head,
@@ -50,6 +51,8 @@ CASE_PRESETS = [
 # one preset per case, covering both fourth-order closures, the printed
 # sixth-order closure and the series start
 ONE_PER_CASE = [(1, "improved4"), (2, "table3-col1"), (3, "table5-col1"), (4, "improved6")]
+# every preset with a tabulated closure, on each case of its order
+TABULATED = [(name, case_id) for name, case_id in PRESET_CASES if METHODS[name].closure != "series"]
 
 
 def collocation(method, ivp, n):
@@ -150,6 +153,76 @@ def test_closure_row_outside_the_band_is_rejected_on_every_call(field, node):
             build_arrays(ivp, 16, weights, tuple(rows))
         with pytest.raises(ValueError, match=message):
             solve_head(f, g, h, ivp.u, weights, tuple(rows))
+
+
+def head_inputs(name, case_id, n):
+    """``(f, g, h, u, weights, end_conditions)`` of the head of a
+    tabulated preset on a grid of n."""
+    method, ivp = METHODS[name], case_by_id(case_id).ivp
+    _, h, f, g = grid_values(ivp, n)
+    rows = closure_rows(method.closure, ivp.order)
+    return f, g, h, ivp.u, method.coefficients.float_weights, rows
+
+
+@pytest.mark.parametrize("n", ["min_n", 16, 64, 1024])
+@pytest.mark.parametrize("name, case_id", TABULATED)
+def test_head_system_is_the_leading_block_of_the_dense_assembly(name, case_id, n):
+    method, ivp = METHODS[name], case_by_id(case_id).ivp
+    n = method.min_n if n == "min_n" else n
+    size = ivp.order + 2
+    inputs = head_inputs(name, case_id, n)
+    block, rhs = head_system(*inputs)
+    matrix, expected_rhs = dense_assembly(ivp, n, **collocation(name, ivp, n))
+    # the head rows hold no unknown past y_{p+2}
+    assert not matrix[:size, size:].any()
+    assert_same_bits(block, matrix[:size, :size])
+    assert_same_bits(np.array(rhs), expected_rhs[:size])
+    values, _ = solve_head(*inputs)
+    assert values[0] == ivp.u[0]
+    expected = np.linalg.solve(matrix[:size, :size], expected_rhs[:size])
+    assert_same_bits(np.array(values[1:]), expected)
+
+
+@pytest.mark.parametrize("name, case_id", TABULATED)
+def test_head_needs_p_minus_1_closure_rows(name, case_id):
+    *inputs, rows = head_inputs(name, case_id, 16)
+    p = len(rows) + 1
+    for wrong in (rows[:-1], rows + rows[:1], ()):
+        with pytest.raises(ValueError, match=f"closure must contribute {p - 1} rows"):
+            solve_head(*inputs, wrong)
+
+
+def adversarial(rng, shape):
+    """Values whose sum depends on the order of addition: magnitudes 1e-20,
+    1 and 1e20 of either sign, signed zeros, and whole columns of -0.0,
+    which a fold from 0.0 turns into 0.0."""
+    values = rng.choice([-1e20, -1.0, -1e-20, 1e-20, 1.0, 1e20], size=shape)
+    values *= rng.uniform(0.5, 2.0, size=shape)
+    zeros = rng.random(shape) < 0.2
+    values[zeros] = rng.choice([0.0, -0.0], size=shape)[zeros]
+    values[:, rng.random(shape[1]) < 0.05] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("p", [4, 6, 8, 16])
+def test_fold_down_axis_0_adds_row_after_row_from_zero(p):
+    # _sweep forms its sums with np.add.reduce(axis=0, initial=0.0); that is
+    # the loop's left fold only if numpy adds the rows in order, not
+    # pairwise as it does along a row.  A single column (m = 1) is reduced
+    # along itself, pairwise from p = 8 on, so _sweep leaves it to the loop.
+    rng = np.random.default_rng(p)
+    for m in (2, 3, 7, 8, 9, 127, 128, 129, 1000, 4999, 5000):
+        for _ in range(3):
+            rows = adversarial(rng, (p, m))
+            levels = np.zeros((p + 2, m + 1))
+            levels[:p, :m] = rows
+            expected = np.zeros(m)
+            for row in rows:
+                expected = expected + row
+            for a in (rows, levels[:p, :m]):
+                out = np.empty(m)
+                np.add.reduce(a, axis=0, initial=0.0, out=out)
+                assert_same_bits(out, expected)
 
 
 def backward_error(band, rhs, x):
@@ -273,6 +346,20 @@ def test_sweep_gives_the_bits_of_the_loop_at_order_8(n):
     loop, sweep = loop_and_sweep(f, g, h, weights, *_series_start(ivp, h))
     assert np.all(np.isfinite(loop))
     assert_same_bits(sweep, loop)
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_sweep_gives_the_bits_of_the_loop_for_one_node(order):
+    # one column of P and window terms: numpy would sum it pairwise
+    weights = _zeroing_weights(order, {}).float_weights
+    t = np.linspace(0.0, 1.0, order + 1)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        f = 10.0 ** rng.uniform(-2.0, 10.0) * (1 + 0.5 * np.sin(7 * t))
+        g = rng.standard_normal(order + 1)
+        head, stack = rng.uniform(-1, 1, order), rng.uniform(-1, 1, order)
+        loop, sweep = loop_and_sweep(f, g, 1.0 / order, weights, head, stack)
+        assert_same_bits(sweep, loop)
 
 
 @given(

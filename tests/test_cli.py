@@ -375,6 +375,24 @@ def test_convergence_order_mismatch(capsys):
     assert "order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("16", "at least two grid sizes"),
+        ("16,abc", "expected comma-separated integers"),
+        ("16,,32", "expected comma-separated integers"),
+        ("32,16", "strictly increasing"),
+        ("16,16", "strictly increasing"),
+        ("4,8", "improved6 needs n >= 8"),
+        ("0,16", "improved6 needs n >= 8"),
+    ],
+)
+def test_convergence_bad_grid_sizes_are_config_errors(capsys, grid, message):
+    assert main(["convergence", "--case", "3", "--method", "improved6", "--n", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --n: ") and message in err
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
