@@ -2,7 +2,7 @@
 systems.
 
 The spline solver (:mod:`nlosc.spline`) discretizes  y^(p) + f(t) y = g(t)
-on the uniform grid t_i = a + i*h with unknowns y_1..y_n (y_0 is pinned by
+on the uniform grid t_i = a + i*h with unknowns y_1..y_n (y_0 is fixed by
 the initial value), for every even order p.
 Two row families close the system:
 
@@ -44,13 +44,13 @@ a sweep's arrays are element-wise or folds down axis 0
 from 0.0, as the loop does); never ``np.sum`` along a row (pairwise),
 BLAS or ``np.correlate``, whose orders of addition differ from the loop's.
 
-One builder, :func:`_band_rows`, makes every collocation row in Python
-floats, in band form (row r touches the unknowns r-p..r+3 only).  A
-tabulated closure solves its head from the rows of the first p + 3 nodes
-(:func:`head_system`, :func:`solve_head`); :func:`build_arrays` lays out
-all n rows as the (n, p + 4) band, which
-:func:`nlosc.spline.assemble_system` densifies and the march is tested
-against.
+A tabulated closure touches the nodes 0..p+2 only, so its p - 1 rows and
+the consistency rows of the windows ending at nodes p, p+1 and p+2 hold
+y_1..y_{p+2} and no other unknown.  One builder, :func:`head_system`,
+makes that (p+2) x (p+2) block in Python floats, and :func:`solve_head`
+solves it densely; the march goes on from there.  No code here lays out
+all n rows: the tests keep their own row-by-row reference of the whole
+system and check the head and the march against it.
 
 What depends only on the scheme is built once per process, on first use:
 the float coefficients of each closure row (:attr:`EndCondition.float_terms`,
@@ -75,8 +75,6 @@ from nlosc.expr import values_on_grid
 
 __all__ = [
     "EndCondition",
-    "band_to_dense",
-    "build_arrays",
     "grid_values",
     "head_system",
     "march",
@@ -152,90 +150,6 @@ def grid_values(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float, np.ndarra
     return t, h, f, g
 
 
-def build_arrays(
-    ivp: HighOrderIVP,
-    n: int,
-    weights: tuple[Fraction, ...],
-    end_conditions: tuple[EndCondition, ...],
-    pinned: tuple[tuple[int, float], ...] = (),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the n collocation rows in the unknowns y_1..y_n in band
-    form: returns ``(band, rhs)`` with ``band`` of shape (n, p + 4), where
-    ``band[r, k]`` multiplies the unknown in column r + k - p (that is,
-    y_{r+k-p+1}); :func:`band_to_dense` gives the n x n matrix.
-
-    ``weights`` is the full symmetric weight stencil of the consistency
-    relation (length p+1), exact or in floats; ``end_conditions`` supplies
-    closure rows placed first, and ``pinned`` adds plain rows y_j = value
-    (used by the series starting procedure).  Together they must
-    contribute p - 1 rows.  Known quantities (y_0 = u_0, the initial
-    derivatives, and y^(p)(a) obtained from the equation itself) are moved
-    to the right-hand side.
-    """
-    _, h, f, g = grid_values(ivp, n)
-    lines, values = _band_rows(f, g, h, ivp.u, weights, end_conditions, pinned)
-    return np.array(lines), np.array(values)
-
-
-def _band_rows(f, g, h, u, weights, end_conditions, pinned=()):
-    """The rows of :func:`build_arrays` from the values of f and g at the
-    nodes 0..n, as Python floats: ``(lines, values)``, where ``lines[r][k]``
-    multiplies y_{r+k-p+1} and ``values[r]`` is the right-hand side of row
-    r.  The first rows depend on the first nodes only, so a prefix of f and
-    g gives a prefix of the rows."""
-    n, p = len(f) - 1, len(weights) - 1
-    if len(end_conditions) + len(pinned) != p - 1:
-        raise ValueError(f"closure must contribute {p - 1} rows")
-
-    def column(row: int, j: int) -> int:
-        """Band column of node j in closure row ``row``."""
-        k = j - 1 - row + p
-        if j < 0 or not 0 <= k < p + 4:
-            raise ValueError(f"closure row {row} reaches node {j}, outside the band")
-        return k
-
-    hp = h**p
-    f, g = f.tolist(), g.tolist()
-    lines, values = [], []
-    # the p - 1 closure rows; a row inside the band reaches node p + 2 at most
-    for j, value in pinned:
-        line = [0.0] * (p + 4)
-        line[column(len(lines), j)] = 1.0
-        lines.append(line)
-        values.append(value)
-    for cond in end_conditions:
-        row, line, value = len(lines), [0.0] * (p + 4), 0.0
-        net, nodes, initial = cond.float_terms
-        for j, c in net:
-            line[column(row, j)] += hp * c * f[j]
-            value += hp * c * g[j]
-        for j, d in nodes:
-            line[column(row, j)] += d
-        for m, e in initial:
-            value -= e * h**m * u[m]
-        lines.append(line)
-        values.append(value)
-
-    # the consistency rows: the window ending at node i = p..n is row i - 1
-    # and puts its k-th weight on node i - p + k, which is band column k
-    delta = _difference_stencil(p)
-    c = [hp * float(w) for w in weights]
-    for i in range(p, n + 1):
-        entries = map(operator.add, delta, map(operator.mul, c, f[i - p : i + 1]))
-        lines.append([*entries, 0.0, 0.0, 0.0])
-        value = 0.0
-        for term in map(operator.mul, c, g[i - p : i + 1]):
-            value += term
-        values.append(value)
-
-    # node 0 carries the known y_0 = u_0 and appears only in rows r < p, at
-    # band column p - 1 - r, whence it moves to the right-hand side
-    for r in range(p):
-        values[r] -= lines[r][p - 1 - r] * u[0]
-        lines[r][p - 1 - r] = 0.0
-    return lines, values
-
-
 @cache
 def _difference_stencil(p: int) -> tuple[float, ...]:
     """The p-th difference stencil, (-1)^(p-k) C(p, k) for k = 0..p, built
@@ -243,43 +157,74 @@ def _difference_stencil(p: int) -> tuple[float, ...]:
     return tuple(float((-1) ** (p - k) * comb(p, k)) for k in range(p + 1))
 
 
-def band_to_dense(band: np.ndarray) -> np.ndarray:
-    """The n x n matrix of a band from :func:`build_arrays`.
-
-    Writing the band into a buffer whose rows are one entry longer than the
-    band's places entry [r, k] at column r + k of a row-shifted layout."""
-    n, w = band.shape
-    p = w - 4
-    buffer = np.zeros(n * (n + w))
-    buffer.reshape(n, n + w)[:, :w] = band
-    return buffer[: n * (n + w - 1)].reshape(n, n + w - 1)[:, p : p + n]
-
-
 def head_system(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list[float]]:
     """``(block, rhs)``: the (p+2) x (p+2) system in y_1..y_{p+2} of a
-    tabulated closure, its p - 1 rows and the first three consistency rows.
-    These are the rows of :func:`_band_rows` on the nodes 0..p+2 (``f`` and
-    ``g`` start at node 0), so the block is the leading block that
-    :func:`band_to_dense` gives of the whole band, bit for bit."""
+    tabulated closure, from ``f`` and ``g`` at the nodes 0..p+2 (a longer
+    grid is cut there).
+
+    The rows are the p - 1 closure rows, then the consistency rows of the
+    windows ending at nodes p, p+1 and p+2.  Each is built densely over the
+    nodes 0..p+2 in Python floats: the coefficients are scaled by h^p
+    before they meet f, and each right-hand side is a left fold from 0.0.
+    Then the known y_0 = u_0 moves to the right-hand side of the first p
+    rows, the only ones that reach node 0, as ``rhs -= entry * u_0``.
+
+    Closure row r may reach the nodes r+1-p..r+4 only, the band of its row
+    in the whole system, and no node below 0.  ``ValueError`` if a row
+    reaches past them or the closure does not hold p - 1 rows."""
     p = len(weights) - 1
+    if len(end_conditions) != p - 1:
+        raise ValueError(f"closure must contribute {p - 1} rows")
     size = min_n(p)
-    lines, rhs = _band_rows(f[: size + 1], g[: size + 1], h, u, weights, end_conditions)
-    # row r holds y_j at band column j - 1 - r + p; one zero on the left
-    # covers the last row, whose band starts at y_2.  A flat list converts
-    # to an array faster than a nested one.
-    block, right = [], [0.0] * size
+    hp = h**p
+    f, g = f[: size + 1].tolist(), g[: size + 1].tolist()
+    lines, rhs = [], []
+    for r, cond in enumerate(end_conditions):
+        net, nodes, initial = cond.float_terms
+        for j, _ in net + nodes:
+            if not max(0, r + 1 - p) <= j <= r + 4:
+                raise ValueError(f"closure row {r} reaches node {j}, outside the band")
+        line, value = [0.0] * (size + 1), 0.0
+        for j, c in net:
+            line[j] += hp * c * f[j]
+            value += hp * c * g[j]
+        for j, d in nodes:
+            line[j] += d
+        for m, e in initial:
+            value -= e * h**m * u[m]
+        lines.append(line)
+        rhs.append(value)
+
+    # the consistency row of the window ending at node i puts its k-th
+    # weight on node i - p + k
+    delta = _difference_stencil(p)
+    c = [hp * float(w) for w in weights]
+    for i in range(p, size + 1):
+        entries = map(operator.add, delta, map(operator.mul, c, f[i - p : i + 1]))
+        lines.append([0.0] * (i - p) + [*entries] + [0.0] * (size - i))
+        value = 0.0
+        for term in map(operator.mul, c, g[i - p : i + 1]):
+            value += term
+        rhs.append(value)
+
+    # a flat list converts to an array faster than a nested one
+    block = []
     for r, line in enumerate(lines):
-        block += ([0.0] + line + right)[1 + p - r : 1 + p - r + size]
+        if r < p:
+            rhs[r] -= line[0] * u[0]
+        block += line[1:]
     return np.array(block).reshape(size, size), rhs
 
 
 def solve_head(f, g, h, u, weights, end_conditions) -> tuple[list[float], list[float]]:
-    """y_0..y_{p+2} of a tabulated closure and their backward differences
-    nabla^k y_{p+2}, k = 0..p-1: its p - 1 rows and the first three
-    consistency rows reach node p + 2 and hold no other unknown, so one
-    dense solve of :func:`head_system` fixes them.  The differences are
-    taken in one pass over the last p values, each as the same subtraction
-    ``np.diff`` makes."""
+    """``(values, stack)``: y_0..y_{p+2} of a tabulated closure and their
+    backward differences nabla^k y_{p+2}, k = 0..p-1, the start of
+    :func:`march`.
+
+    The values come from one dense solve of :func:`head_system`, whose
+    rows hold no unknown past y_{p+2}; it raises what that builder raises.
+    The differences are taken in one pass over the last p values, each as
+    the same subtraction ``np.diff`` makes."""
     p = len(weights) - 1
     x = np.linalg.solve(*head_system(f, g, h, u, weights, end_conditions))
     values = [float(u[0]), *x.tolist()]

@@ -90,15 +90,18 @@ def _number_field(value, path: str, at: float) -> float:
 
 
 def _rational_field(value, path: str) -> Fraction:
+    """An integer or a "p/q" string inside the float range, exactly."""
+    # a JSON true is a bool, which is an int
+    if type(value) is not int and not isinstance(value, str):
+        raise ConfigError(path, 'expected an integer or a "p/q" string')
     try:
-        # a JSON true is a bool, which is an int
-        if type(value) is int:
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
+        q = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(path, 'expected an integer or a "p/q" string')
+    # the solver takes the weights in floats
+    if abs(q) > sys.float_info.max:
+        raise ConfigError(path, "outside the float range")
+    return q
 
 
 def _interval_field(value, path: str) -> tuple[float, float]:
@@ -222,14 +225,9 @@ def load_config(path: str) -> RunConfig:
         if not isinstance(u_raw, list):
             raise ConfigError("$.u", "expected a list")
         u = tuple(_number_field(v, f"$.u[{i}]", interval[0]) for i, v in enumerate(u_raw))
+        f, g = (_expr_field(_need(raw, key, "$"), f"$.{key}") for key in ("f", "g"))
         try:
-            ivp = HighOrderIVP(
-                order=order,
-                f=_expr_field(_need(raw, "f", "$"), "$.f"),
-                g=_expr_field(_need(raw, "g", "$"), "$.g"),
-                interval=interval,
-                u=u,
-            )
+            ivp = HighOrderIVP(order=order, f=f, g=g, interval=interval, u=u)
         except (TypeError, ValueError) as exc:
             raise ConfigError("$", str(exc)) from exc
 

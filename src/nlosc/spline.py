@@ -76,8 +76,6 @@ import numpy as np
 
 from nlosc._assembly import (
     EndCondition,
-    band_to_dense,
-    build_arrays,
     grid_values,
     march,
     min_n,
@@ -94,7 +92,6 @@ __all__ = [
     "IMPROVED_SET6",
     "SERIES_START_DEGREE",
     "WeightSet",
-    "assemble_system",
     "closure_rows",
     "derivatives_at_start",
     "derive_parameters6",
@@ -611,32 +608,6 @@ def _series_start(ivp: HighOrderIVP, h: float) -> tuple[list[float], list[float]
     return values, stack
 
 
-def _closure(ivp: HighOrderIVP, weights: WeightSet, closure: str) -> tuple[EndCondition, ...]:
-    """The tabulated rows of ``closure`` for ``ivp``, checking the weights fit."""
-    if weights.order != ivp.order:
-        raise ValueError(f"weights of order {weights.order} cannot solve order {ivp.order}")
-    return closure_rows(closure, ivp.order)
-
-
-def assemble_system(
-    ivp: HighOrderIVP, n: int, weights: WeightSet, closure: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The system ``(matrix, rhs)`` in y_1..y_n, as a dense n x n matrix;
-    the solver itself marches it (see :func:`solve`).
-
-    The p - 1 closure rows (or, for ``"series"``, rows pinning
-    y_1..y_{p-1} to the series start) come first, followed by the
-    consistency rows for windows ending at i = p..n.  Requires n >= p + 2.
-    """
-    rows = _closure(ivp, weights, closure)
-    pinned = ()
-    if not rows:
-        a, b = ivp.interval
-        pinned = tuple(enumerate(_series_start(ivp, (b - a) / n)[0]))[1:]
-    band, rhs = build_arrays(ivp, n, weights.weights, rows, pinned)
-    return band_to_dense(band), rhs
-
-
 def solve(ivp: HighOrderIVP, n: int, weights: WeightSet, closure: str) -> GridSolution:
     """Solve on n subintervals; y_0 is pinned to u_0.
 
@@ -646,7 +617,9 @@ def solve(ivp: HighOrderIVP, n: int, weights: WeightSet, closure: str) -> GridSo
     Raises ``ValueError`` on a non-finite coefficient and
     ``numpy.linalg.LinAlgError`` on a singular system.
     """
-    rows = _closure(ivp, weights, closure)
+    if weights.order != ivp.order:
+        raise ValueError(f"weights of order {weights.order} cannot solve order {ivp.order}")
+    rows = closure_rows(closure, ivp.order)
     t, h, f, g = grid_values(ivp, n)
     if rows:
         head = solve_head(f, g, h, ivp.u, weights.float_weights, rows)

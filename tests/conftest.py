@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from nlosc._assembly import grid_values, head_system
 from nlosc.expr import (
     Add,
     Const,
@@ -24,6 +25,7 @@ from nlosc.expr import (
     differentiate,
     evaluate,
 )
+from nlosc.spline import closure_rows
 from nlosc.verify import builtin_cases, rk_oracle
 
 settings.register_profile(
@@ -134,6 +136,16 @@ def integrate_chain(chain, t0, t1, steps):
         z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         history[i + 1] = z
     return np.linspace(t0, t1, steps + 1), history
+
+
+def head_rows(ivp, n, weights, closure):
+    """``(block, rhs)`` of the head that :func:`nlosc.spline.solve` builds
+    for a tabulated closure on a grid of n: the rows of y_1..y_{p+2}, which
+    at n = p + 2 are the whole system."""
+    _, h, f, g = grid_values(ivp, n)
+    rows = closure_rows(closure, ivp.order)
+    block, rhs = head_system(f, g, h, ivp.u, weights.float_weights, rows)
+    return block, np.array(rhs)
 
 
 def monomial_residual(cond, order, degree):

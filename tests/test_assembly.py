@@ -1,4 +1,4 @@
-"""Tests for the band assembly and the marching solve."""
+"""Tests for the head of a tabulated closure and the marching solve."""
 
 import math
 import tracemalloc
@@ -16,8 +16,6 @@ from nlosc._assembly import (
     _loop,
     _march_rows,
     _sweep,
-    band_to_dense,
-    build_arrays,
     grid_values,
     head_system,
     march,
@@ -30,7 +28,6 @@ from nlosc.spline import (
     IMPROVED_SET4,
     _series_start,
     _zeroing_weights,
-    assemble_system,
     closure_rows,
 )
 from nlosc.verify import METHODS, case_by_id, max_abs_error
@@ -56,7 +53,9 @@ TABULATED = [(name, case_id) for name, case_id in PRESET_CASES if METHODS[name].
 
 
 def collocation(method, ivp, n):
-    """The row data :func:`assemble_system` passes to build_arrays."""
+    """The row data of :func:`dense_assembly` for a preset: its weights,
+    its tabulated closure rows, or for the series start rows pinning
+    y_1..y_{p-1} to the start's values."""
     m = METHODS[method]
     rows = closure_rows(m.closure, ivp.order)
     pinned = ()
@@ -66,17 +65,24 @@ def collocation(method, ivp, n):
     return {"weights": m.coefficients.weights, "end_conditions": rows, "pinned": pinned}
 
 
-def dense_assembly(ivp, n, weights, end_conditions, pinned=(), dtype=np.float64):
-    """Row-by-row dense assembly of the n x n collocation system.
+def dense_assembly(ivp, n, weights, end_conditions, pinned=(), dtype=np.float64, band=False):
+    """Row-by-row assembly of the n x n collocation system: ``(matrix, rhs)``.
 
-    The reference for the band form: every row is built on its own over
-    the nodes 0..n, with the arithmetic of the band assembly done in the
-    same order, and node 0 is moved to the right-hand side last."""
+    The reference for the head and the march: every row is built on its
+    own over the nodes 0..n, with the arithmetic of the head's rows done in
+    the same order, and node 0 is moved to the right-hand side last.  With
+    ``band=True`` the same entries are stored as the (n, p + 4) band
+    instead, entry [r, k] multiplying y_{r+k-p+1}, so a fine grid needs no
+    n x n array."""
     p = ivp.order
 
     def cast(q):
         q = Fraction(q)
         return dtype(q.numerator) / dtype(q.denominator)
+
+    def at(row, j):
+        """Where the entry of node j in ``row`` is stored."""
+        return (row, j - 1 - row + p) if band else (row, j)
 
     a, b = ivp.interval
     h = (dtype(b) - dtype(a)) / dtype(n)
@@ -86,10 +92,10 @@ def dense_assembly(ivp, n, weights, end_conditions, pinned=(), dtype=np.float64)
     hp = h**p
     delta = [dtype((-1) ** (p - k) * math.comb(p, k)) for k in range(p + 1)]
 
-    rows = np.zeros((n, n + 1), dtype=dtype)
+    rows = np.zeros((n, p + 4 if band else n + 1), dtype=dtype)
     rhs = np.zeros(n, dtype=dtype)
     for row, (j, value) in enumerate(pinned):
-        rows[row, j] = dtype(1)
+        rows[at(row, j)] = dtype(1)
         rhs[row] = dtype(value)
     for row, cond in enumerate(end_conditions, start=len(pinned)):
         value = dtype(0)
@@ -99,10 +105,10 @@ def dense_assembly(ivp, n, weights, end_conditions, pinned=(), dtype=np.float64)
         for j, o in cond.bracket_derivs:
             net[j] = net.get(j, Fraction(0)) - o
         for j, c in net.items():
-            rows[row, j] += hp * cast(c) * f[j]
+            rows[at(row, j)] += hp * cast(c) * f[j]
             value += hp * cast(c) * g[j]
         for j, d in cond.node_values:
-            rows[row, j] += cast(d)
+            rows[at(row, j)] += cast(d)
         for m, e in cond.initial_derivs:
             value -= cast(e) * h**m * u[m]
         rhs[row] = value
@@ -111,28 +117,34 @@ def dense_assembly(ivp, n, weights, end_conditions, pinned=(), dtype=np.float64)
         for k in range(p + 1):
             j = i - p + k
             w = cast(weights[k])
-            rows[i - 1, j] = delta[k] + hp * w * f[j]
+            rows[at(i - 1, j)] = delta[k] + hp * w * f[j]
             value += hp * w * g[j]
         rhs[i - 1] = value
-    rhs -= rows[:, 0] * u[0]
-    return rows[:, 1:], rhs
+    # only the first p rows reach node 0
+    for row in range(p):
+        rhs[row] -= rows[at(row, 0)] * u[0]
+        rows[at(row, 0)] = 0
+    return (rows, rhs) if band else (rows[:, 1:], rhs)
 
 
 @pytest.mark.parametrize("dtype", [np.float64])
 @pytest.mark.parametrize("n", [8, 48, 200])
 @pytest.mark.parametrize("case_id, method", CASE_PRESETS)
 def test_densified_band_matches_dense_assembly(case_id, method, n, dtype):
+    # the band form of the reference, which the fine-grid residual checks
+    # read, holds the entries of its dense form and nothing else
     ivp = case_by_id(case_id).ivp
+    p = ivp.order
     kw = collocation(method, ivp, n)
-    band, rhs = build_arrays(ivp, n, **kw)
-    assert band.shape == (n, ivp.order + 4) and band.dtype == dtype
+    band, rhs = dense_assembly(ivp, n, **kw, dtype=dtype, band=True)
+    assert band.shape == (n, p + 4) and band.dtype == dtype
     matrix, expected_rhs = dense_assembly(ivp, n, **kw, dtype=dtype)
-    assert np.array_equal(band_to_dense(band), matrix)
+    densified = np.zeros((n, n + p + 3), dtype=dtype)
+    for r in range(n):
+        densified[r, r : r + p + 4] = band[r]
+    assert not densified[:, :p].any() and not densified[:, p + n :].any()
+    assert np.array_equal(densified[:, p : p + n], matrix)
     assert np.array_equal(rhs, expected_rhs)
-    m = METHODS[method]
-    public = assemble_system(ivp, n, m.coefficients, m.closure)
-    assert np.array_equal(public[0], matrix)
-    assert np.array_equal(public[1], expected_rhs)
 
 
 @pytest.mark.parametrize(
@@ -140,7 +152,7 @@ def test_densified_band_matches_dense_assembly(case_id, method, n, dtype):
     [("node_derivs", 6), ("node_values", 7), ("bracket_derivs", 6), ("node_values", -1)],
 )
 def test_closure_row_outside_the_band_is_rejected_on_every_call(field, node):
-    # row 1 of an order-4 closure reaches band columns 0..7, nodes -2..5;
+    # row 1 of an order-4 closure may reach the nodes -2..5 of its band row;
     # a node below 0 is no grid node at all
     ivp = case_by_id(1).ivp
     rows = list(closure_rows("standard", 4))
@@ -149,8 +161,6 @@ def test_closure_row_outside_the_band_is_rejected_on_every_call(field, node):
     _, h, f, g = grid_values(ivp, 16)
     message = f"closure row 1 reaches node {node}, outside the band"
     for _ in range(2):
-        with pytest.raises(ValueError, match=message):
-            build_arrays(ivp, 16, weights, tuple(rows))
         with pytest.raises(ValueError, match=message):
             solve_head(f, g, h, ivp.u, weights, tuple(rows))
 
@@ -226,7 +236,8 @@ def test_fold_down_axis_0_adds_row_after_row_from_zero(p):
 
 
 def backward_error(band, rhs, x):
-    """Normwise backward error of x against the band rows, from the band."""
+    """Normwise backward error of x against the rows of a band from
+    :func:`dense_assembly`."""
     n, p = len(band), band.shape[1] - 4
     padded = np.zeros(n + p + 3)
     padded[p : p + n] = x
@@ -241,8 +252,7 @@ def test_march_matches_dense_solve(case_id, method):
     ivp = case_by_id(case_id).ivp
     p = ivp.order
     for n in (p + 2, p + 3, 16, 33, 64):
-        band, rhs = build_arrays(ivp, n, **collocation(method, ivp, n))
-        matrix = band_to_dense(band)
+        matrix, rhs = dense_assembly(ivp, n, **collocation(method, ivp, n))
         x = METHODS[method].solve(ivp, n).y[1:]
         reference = np.linalg.solve(matrix, rhs)
         if n == p + 2 and METHODS[method].closure != "series":
@@ -258,7 +268,7 @@ def test_march_matches_dense_solve(case_id, method):
 def test_march_satisfies_assembled_rows(case_id, method):
     ivp = case_by_id(case_id).ivp
     for n in (ivp.order + 2, 64, 65, 200, 1000, 4096):
-        band, rhs = build_arrays(ivp, n, **collocation(method, ivp, n))
+        band, rhs = dense_assembly(ivp, n, **collocation(method, ivp, n), band=True)
         x = METHODS[method].solve(ivp, n).y[1:]
         # about 1e-17..2e-16 here; a wrong row leaves O(h^p) or worse
         assert backward_error(band, rhs, x) <= 1e-15, n

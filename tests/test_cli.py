@@ -548,6 +548,8 @@ T5_COL1 = {
         (1, {**IMPROVED4, "end_variant": "printed"}, "end_variant"),
         (3, {**T5_COL1, "closure": "improved"}, "closure"),
         (1, {"family": "spline4", "alpha": "1/2", "beta": "1/2", "gamma": "1/2"}, None),
+        (1, {"family": "spline4", "alpha": "1e400", "beta": "-1e400", "gamma": "1"}, "alpha"),
+        (3, {**T5_COL1, "alpha": "1e400", "beta": "-1e400", "gamma": "0", "delta": "1"}, "alpha"),
     ],
     ids=[
         "misspelt-key",
@@ -559,6 +561,8 @@ T5_COL1 = {
         "order-6-closure-on-spline4",
         "order-4-closure-on-spline6",
         "weights-not-summing-to-1",
+        "spline4-weight-past-the-float-range",
+        "spline6-weight-past-the-float-range",
     ],
 )
 def test_method_object_errors_name_their_key(tmp_path, capsys, case_id, method, key):
@@ -571,6 +575,22 @@ def test_method_object_errors_name_their_key(tmp_path, capsys, case_id, method, 
     assert main(["solve", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {expected}: ")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("f", None), ("g", None), ("f", 3), ("g", "sin(")],
+    ids=["missing-f", "missing-g", "f-not-a-string", "g-unparsable"],
+)
+def test_ivp_expression_errors_name_their_field_once(tmp_path, capsys, key, value):
+    cfg = case_config(1, "improved4", 16)
+    if value is None:
+        del cfg[key]
+    else:
+        cfg[key] = value
+    assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: $.{key}: "), err
 
 
 def test_series_start_at_order_4_from_a_method_object(tmp_path, capsys):

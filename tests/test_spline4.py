@@ -6,25 +6,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import consistency_residual, monomial_residual
-from nlosc._assembly import band_to_dense, build_arrays
+from conftest import consistency_residual, head_rows, monomial_residual
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import parse, values_on_grid
 from nlosc.spline import (
     IMPROVED_END_CONDITIONS4,
     IMPROVED_SET4,
+    IMPROVED_SET6,
     STANDARD_END_CONDITIONS4,
     WeightSet,
-    assemble_system,
     solve,
     theta_coefficients4,
     truncation_brackets,
 )
 from nlosc.verify import METHODS, case_by_id, max_abs_error, rk_oracle, oracle_max_error
+from test_spline import PRESET_CASES
 
 F = Fraction
 
 SET_COL1 = WeightSet((F(0), F(0), F(1)))
+# every preset with a tabulated closure, on each case of its order
+TABULATED = [(c, name) for name, c in PRESET_CASES if METHODS[name].closure != "series"]
 
 
 def case1_ivp():
@@ -53,7 +55,7 @@ def test_weights_reject_floats():
 
 def test_unknown_end_variant():
     with pytest.raises(ValueError):
-        assemble_system(case1_ivp(), 6, SET_COL1, "fancy")
+        solve(case1_ivp(), 6, SET_COL1, "fancy")
 
 
 def test_improved_set_is_normalized_exactly():
@@ -171,19 +173,19 @@ def test_truncation_leading_improved_set():
 
 def test_assembly_rejects_small_grids():
     with pytest.raises(ValueError):
-        assemble_system(case1_ivp(), 5, SET_COL1, "standard")
+        solve(case1_ivp(), 5, SET_COL1, "standard")
 
 
 def test_assembly_rejects_wrong_order():
     with pytest.raises(ValueError):
-        assemble_system(case_by_id(3).ivp, 16, SET_COL1, "standard")
+        solve(case_by_id(3).ivp, 16, IMPROVED_SET6, "standard")
     with pytest.raises(ValueError):
         solve(case_by_id(3).ivp, 16, SET_COL1, "standard")
 
 
 def test_homogeneous_problem_has_zero_rhs():
     ivp = HighOrderIVP(order=4, f=parse("0"), g=parse("0"), interval=(0, 1), u=(0, 0, 0, 0))
-    _, rhs = assemble_system(ivp, 8, WeightSet((F(1, 6), F(1, 6), F(1, 3))), "standard")
+    _, rhs = head_rows(ivp, 8, WeightSet((F(1, 6), F(1, 6), F(1, 3))), "standard")
     assert np.all(rhs == 0.0)
     assert np.max(np.abs(solve(ivp, 8, SET_COL1, "standard").y)) == 0.0
 
@@ -194,7 +196,7 @@ def test_first_consistency_row_coefficients():
     n = 6
     ivp = case1_ivp()
     h = 2.0 / n
-    matrix, rhs = assemble_system(ivp, n, SET_COL1, "standard")
+    matrix, rhs = head_rows(ivp, n, SET_COL1, "standard")
     row = matrix[3]  # rows: 3 closure rows, then windows i = 4..n
     assert row[1] == pytest.approx(6.0 - h**4, rel=1e-15)  # y_2
     assert row[0] == pytest.approx(-4.0, abs=0)  # y_1
@@ -211,7 +213,7 @@ def test_improved_first_closure_row_y1_coefficient():
     n = 6
     ivp = case1_ivp()
     h = 2.0 / n
-    matrix, _ = assemble_system(ivp, n, SET_COL1, "improved")
+    matrix, _ = head_rows(ivp, n, SET_COL1, "improved")
     t1 = -1.0 + h
     f_t1 = -1.0
     expected = 13366080 / 2081 + h**4 * (843268 / 2081) * f_t1
@@ -219,16 +221,14 @@ def test_improved_first_closure_row_y1_coefficient():
 
 
 @pytest.mark.parametrize("dtype", [np.float64])
-@pytest.mark.parametrize("case_id, method", [(2, "improved4"), (4, "table5-col1")])
+@pytest.mark.parametrize("case_id, method", TABULATED)
 def test_consistency_rows_match_row_by_row_assembly(case_id, method, dtype):
-    """The diagonal-at-a-time fill of the consistency rows equals a plain
-    row-by-row evaluation of the relation bit for bit."""
+    """The head's three consistency rows equal a plain row-by-row
+    evaluation of the relation bit for bit."""
     ivp = case_by_id(case_id).ivp
     weights = METHODS[method].coefficients.weights
     n, p = 20, ivp.order
-    zeros = tuple((j, 0.0) for j in range(1, p))  # stand-in closure rows
-    band, rhs = build_arrays(ivp, n, weights, (), pinned=zeros)
-    matrix = band_to_dense(band)
+    matrix, rhs = head_rows(ivp, n, METHODS[method].coefficients, METHODS[method].closure)
 
     a, b = ivp.interval
     h = (dtype(b) - dtype(a)) / dtype(n)
@@ -237,14 +237,14 @@ def test_consistency_rows_match_row_by_row_assembly(case_id, method, dtype):
     hp = h**p
     delta = [dtype((-1) ** (p - k) * math.comb(p, k)) for k in range(p + 1)]
     w = [dtype(q.numerator) / dtype(q.denominator) for q in weights]
-    for i in range(p, n + 1):
+    for i in range(p, p + 3):
         coeffs = np.zeros(n + 1, dtype=dtype)
         value = dtype(0)
         for k in range(p + 1):
             j = i - p + k
             coeffs[j] = delta[k] + hp * w[k] * f[j]
             value += hp * w[k] * g[j]
-        assert np.array_equal(matrix[i - 1], coeffs[1:])
+        assert np.array_equal(matrix[i - 1], coeffs[1 : p + 3])
         assert rhs[i - 1] == value - coeffs[0] * dtype(ivp.u[0])
 
 

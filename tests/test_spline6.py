@@ -8,14 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import consistency_residual, monomial_residual
+from conftest import consistency_residual, head_rows, monomial_residual
 from nlosc.chain import HighOrderIVP, OscillatorChain, reduce_chain
 from nlosc.expr import parse
 from nlosc.spline import (
     END_CONDITIONS6,
     IMPROVED_SET6,
     WeightSet,
-    assemble_system,
+    _series_start,
     derivatives_at_start,
     derive_parameters6,
     solve,
@@ -242,16 +242,16 @@ def test_start_derivatives_reject_a_singular_forcing_silently():
 
 def test_assembly_rejects_small_grids_and_wrong_order():
     with pytest.raises(ValueError):
-        assemble_system(case_by_id(3).ivp, 7, SET_T5_COL1, "printed")
+        solve(case_by_id(3).ivp, 7, SET_T5_COL1, "printed")
     with pytest.raises(ValueError):
-        assemble_system(case_by_id(1).ivp, 16, SET_T5_COL1, "printed")
+        solve(case_by_id(1).ivp, 16, SET_T5_COL1, "printed")
     with pytest.raises(ValueError):
         solve(case_by_id(3).ivp, 16, SET_T5_COL1, "voodoo")
 
 
 def test_homogeneous_problem_has_zero_rhs():
     ivp = HighOrderIVP(order=6, f=parse("0"), g=parse("0"), interval=(0, 1), u=(0,) * 6)
-    _, rhs = assemble_system(ivp, 10, SET_T5_COL1, "printed")
+    _, rhs = head_rows(ivp, 10, SET_T5_COL1, "printed")
     assert np.all(rhs == 0.0)
 
 
@@ -261,7 +261,7 @@ def test_first_consistency_row_y3_coefficient():
     n = 8
     ivp = case_by_id(3).ivp
     h = 1.0 / n
-    matrix, _ = assemble_system(ivp, n, SET_T5_COL1, "printed")
+    matrix, _ = head_rows(ivp, n, SET_T5_COL1, "printed")
     row = matrix[5]  # 5 closure rows, then the i = 6 window
     assert row[2] == pytest.approx(-20.0 - h**6 * (28.0 / 120.0), rel=1e-15)
 
@@ -272,23 +272,24 @@ def test_second_closure_row_y1_coefficient():
     n = 8
     ivp = case_by_id(3).ivp
     h = 1.0 / n
-    matrix, _ = assemble_system(ivp, n, SET_T5_COL1, "printed")
+    matrix, _ = head_rows(ivp, n, SET_T5_COL1, "printed")
     f_t1 = -1.0
     expected = 797790 / 21983 + h**6 * f_t1 * (1 + 40167 / 21983)
     assert matrix[1][0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_series_closure_rows_pin_leading_unknowns():
+    # the series start fixes y_1..y_5 to the Taylor polynomial's values
     ivp = case_by_id(3).ivp
-    matrix, rhs = assemble_system(ivp, 10, IMPROVED_SET6, "series")
+    a, b = ivp.interval
+    values, _ = _series_start(ivp, (b - a) / 10)
     exact = case_by_id(3).exact
     from nlosc.expr import evaluate
 
+    assert len(values) == 6 and values[0] == ivp.u[0]
     for j in range(5):
-        row = matrix[j]
-        assert row[j] == 1.0 and np.count_nonzero(row) == 1
         t_j = (j + 1) / 10
-        assert rhs[j] == pytest.approx(evaluate(exact, t_j), rel=1e-12)
+        assert values[j + 1] == pytest.approx(evaluate(exact, t_j), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
