@@ -186,6 +186,9 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("$.omegas", "expected a list of at least two frequencies")
         count = len(omegas)
         omegas = tuple(_finite(w, f"$.omegas[{i}]") for i, w in enumerate(omegas))
+        for i, w in enumerate(omegas):
+            if w <= 0.0:
+                raise ConfigError(f"$.omegas[{i}]", "all frequencies must be positive")
         forces_raw = _need(raw, "forces", "$")
         if not isinstance(forces_raw, list) or len(forces_raw) != count:
             raise ConfigError("$.forces", f"expected {count} force expressions")
@@ -205,31 +208,29 @@ def load_config(path: str) -> RunConfig:
             _number_field(v, f"$.velocities[{i}]", interval[0])
             for i, v in enumerate(velocities_raw)
         )
-        try:
-            chain = OscillatorChain(
-                omegas=omegas,
-                forces=forces,
-                interval=interval,
-                positions=positions,
-                velocities=velocities,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("$", str(exc)) from exc
+        chain = OscillatorChain(
+            omegas=omegas,
+            forces=forces,
+            interval=interval,
+            positions=positions,
+            velocities=velocities,
+        )
         ivp = reduce_chain(chain)
     else:
         interval = _interval_field(_need(raw, "interval", "$"), "$.interval")
         order = _need(raw, "order", "$")
         if type(order) is not int:
             raise ConfigError("$.order", "expected an integer")
+        if order < 4 or order % 2 != 0:
+            raise ConfigError("$.order", f"order must be an even integer >= 4, got {order}")
         u_raw = _need(raw, "u", "$")
         if not isinstance(u_raw, list):
             raise ConfigError("$.u", "expected a list")
+        if len(u_raw) != order:
+            raise ConfigError("$.u", f"need {order} initial derivatives, got {len(u_raw)}")
         u = tuple(_number_field(v, f"$.u[{i}]", interval[0]) for i, v in enumerate(u_raw))
         f, g = (_expr_field(_need(raw, key, "$"), f"$.{key}") for key in ("f", "g"))
-        try:
-            ivp = HighOrderIVP(order=order, f=f, g=g, interval=interval, u=u)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("$", str(exc)) from exc
+        ivp = HighOrderIVP(order=order, f=f, g=g, interval=interval, u=u)
 
     method = _method_field(raw["method"], "$.method") if "method" in raw else None
     n = raw.get("n")

@@ -14,13 +14,13 @@ a :class:`WeightSet` holds the half-stencil w_0..w_{p/2} (the paper's
 alpha, beta, gamma, ...) as exact rationals.
 
 p - 1 boundary-closure rows complete the n x n system; the closures are
-named in :data:`CLOSURES`:
+named in :data:`CLOSURES`.  A tabulated row is derived, not typed: it is
+the one row on its support that is exact through its closure's degree.
 
-* ``standard`` (p = 4): rows exact through degree 5 (local error O(h^6));
-* ``improved`` (p = 4): rows exact through degree 9 (local error O(h^10)),
-  which together with IMPROVED_SET4 lifts the observed convergence to
-  sixth order;
-* ``printed`` (p = 6): the five tabulated rows (local error O(h^8)); these
+* ``standard`` (p = 4): degree 5 (local error O(h^6));
+* ``improved`` (p = 4): degree 9 (local error O(h^10)), which together
+  with IMPROVED_SET4 lifts the observed convergence to sixth order;
+* ``printed`` (p = 6): degree 7 (local error O(h^8)); these rows
   reproduce the standard-weight benchmark tables;
 * ``series`` (any p): y_1..y_{p-1} pinned to a Taylor expansion about
   t = a of degree max(SERIES_START_DEGREE, 2p + 1) (local error O(h^14)
@@ -41,10 +41,11 @@ integer differences of the monomials of its polynomial.
 
 What depends only on the scheme is built on first use and kept for the
 rest of the process: the float form of each weight set
-(:attr:`WeightSet.float_weights`), the float coefficients of each closure
-row (see :mod:`nlosc._assembly`) and the series start's integer tables,
-one per order and degree (:func:`_series_tables`).  None of it is built at
-import, and a solve gives the same bits either way.
+(:attr:`WeightSet.float_weights`), the rows of each tabulated closure
+(:func:`closure_rows`) and their float coefficients (see
+:mod:`nlosc._assembly`), and the series start's integer tables, one per
+order and degree (:func:`_series_tables`).  None of it is built at import,
+and a solve gives the same bits either way.
 
 At every order the interior truncation error comes from one generating
 series: on y = e^(st) with x = sh, the relation's residual is
@@ -92,6 +93,7 @@ __all__ = [
     "IMPROVED_SET6",
     "SERIES_START_DEGREE",
     "WeightSet",
+    "check_closure",
     "closure_rows",
     "derivatives_at_start",
     "derive_parameters6",
@@ -360,194 +362,91 @@ def theta_coefficients6(theta: float) -> ThetaSet6:
 
 
 # ---------------------------------------------------------------------------
-# boundary-closure rows (exact rationals)
+# boundary-closure rows, derived from their supports
 # ---------------------------------------------------------------------------
 
-_F = Fraction
 
-#: Standard fourth-order closure: rows exact for polynomials through degree 5.
-STANDARD_END_CONDITIONS4 = (
-    EndCondition(
-        node_derivs=((0, _F(1)), (4, _F(1))),
-        node_values=((0, _F(-220, 9)), (1, _F(40)), (2, _F(-20)), (3, _F(40, 9))),
-        initial_derivs=((1, _F(-40, 3)),),
-        bracket_derivs=((0, _F(-4, 3)),),
-    ),
-    EndCondition(
-        node_derivs=((1, _F(1)), (5, _F(1))),
-        node_values=((1, _F(18336, 575)), (2, _F(-22992, 575)), (3, _F(4656, 575))),
-        initial_derivs=((1, _F(2736, 115)), (2, _F(15864, 575)), (3, _F(6648, 575))),
-    ),
-    EndCondition(
-        node_derivs=((2, _F(1)), (6, _F(1))),
-        node_values=((2, _F(8157, 865)), (3, _F(-11424, 865)), (4, _F(3267, 865))),
-        initial_derivs=((1, _F(978, 173)), (2, _F(8958, 865)), (3, _F(5684, 865))),
-    ),
-)
+class _TabulatedClosure(NamedTuple):
+    """The p - 1 rows of a closure of order p, each exact for polynomials
+    through ``degree``.  Row r holds D_r and D_{r+4} with coefficient 1;
+    ``rows[r]`` is the support of its other, unknown coefficients: (other
+    derivative nodes, value nodes, initial derivatives, bracket nodes)."""
 
-#: Improved fourth-order closure: rows exact for polynomials through degree 9.
-IMPROVED_END_CONDITIONS4 = (
-    EndCondition(
-        node_derivs=(
-            (0, _F(1)),
-            (1, _F(843268, 2081)),
-            (2, _F(330342, 2081)),
-            (3, _F(-16892, 2081)),
-            (4, _F(1)),
-        ),
-        node_values=(
-            (0, _F(-68397280, 18729)),
-            (1, _F(13366080, 2081)),
-            (2, _F(-7408800, 2081)),
-            (3, _F(14781760, 18729)),
-        ),
-        initial_derivs=(
-            (1, _F(-10427200, 6243)),
-            (2, _F(743680, 2081)),
-            (3, _F(259840, 2081)),
-        ),
-    ),
-    EndCondition(
-        node_derivs=(
-            (1, _F(1)),
-            (2, _F(-156090207332, 158360705)),
-            (3, _F(-40456201386, 158360705)),
-            (4, _F(-600708692, 158360705)),
-            (5, _F(1)),
-        ),
-        node_values=(
-            (1, _F(180155114496, 31672141)),
-            (2, _F(-340726283352, 31672141)),
-            (3, _F(210168798336, 31672141)),
-            (4, _F(-49597629480, 31672141)),
-        ),
-        initial_derivs=(
-            (1, _F(69181575120, 31672141)),
-            (2, _F(42396452784, 31672141)),
-            (3, _F(7557647328, 31672141)),
-        ),
-    ),
-    EndCondition(
-        node_derivs=(
-            (2, _F(1)),
-            (3, _F(-85514900495708, 1252977040745)),
-            (4, _F(3759590586966, 1252977040745)),
-            (5, _F(-7418340285788, 1252977040745)),
-            (6, _F(1)),
-        ),
-        node_values=(
-            (2, _F(43463161469952, 250595408149)),
-            (3, _F(-94491207986112, 250595408149)),
-            (4, _F(68699611790208, 250595408149)),
-            (5, _F(-17671565274048, 250595408149)),
-        ),
-        initial_derivs=(
-            (1, _F(10106680227840, 250595408149)),
-            (2, _F(9581784601536, 250595408149)),
-            (3, _F(2621304758016, 250595408149)),
-        ),
-    ),
-)
+    order: int
+    degree: int
+    rows: tuple
 
-#: Closure rows for the sixth-order problem, local error O(h^8).  The
-#: second row's bracket contains an h^6 y^(6)(t_1) term that is eliminated
-#: through the differential equation at assembly time.
-END_CONDITIONS6 = (
-    EndCondition(
-        node_derivs=((0, _F(1)), (4, _F(1))),
-        node_values=(
-            (0, _F(2905, 12)),
-            (1, _F(-336)),
-            (2, _F(126)),
-            (3, _F(-112, 3)),
-            (4, _F(21, 4)),
-        ),
-        initial_derivs=((1, _F(175)), (2, _F(42))),
-        bracket_derivs=((0, _F(-4, 5)),),
-    ),
-    EndCondition(
-        node_derivs=((1, _F(1)), (5, _F(1))),
-        node_values=(
-            (1, _F(797790, 21983)),
-            (2, _F(-1660890, 21983)),
-            (3, _F(1299060, 21983)),
-            (4, _F(-523110, 21983)),
-            (5, _F(87150, 21983)),
-        ),
-        initial_derivs=((1, _F(283500, 21983)), (2, _F(172620, 21983))),
-        bracket_derivs=((1, _F(-40167, 21983)),),
-    ),
-    EndCondition(
-        node_derivs=((2, _F(1)), (6, _F(1))),
-        node_values=(
-            (2, _F(605725, 22267)),
-            (3, _F(-108239440, 1803627)),
-            (4, _F(1103910, 22267)),
-            (5, _F(-446800, 22267)),
-            (6, _F(5949805, 1803627)),
-        ),
-        initial_derivs=(
-            (1, _F(675200, 85887)),
-            (2, _F(700180, 66801)),
-            (3, _F(851440, 200403)),
-        ),
-    ),
-    EndCondition(
-        node_derivs=((3, _F(1)), (7, _F(1))),
-        node_values=(
-            (3, _F(-670672000, 42346017)),
-            (4, _F(44149995, 1568371)),
-            (5, _F(-23862240, 1568371)),
-            (6, _F(122902615, 42346017)),
-        ),
-        initial_derivs=(
-            (1, _F(-12961750, 2016477)),
-            (2, _F(-25078370, 1568371)),
-            (3, _F(-77684300, 4705113)),
-            (4, _F(-11492010, 1568371)),
-        ),
-    ),
-    EndCondition(
-        node_derivs=((4, _F(1)), (8, _F(1))),
-        node_values=(
-            (4, _F(49567095, 12837314)),
-            (5, _F(-34289280, 6418657)),
-            (6, _F(19011465, 12837314)),
-        ),
-        initial_derivs=(
-            (1, _F(2182545, 916951)),
-            (2, _F(59244435, 6418657)),
-            (3, _F(107795790, 6418657)),
-            (4, _F(115282605, 6418657)),
-            (5, _F(65492262, 6418657)),
-        ),
-    ),
-)
 
-#: Boundary closures by name.  A tabulated closure holds the p - 1 rows of
-#: one order p; "series" holds none, because it pins y_1..y_{p-1} to the
-#: series start instead, at any order.  Every tabulated row reaches node
-#: p + 2 at most, the smallest grid of every closure (see :func:`min_n`).
-CLOSURES: dict[str, tuple[EndCondition, ...]] = {
-    "standard": STANDARD_END_CONDITIONS4,
-    "improved": IMPROVED_END_CONDITIONS4,
-    "printed": END_CONDITIONS6,
-    "series": (),
+#: Boundary closures by name; :func:`closure_rows` derives the rows of a
+#: tabulated one on first use.  "series" holds none: it pins y_1..y_{p-1}
+#: to the series start instead, at any order.  Every tabulated row reaches
+#: node p + 2 at most, the smallest grid of every closure (:func:`min_n`).
+CLOSURES: dict[str, _TabulatedClosure | None] = {
+    "standard": _TabulatedClosure(4, 5, (
+        ((), range(0, 4), range(1, 2), (0,)),
+        ((), range(1, 4), range(1, 4), ()),
+        ((), range(2, 5), range(1, 4), ()),
+    )),
+    "improved": _TabulatedClosure(4, 9, tuple(
+        (tuple(range(r + 1, r + 4)), range(r, r + 4), range(1, 4), ()) for r in range(3)
+    )),
+    "printed": _TabulatedClosure(6, 7, (
+        ((), range(0, 5), range(1, 3), (0,)),
+        ((), range(1, 6), range(1, 3), (1,)),
+        ((), range(2, 7), range(1, 4), ()),
+        ((), range(3, 7), range(1, 5), ()),
+        ((), range(4, 7), range(1, 6), ()),
+    )),
+    "series": None,
 }
 
 
-def closure_rows(closure: str, order: int) -> tuple[EndCondition, ...]:
-    """The tabulated rows of ``closure`` at ``order`` (none for the series
-    start); ``ValueError`` if the closure is unknown or tabulated for
-    another order."""
+def check_closure(closure: str, order: int) -> None:
+    """``ValueError`` if ``closure`` is unknown or tabulated for another
+    order; reads the support table only, so it derives no row."""
     if not isinstance(closure, str) or closure not in CLOSURES:
         raise ValueError(f"unknown closure {closure!r}; use one of {', '.join(CLOSURES)}")
-    rows = CLOSURES[closure]
-    if rows and len(rows) != order - 1:
+    tabulated = CLOSURES[closure]
+    if tabulated and tabulated.order != order:
         raise ValueError(
-            f"closure {closure!r} is tabulated for order {len(rows) + 1}, not order {order}"
+            f"closure {closure!r} is tabulated for order {tabulated.order}, not order {order}"
         )
-    return rows
+
+
+def closure_rows(closure: str, order: int) -> tuple[EndCondition, ...]:
+    """The rows of ``closure`` at ``order``, none for the series start;
+    derived on the first call and kept for the process."""
+    check_closure(closure, order)
+    return _derived_rows(closure) if CLOSURES[closure] else ()
+
+
+@cache
+def _derived_rows(closure: str) -> tuple[EndCondition, ...]:
+    """Each row of a tabulated closure, solved exactly by :func:`_solve_exact`
+    from one condition per unknown: on the unit grid (a = 0, h = 1) the row
+    holds for y = t^m, m = 0..degree."""
+    p, degree, supports = CLOSURES[closure]
+
+    def derivative(m: int, k: int, t: int) -> Fraction:
+        """the k-th derivative of t^m, at t"""
+        return Fraction(factorial(m), factorial(m - k)) * t ** (m - k) if m >= k else Fraction(0)
+
+    rows = []
+    for r, support in enumerate(supports):
+        derivs, values, initial, brackets = support
+        conditions = [
+            [derivative(m, p, j) for j in derivs]
+            + [-derivative(m, 0, j) for j in values]
+            + [-derivative(m, k, 0) for k in initial]
+            + [-derivative(m, p, j) for j in brackets]
+            for m in range(degree + 1)
+        ]
+        rhs = [-derivative(m, p, r) - derivative(m, p, r + 4) for m in range(degree + 1)]
+        solution = iter(_solve_exact(conditions, rhs))
+        extra, *terms = (tuple((j, next(solution)) for j in nodes) for nodes in support)
+        unit = ((r, Fraction(1)), (r + 4, Fraction(1)))
+        rows.append(EndCondition(tuple(sorted(unit + extra)), *terms))
+    return tuple(rows)
 
 
 def derivatives_at_start(ivp: HighOrderIVP, count: int) -> list[float]:

@@ -29,7 +29,7 @@ from nlosc.spline import (
     IMPROVED_SET6,
     GridSolution,
     WeightSet,
-    closure_rows,
+    check_closure,
     derive_parameters6,
     min_n,
     solve,
@@ -178,7 +178,7 @@ class Method:
     note: str = ""
 
     def __post_init__(self):
-        closure_rows(self.closure, self.order)
+        check_closure(self.closure, self.order)
 
     @property
     def order(self) -> int:

@@ -453,6 +453,8 @@ def test_interval_entries_must_be_finite_numbers(tmp_path, capsys, interval):
         ("chain", "n", "true", "$.n: expected a positive integer"),
         ("ivp", "order", "true", "$.order: expected an integer"),
         ("chain", "method", "true", '$.method.alpha: expected an integer or a "p/q" string'),
+        ("ivp", "order", "3", "$.order: order must be an even integer >= 4, got 3"),
+        ("chain", "omegas", "0", "$.omegas[0]: all frequencies must be positive"),
     ],
     ids=[
         "huge-int-velocity",
@@ -463,6 +465,8 @@ def test_interval_entries_must_be_finite_numbers(tmp_path, capsys, interval):
         "bool-n",
         "bool-order",
         "bool-weight",
+        "odd-order",
+        "zero-omega",
     ],
 )
 def test_numeric_fields_must_be_finite_numbers(tmp_path, capsys, mode, key, entry, error):
@@ -579,8 +583,8 @@ def test_method_object_errors_name_their_key(tmp_path, capsys, case_id, method, 
 
 @pytest.mark.parametrize(
     "key, value",
-    [("f", None), ("g", None), ("f", 3), ("g", "sin(")],
-    ids=["missing-f", "missing-g", "f-not-a-string", "g-unparsable"],
+    [("f", None), ("g", None), ("f", 3), ("g", "sin("), ("u", [0, 0, 0])],
+    ids=["missing-f", "missing-g", "f-not-a-string", "g-unparsable", "u-too-short"],
 )
 def test_ivp_expression_errors_name_their_field_once(tmp_path, capsys, key, value):
     cfg = case_config(1, "improved4", 16)
@@ -622,6 +626,35 @@ def test_cli_import_loads_no_heavy_numerics():
         check=True,
     )
     assert run.stdout.strip() == "[]"
+
+
+def test_closure_rows_are_derived_on_the_first_solve_not_at_load(tmp_path):
+    # nlosc.verify builds its tabulated presets at import, and load_config
+    # checks a method's closure; neither may derive a row, which takes
+    # milliseconds per closure
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    config = write_config(tmp_path, case_config(3, "table5-col1", 16))
+    code = (
+        "import sys, nlosc.cli\n"
+        "from nlosc.spline import _derived_rows as derived\n"
+        "nlosc.cli.load_config(sys.argv[1])\n"
+        "print(derived.cache_info().currsize)\n"
+        "assert nlosc.cli.main(['solve', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "before = derived.cache_info()\n"
+        "derived('printed')\n"
+        "after = derived.cache_info()\n"
+        "print(after.currsize, after.hits - before.hits, after.misses - before.misses)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code, config, str(tmp_path / "out.csv")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    # empty after loading; after the solve, the printed closure only
+    assert run.stdout.split("\n") == ["0", "1 1 0", ""]
 
 
 def test_main_after_a_failing_call_matches_fresh_processes(tmp_path, capsys):

@@ -69,10 +69,11 @@ def test_brackets_do_not_skip_h8_at_order_4():
     assert consistency_residual(weights.weights, 4, 8) / math.factorial(8) == F(1, 720)
 
 
-@pytest.mark.parametrize("closure", [name for name, rows in CLOSURES.items() if rows])
+@pytest.mark.parametrize("closure", [name for name, entry in CLOSURES.items() if entry])
 def test_tabulated_closure_reaches_node_p_plus_2(closure):
-    rows = CLOSURES[closure]
-    p = len(rows) + 1
+    p = CLOSURES[closure].order
+    rows = closure_rows(closure, p)
+    assert len(rows) == p - 1
     nodes = [
         j
         for cond in rows

@@ -10,11 +10,10 @@ from conftest import consistency_residual, head_rows, monomial_residual
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import parse, values_on_grid
 from nlosc.spline import (
-    IMPROVED_END_CONDITIONS4,
     IMPROVED_SET4,
     IMPROVED_SET6,
-    STANDARD_END_CONDITIONS4,
     WeightSet,
+    closure_rows,
     solve,
     theta_coefficients4,
     truncation_brackets,
@@ -95,7 +94,7 @@ def test_theta_identity_defect_is_reported():
 
 
 # ---------------------------------------------------------------------------
-# closure-row transcription, checked against an exact monomial oracle
+# derived closure rows, checked against an exact monomial oracle
 # ---------------------------------------------------------------------------
 
 STANDARD_LEADING = [F(47, 9), F(71686, 8625), F(143342, 12975)]
@@ -103,14 +102,14 @@ STANDARD_LEADING = [F(47, 9), F(71686, 8625), F(143342, 12975)]
 
 @pytest.mark.parametrize("row", range(3))
 def test_standard_closure_rows_exact_through_degree_5(row):
-    cond = STANDARD_END_CONDITIONS4[row]
+    cond = closure_rows("standard", 4)[row]
     for degree in range(6):
         assert monomial_residual(cond, 4, degree) == 0
 
 
 @pytest.mark.parametrize("row", range(3))
 def test_standard_closure_leading_truncation(row):
-    cond = STANDARD_END_CONDITIONS4[row]
+    cond = closure_rows("standard", 4)[row]
     lead = monomial_residual(cond, 4, 6) / math.factorial(6)
     assert abs(lead) == STANDARD_LEADING[row]
 
@@ -120,14 +119,14 @@ IMPROVED_LEADING = [0.3034, 1.4034, 1.0163]
 
 @pytest.mark.parametrize("row", range(3))
 def test_improved_closure_rows_exact_through_degree_9(row):
-    cond = IMPROVED_END_CONDITIONS4[row]
+    cond = closure_rows("improved", 4)[row]
     for degree in range(10):
         assert monomial_residual(cond, 4, degree) == 0
 
 
 @pytest.mark.parametrize("row", range(3))
 def test_improved_closure_leading_truncation(row):
-    cond = IMPROVED_END_CONDITIONS4[row]
+    cond = closure_rows("improved", 4)[row]
     lead = monomial_residual(cond, 4, 10) / math.factorial(10)
     assert abs(float(lead)) == pytest.approx(IMPROVED_LEADING[row], abs=1.5e-4)
 

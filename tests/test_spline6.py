@@ -12,10 +12,10 @@ from conftest import consistency_residual, head_rows, monomial_residual
 from nlosc.chain import HighOrderIVP, OscillatorChain, reduce_chain
 from nlosc.expr import parse
 from nlosc.spline import (
-    END_CONDITIONS6,
     IMPROVED_SET6,
     WeightSet,
     _series_start,
+    closure_rows,
     derivatives_at_start,
     derive_parameters6,
     solve,
@@ -81,7 +81,7 @@ def test_theta_domain_errors(theta):
 
 
 # ---------------------------------------------------------------------------
-# closure-row transcription
+# derived closure rows, checked against an exact monomial oracle
 # ---------------------------------------------------------------------------
 
 LEADING6 = [4.75, 5.0467, 5.9909, 12.3201, 23.7869]
@@ -89,14 +89,14 @@ LEADING6 = [4.75, 5.0467, 5.9909, 12.3201, 23.7869]
 
 @pytest.mark.parametrize("row", range(5))
 def test_closure_rows_exact_through_degree_7(row):
-    cond = END_CONDITIONS6[row]
+    cond = closure_rows("printed", 6)[row]
     for degree in range(8):
         assert monomial_residual(cond, 6, degree) == 0
 
 
 @pytest.mark.parametrize("row", range(5))
 def test_closure_leading_truncation(row):
-    lead = monomial_residual(END_CONDITIONS6[row], 6, 8) / math.factorial(8)
+    lead = monomial_residual(closure_rows("printed", 6)[row], 6, 8) / math.factorial(8)
     assert abs(float(lead)) == pytest.approx(LEADING6[row], abs=1e-3)
 
 
