@@ -16,11 +16,10 @@ from nlosc.chain import (
     HighOrderIVP,
     OscillatorChain,
     TrajectorySet,
-    initial_derivatives,
     recover_trajectories,
     reduce_chain,
 )
-from nlosc.expr import Expression, differentiate, evaluate, parse, taylor, to_text
+from nlosc.expr import Expression, evaluate, parse, taylor, to_text
 from nlosc.spline import (
     IMPROVED_SET4,
     IMPROVED_SET6,
@@ -37,14 +36,12 @@ __all__ = [
     "Expression",
     "parse",
     "evaluate",
-    "differentiate",
     "taylor",
     "to_text",
     "OscillatorChain",
     "HighOrderIVP",
     "TrajectorySet",
     "reduce_chain",
-    "initial_derivatives",
     "recover_trajectories",
     "WeightSet",
     "GridSolution",

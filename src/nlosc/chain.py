@@ -15,9 +15,9 @@ positions and leaves a single initial value problem of order 2N in
 with ``g`` a combination of derivatives of the driving forces, up to order
 2N-2.  ``g`` is built from :class:`~nlosc.expr.Deriv` nodes over the forces,
 which the evaluator computes from Taylor jets of each force, on a grid or
-at a point; no force is differentiated symbolically, so ``g`` grows by a
-few nodes per oscillator and no differentiation error enters the reduced
-problem.  Once the reduced problem is solved on a grid, the other
+at a point; no derivative of a force is built as an expression, so ``g``
+grows by a few nodes per oscillator and no differentiation error enters the
+reduced problem.  Once the reduced problem is solved on a grid, the other
 trajectories are recovered by walking the ring backwards and integrating
 each oscillator's own equation twice from its initial state, with a
 sixth-order Stormer-Cowell sum; recovered neighbors carry the pivot's
@@ -38,7 +38,6 @@ __all__ = [
     "HighOrderIVP",
     "TrajectorySet",
     "reduce_chain",
-    "initial_derivatives",
     "recover_trajectories",
 ]
 
@@ -142,7 +141,7 @@ def _eliminate(chain: OscillatorChain) -> tuple[tuple[float, ...], float, Expres
     omega_N^2, c_{i+1} = -c_i omega_i^2), whose two-coefficient jet at
     t = a gives u_{2j} and u_{2j+1}.  Returns u and the closing pair
     (c_N, G_N) for which  y_N^(2N) + c_N * y_N = G_N.  Every G_j is built
-    from Deriv nodes, so no force is differentiated symbolically.
+    from Deriv nodes, so no derivative of a force is built as an expression.
     """
     a = chain.interval[0]
     cs: list[float] = []  # c_1..c_{j-1} at step j
@@ -159,7 +158,7 @@ def _eliminate(chain: OscillatorChain) -> tuple[tuple[float, ...], float, Expres
         value, slope = taylor(forcing(j), a, 2)
         u.append(value - c * chain.positions[j - 1])
         u.append(slope - c * chain.velocities[j - 1])
-        # differentiate the identity twice, then substitute oscillator j's
+        # take the identity's second derivative, then substitute oscillator j's
         # equation y_j'' = g_j - omega_j^2 * y_{j+1}
         cs.append(c)
         c = -c * chain.omegas[j - 1] ** 2
@@ -186,18 +185,6 @@ def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
         interval=chain.interval,
         u=u,
     )
-
-
-def initial_derivatives(chain: OscillatorChain) -> tuple[float, ...]:
-    """Derivatives of y_N at t = a implied by the physical initial state.
-
-    u_0 and u_1 are the last oscillator's own position and velocity; each
-    elimination identity  y_N^(2j) + c_j y_j = G_j  and its first
-    derivative then supply u_{2j} and u_{2j+1} from oscillator j's initial
-    position and velocity and the driving forces' derivatives at a, taken
-    from their Taylor jets.
-    """
-    return _eliminate(chain)[0]
 
 
 def _integrate_twice(F: np.ndarray, h: float, y0: float, v0: float) -> np.ndarray:

@@ -304,11 +304,21 @@ def _write_csv(columns, stream) -> None:
     stream.writelines(row % line for line in zip(*values))
 
 
+def _write_csv_file(columns, path: str, flag: str) -> None:
+    """Write the columns as CSV to ``path``; a file that cannot be opened
+    is a ``ConfigError`` naming ``flag``."""
+    try:
+        handle = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(flag, f"cannot write CSV: {exc}") from exc
+    with handle:
+        _write_csv(columns, handle)
+
+
 def _cmd_solve(args) -> int:
     columns = _solve_config(load_config(args.config))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            _write_csv(columns, handle)
+        _write_csv_file(columns, args.out, "--out")
     else:
         _write_csv(columns, sys.stdout)
     return 0
@@ -321,8 +331,7 @@ def _cmd_table(args) -> int:
     for j, name in enumerate(table.columns):
         csv_columns.append((name, [table.values[i, j] for i in range(len(table.ns))]))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            _write_csv(csv_columns, handle)
+        _write_csv_file(csv_columns, args.csv, "--csv")
     else:
         print()
         _write_csv(csv_columns, sys.stdout)

@@ -5,8 +5,8 @@ the operators ``+ - * /``, integer powers ``^``, the functions ``sin``,
 ``cos`` and ``exp``, and ``diff(e, k)``, the k-th derivative of ``e``.
 That is enough to express every driving force, reduced forcing term,
 coefficient function and analytic reference solution this package works
-with, while keeping differentiation exact and total (no finite-difference
-approximation anywhere).
+with.  Every derivative comes from Taylor jets, exact up to rounding (no
+finite-difference approximation anywhere).
 
 Grammar (whitespace insignificant)::
 
@@ -19,10 +19,10 @@ Grammar (whitespace insignificant)::
     number := decimal literal, optionally with an exponent part (1e-3)
 
 Expressions are immutable and share subtrees freely, so an expression is a
-DAG rather than a tree.  Parsing, evaluation and differentiation are pure
-functions, so expressions are safe to share between threads.  There is one
-evaluator walk, which computes each shared node once per call.  It carries
-either plain values, for :func:`evaluate` (one point, errors raised) and
+DAG rather than a tree.  Parsing and evaluation are pure functions, so
+expressions are safe to share between threads.  There is one evaluator
+walk, which computes each shared node once per call.  It carries either
+plain values, for :func:`evaluate` (one point, errors raised) and
 :func:`values_on_grid` (an array of doubles), or truncated Taylor series
 ("jets"), for :func:`taylor`, which gives every derivative up to a chosen
 order at one point without building a derivative expression.  A jet's
@@ -33,11 +33,8 @@ about every grid point at once.
 jet of its operand k coefficients longer (``k! c_k`` for a value, the
 shifted and scaled tail for a jet), so a derivative of any order costs one
 jet walk of the operand, and :func:`to_text` prints it back as
-``diff(e, k)``.  :func:`differentiate` is for when the derivative itself
-is wanted as an expression in the other nodes; each pass differentiates a
-shared node once, so derivatives stay shared.  The operator overloads
-perform only trivial constant folding (0 and 1 identities); there is no
-other simplification machinery.
+``diff(e, k)``.  The operator overloads perform only trivial constant
+folding (0 and 1 identities); there is no other simplification machinery.
 """
 
 from __future__ import annotations
@@ -68,7 +65,6 @@ __all__ = [
     "EvaluationError",
     "parse",
     "evaluate",
-    "differentiate",
     "to_text",
     "values_on_grid",
     "taylor",
@@ -473,79 +469,6 @@ _JET_OPS = {
     Cos: lambda u: _sin_cos(u)[1],
     Exp: _exp,
 }
-
-
-# ---------------------------------------------------------------------------
-# differentiation
-# ---------------------------------------------------------------------------
-
-
-def differentiate(e: Expression, k: int = 1) -> Expression:
-    """Exact k-th derivative of ``e`` with respect to t (k >= 1).
-
-    Derivatives are produced by repeated application of the sum, product,
-    quotient and chain rules; the result stays inside the same grammar.
-    No simplification is attempted beyond constant folding.  Each pass
-    differentiates a shared subtree once and shares its derivative, so
-    the result is a DAG: as a tree it grows steeply with k (the 8th
-    derivative of exp(t)*sin(t)/(1+t^2) unfolds to millions of nodes),
-    but its distinct nodes stay in the tens of thousands, and they grow
-    about 8x per two orders.  For numeric derivatives use :func:`taylor`
-    at a point (the k-th derivative is k! * c_k) or :class:`Deriv`: order
-    14 takes milliseconds where the symbolic route takes seconds.
-    """
-    k = int(k)
-    if k < 1:
-        raise ValueError("derivative order k must be >= 1")
-    for _ in range(k):
-        e = _derivative(e)
-    return e
-
-
-def _derivative(e: Expression) -> Expression:
-    """One derivative pass over the DAG of ``e``."""
-    memo: dict[int, Expression] = {}
-
-    def d(node: Expression) -> Expression:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Const):
-            out = Const(0.0)
-        elif isinstance(node, Var):
-            out = Const(1.0)
-        elif isinstance(node, Add):
-            out = d(node.left) + d(node.right)
-        elif isinstance(node, Sub):
-            out = d(node.left) - d(node.right)
-        elif isinstance(node, Mul):
-            out = d(node.left) * node.right + node.left * d(node.right)
-        elif isinstance(node, Div):
-            num = d(node.left) * node.right - node.left * d(node.right)
-            out = num / (node.right**2)
-        elif isinstance(node, Pow):
-            if node.exponent == 0:
-                out = Const(0.0)
-            elif node.exponent == 1:
-                out = d(node.base)
-            else:
-                out = Const(float(node.exponent)) * node.base ** (node.exponent - 1) * d(node.base)
-        elif isinstance(node, Neg):
-            out = -d(node.operand)
-        elif isinstance(node, Sin):
-            out = Cos(node.arg) * d(node.arg)
-        elif isinstance(node, Cos):
-            out = -Expression._wrap(Sin(node.arg)) * d(node.arg)
-        elif isinstance(node, Exp):
-            out = Exp(node.arg) * d(node.arg)
-        elif isinstance(node, Deriv):
-            out = Deriv(node.operand, node.order + 1)
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        memo[key] = out
-        return out
-
-    return d(e)
 
 
 # ---------------------------------------------------------------------------

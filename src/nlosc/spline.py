@@ -27,8 +27,8 @@ the one row on its support that is exact through its closure's degree.
   through p = 6, O(h^(2p+2)) above), so boundary error no longer masks
   the high-order interior weight sets.  Its
   derivatives come from the initial data extended through the equation,
-  with g and f differentiated at a by Taylor jets
-  (:func:`nlosc.expr.taylor`), not symbolically.
+  with the derivatives of g and f at a taken from Taylor jets
+  (:func:`nlosc.expr.taylor`).
 
 Every closure is solved the same way (:func:`solve`): past its first
 nodes the system is a recurrence, which :func:`nlosc._assembly.march`

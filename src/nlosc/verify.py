@@ -255,13 +255,14 @@ def convergence_order(case: AnalyticCase, method: Method, ns) -> list[float]:
     """Observed convergence slopes of ``method`` on ``case`` over ``ns``.
 
     ``ns`` must be strictly increasing with each entry valid for the
-    method; consecutive entries are expected to double.
+    method.  Each slope is log(e_a/e_b) / log(n_b/n_a) for consecutive
+    sizes n_a < n_b with max errors e_a and e_b.
     """
     ns = list(ns)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("grid sizes must be strictly increasing")
     errors = [max_abs_error(method.solve(case.ivp, n), case.exact) for n in ns]
-    return slopes_from_errors(errors)
+    return [s / log2(b / a) for s, a, b in zip(slopes_from_errors(errors), ns, ns[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from nlosc.expr import (
     Sin,
     Sub,
     Var,
-    differentiate,
-    evaluate,
 )
 from nlosc.spline import closure_rows
 from nlosc.verify import builtin_cases, rk_oracle
@@ -90,23 +88,6 @@ def distinct_nodes(*roots) -> int:
                 if dataclasses.is_dataclass(getattr(node, f.name))
             )
     return len(seen)
-
-
-def symbolic_elimination(chain):
-    """The ring reduction by symbolic differentiation: the initial
-    derivatives u, the coefficient c_N and the forcing G_N, with every
-    force derivative built by ``differentiate`` and evaluated at t = a."""
-    a = chain.interval[0]
-    u = [chain.positions[-1], chain.velocities[-1]]
-    c = chain.omegas[-1] ** 2
-    G = chain.forces[-1]
-    for j in range(1, chain.size):
-        dG = differentiate(G, 1)
-        u.append(evaluate(G, a) - c * chain.positions[j - 1])
-        u.append(evaluate(dG, a) - c * chain.velocities[j - 1])
-        G = differentiate(dG, 1) - Const(c) * chain.forces[j - 1]
-        c = -c * chain.omegas[j - 1] ** 2
-    return tuple(u), c, G
 
 
 def integrate_chain(chain, t0, t1, steps):
@@ -198,7 +179,7 @@ _MP_FUNCTIONS = {Sin: mpmath.sin, Cos: mpmath.cos, Exp: mpmath.exp}
 def mp_value(e, t):
     """Value of ``e`` at the mpmath number ``t`` in mpmath's working
     precision; a reference walk independent of the package's evaluator.
-    A Deriv node is differentiated numerically by ``mpmath.diffs``, which
+    A Deriv node takes its value from ``mpmath.diffs``, which
     raises the precision to keep the working precision in the result."""
     memo, derivatives = {}, {}
 
@@ -235,3 +216,37 @@ def mp_value(e, t):
 def mp_derivatives(e, t, order):
     """e(t), e'(t), ..., e^(order)(t) in mpmath's working precision."""
     return list(mpmath.diffs(lambda s: mp_value(e, s), t, order))
+
+
+def mp_elimination(chain):
+    """The ring reduction with every force derivative from the 40-digit
+    walk: the initial derivatives u, the coefficient c_N and G_N as a
+    function of an array of times.  Twice differentiating the identity
+    y_N^(2j) + c_j y_j = G_j and substituting oscillator j's equation gives
+    G_{j+1} = G_j'' - c_j g_j, with G_1 = g_N; each u entry's
+    G_j(a) - c_j y_j(a) is taken in double, as the elimination does."""
+    size = chain.size
+    cs = [chain.omegas[-1] ** 2]
+    for w in chain.omegas[:-1]:
+        cs.append(-cs[-1] * w**2)
+
+    def forcings(t):
+        """(G_j(t), G_j'(t)) for j < N and (G_N(t),), rounded to double."""
+        with mpmath.workdps(40):
+            jets = {e: mp_derivatives(e, mpmath.mpf(t), 2 * size - 2) for e in set(chain.forces)}
+            forces = [jets[e] for e in chain.forces]
+            G, out = forces[-1], []
+            for c, force in zip(cs, forces):
+                out.append(tuple(float(d) for d in G[:2]))
+                G = [G[m + 2] - c * force[m] for m in range(len(G) - 2)]
+        return out
+
+    u = [chain.positions[-1], chain.velocities[-1]]
+    steps = zip(forcings(chain.interval[0]), cs, chain.positions[:-1], chain.velocities[:-1])
+    for (value, slope), c, y, v in steps:
+        u += [value - c * y, slope - c * v]
+
+    def g(t):
+        return np.array([forcings(x)[-1][0] for x in np.atleast_1d(t)])
+
+    return tuple(u), cs[-1], g

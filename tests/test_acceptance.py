@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from nlosc.chain import HighOrderIVP, recover_trajectories, reduce_chain
-from nlosc.expr import differentiate, evaluate, parse
+from nlosc.expr import Deriv, evaluate, parse
 from nlosc.spline import (
     IMPROVED_SET4,
     IMPROVED_SET6,
@@ -239,7 +239,7 @@ def test_criterion_7_property_suite(oracle):
     h = 1e-5
     for text in battery:
         e = parse(text)
-        d = differentiate(e, 1)
+        d = Deriv(e, 1)
         for t in (-0.8, -0.2, 0.3, 0.9):
             fd = (evaluate(e, t + h) - evaluate(e, t - h)) / (2 * h)
             analytic = evaluate(d, t)

@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import distinct_nodes, integrate_chain, mp_value, symbolic_elimination
+from conftest import distinct_nodes, integrate_chain, mp_elimination, mp_value
 from nlosc.chain import (
     HighOrderIVP,
     OscillatorChain,
-    initial_derivatives,
     recover_trajectories,
     reduce_chain,
 )
-from nlosc.expr import Const, EvaluationError, differentiate, evaluate, parse, values_on_grid
+from nlosc.expr import Const, Deriv, EvaluationError, evaluate, parse, values_on_grid
 from nlosc.spline import IMPROVED_SET4, GridSolution, solve
 from nlosc.verify import METHODS, rk_oracle
 
@@ -51,10 +50,10 @@ def closed_form_ring():
     )
     chain = OscillatorChain(
         omegas=w,
-        forces=tuple(differentiate(y[k], 2) + Const(w[k] ** 2) * y[(k + 1) % 3] for k in range(3)),
+        forces=tuple(Deriv(y[k], 2) + Const(w[k] ** 2) * y[(k + 1) % 3] for k in range(3)),
         interval=(0.0, 1.0),
         positions=tuple(evaluate(e, 0.0) for e in y),
-        velocities=tuple(evaluate(differentiate(e, 1), 0.0) for e in y),
+        velocities=tuple(evaluate(Deriv(e, 1), 0.0) for e in y),
     )
     return chain, y
 
@@ -138,11 +137,31 @@ def four_ring():
 def test_reduced_forcing_matches_symbolic_elimination():
     chain = four_ring()
     ivp = reduce_chain(chain)
-    u, c, g = symbolic_elimination(chain)
+    u, c, g = mp_elimination(chain)
     assert evaluate(ivp.f, 0.0) == c
     assert ivp.u == pytest.approx(u, rel=1e-12)
     t = np.linspace(0.0, 1.0, 65)
-    expected = values_on_grid(g, t)
+    expected = g(t)
+    assert np.max(np.abs(values_on_grid(ivp.g, t) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
+def test_reduction_matches_mp_elimination_at_every_ring_size(size):
+    # the order-2N forcing holds force derivatives up to order 2N - 2 = 10
+    force = parse("exp(t)*sin(t)/(1+t^2)")
+    chain = OscillatorChain(
+        omegas=tuple(0.7 + 0.15 * k for k in range(size)),
+        forces=(force,) * size,
+        interval=(0.0, 1.0),
+        positions=tuple(0.4 - 0.3 * k for k in range(size)),
+        velocities=tuple(-0.2 + 0.25 * k for k in range(size)),
+    )
+    ivp = reduce_chain(chain)
+    u, c, g = mp_elimination(chain)
+    assert evaluate(ivp.f, 0.0) == c
+    assert ivp.u == pytest.approx(u, rel=1e-14)
+    t = np.linspace(0.0, 1.0, 5)
+    expected = g(t)
     assert np.max(np.abs(values_on_grid(ivp.g, t) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -249,8 +268,8 @@ def test_reduction_consistency_against_oracle(cases):
 # ---------------------------------------------------------------------------
 
 
-def test_initial_derivatives_match_case1_data():
-    u = initial_derivatives(example_chain())
+def test_reduced_u_matches_case1_data():
+    u = reduce_chain(example_chain()).u
     expected = (
         -2 * SIN1,
         2 * COS1 + SIN1,
@@ -260,11 +279,11 @@ def test_initial_derivatives_match_case1_data():
     assert u == pytest.approx(expected, abs=1e-12)
 
 
-def test_initial_derivatives_zero_chain():
-    assert initial_derivatives(zero_chain(3)) == (0.0,) * 6
+def test_reduced_u_of_a_zero_chain():
+    assert reduce_chain(zero_chain(3)).u == (0.0,) * 6
 
 
-def test_initial_derivatives_against_trajectory_fit():
+def test_reduced_u_against_trajectory_fit():
     """Independent check: integrate the ring system finely, fit the last
     oscillator's trajectory near t = a, and compare fitted derivatives."""
     chain = OscillatorChain(
@@ -274,7 +293,7 @@ def test_initial_derivatives_against_trajectory_fit():
         positions=(1.0, 0.0, 0.0),
         velocities=(0.0, 0.0, 0.0),
     )
-    u = initial_derivatives(chain)
+    u = reduce_chain(chain).u
     window = 0.4
     t, history = integrate_chain(chain, 0.0, window, 4000)
     y3 = history[:, 4]
@@ -297,12 +316,12 @@ def test_round_trip_inverse_map():
             positions=tuple(rng.uniform(-2, 2, 2)),
             velocities=tuple(rng.uniform(-2, 2, 2)),
         )
-        u = initial_derivatives(chain)
+        u = reduce_chain(chain).u
         a = chain.interval[0]
         g2 = chain.forces[1]
         w2 = omegas[1] ** 2
         y1 = (evaluate(g2, a) - u[2]) / w2
-        v1 = (evaluate(differentiate(g2, 1), a) - u[3]) / w2
+        v1 = (evaluate(Deriv(g2, 1), a) - u[3]) / w2
         assert y1 == pytest.approx(chain.positions[0], abs=1e-12)
         assert v1 == pytest.approx(chain.velocities[0], abs=1e-12)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import symbolic_elimination
+from conftest import mp_elimination
 from nlosc.chain import reduce_chain
 from nlosc.cli import ConfigError, _write_csv, load_config, main
 from nlosc.expr import Const, evaluate, parse, to_text, values_on_grid
@@ -88,7 +88,7 @@ def test_reduce_prints_what_symbolic_elimination_prints(tmp_path, capsys):
     path = write_config(tmp_path, config)
     assert main(["reduce", "--config", path]) == 0
     chain = load_config(path).chain
-    u, c, g = symbolic_elimination(chain)
+    u, c, g = mp_elimination(chain)
     payload = json.loads(capsys.readouterr().out)
     expected = {
         "mode": "ivp",
@@ -100,23 +100,23 @@ def test_reduce_prints_what_symbolic_elimination_prints(tmp_path, capsys):
         **{key: config[key] for key in ("method", "n", "exact")},
     }
     assert payload == expected
-    # g is printed with diff(e, k), which symbolic elimination expands
+    # g is printed with diff(e, k); the reference takes its values at 40 digits
     grid = np.linspace(*chain.interval, 9)
     assert values_on_grid(parse(payload["g"]), grid) == pytest.approx(
-        values_on_grid(g, grid), rel=1e-14, abs=1e-14
+        g(grid), rel=1e-14, abs=1e-14
     )
 
 
 def test_reduced_forcing_text_of_a_product_ring_is_symbolic():
     chain, _ = product_ring()
     ivp = reduce_chain(chain)
-    u, _, g = symbolic_elimination(chain)
+    u, _, g = mp_elimination(chain)
     text = to_text(ivp.g)
     assert to_text(parse(text)) == text
     grid = np.linspace(*chain.interval, 9)
-    assert values_on_grid(parse(text), grid) == pytest.approx(values_on_grid(g, grid), rel=1e-12)
-    # u comes from force jets, which round differently: y^(5)(0) is 4 ulp
-    # from the symbolic value (and 1e-17 from the exact one, against 7e-16)
+    assert values_on_grid(parse(text), grid) == pytest.approx(g(grid), rel=1e-12)
+    # u comes from force jets in double: y'''(0) and y^(4)(0) are 1 ulp from
+    # the values the 40-digit force derivatives give
     assert ivp.u == pytest.approx(u, rel=1e-14)
 
 
@@ -368,6 +368,34 @@ def test_convergence_command(capsys):
     out = capsys.readouterr().out
     slopes = [float(line.rsplit(" ", 1)[1]) for line in out.strip().split("\n")[1:]]
     assert len(slopes) == 2 and all(s >= 5.5 for s in slopes)
+
+
+def test_convergence_slopes_on_grids_that_do_not_double(capsys):
+    # 12->18 and 18->24 read 7.35 and 7.34; the bare log2 error ratios
+    # are 4.30 and 3.05
+    assert main(["convergence", "--case", "1", "--method", "improved4", "--n", "6,12,18,24"]) == 0
+    out = capsys.readouterr().out
+    slopes = [float(line.rsplit(" ", 1)[1]) for line in out.strip().split("\n")[1:]]
+    assert len(slopes) == 3 and all(6.5 <= s <= 8 for s in slopes), slopes
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["solve", "--config", None, "--out"], "--out"),
+        (["table", "--id", "2", "--csv"], "--csv"),
+    ],
+    ids=["solve", "table"],
+)
+def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, argv, flag):
+    config = write_config(tmp_path, chain_config())
+    target = str(tmp_path / "missing" / "x.csv")
+    argv = [config if arg is None else arg for arg in argv] + [target]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: cannot write CSV: ") and target in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_convergence_order_mismatch(capsys):

@@ -1,4 +1,4 @@
-"""Tests for the expression language: parsing, evaluation, differentiation."""
+"""Tests for the expression language: parsing, evaluation, derivatives."""
 
 import dataclasses
 import math
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import distinct_nodes, mp_derivatives
+from conftest import mp_derivatives
 from nlosc.expr import (
     Add,
     Const,
@@ -26,7 +26,6 @@ from nlosc.expr import (
     Sin,
     Sub,
     Var,
-    differentiate,
     evaluate,
     parse,
     taylor,
@@ -159,46 +158,35 @@ def test_values_on_grid_visits_shared_nodes_once():
 
 
 # ---------------------------------------------------------------------------
-# differentiate
+# derivatives
 # ---------------------------------------------------------------------------
 
 
 def test_second_derivative_of_cosine_force():
-    d2 = differentiate(parse("-4*cos(t)"), 2)
+    d2 = Deriv(parse("-4*cos(t)"), 2)
     assert_pointwise(d2, parse("4*cos(t)"))
 
 
 def test_fourth_derivative_of_exp():
-    assert_pointwise(differentiate(parse("exp(t)"), 4), parse("exp(t)"))
+    assert_pointwise(Deriv(parse("exp(t)"), 4), parse("exp(t)"))
 
 
 def test_power_rule():
-    assert evaluate(differentiate(parse("t^3"), 1), 2.0) == pytest.approx(12.0)
-
-
-def test_derivative_order_must_be_positive():
-    with pytest.raises(ValueError):
-        differentiate(Var(), 0)
+    assert evaluate(Deriv(parse("t^3"), 1), 2.0) == pytest.approx(12.0)
 
 
 def test_quotient_rule():
     e = Div(Var(), Add(Const(1.0), Pow(Var(), 2)))
-    d = differentiate(e, 1)
+    d = Deriv(e, 1)
     # d/dt t/(1+t^2) = (1-t^2)/(1+t^2)^2
     for t in SAMPLE_TIMES:
         expected = (1 - t * t) / (1 + t * t) ** 2
         assert evaluate(d, t) == pytest.approx(expected, rel=1e-12)
 
 
-def test_high_derivatives_share_subtrees():
-    # as a tree this derivative has millions of nodes
-    d8 = differentiate(parse("exp(t)*sin(t)/(1+t^2)"), 8)
-    assert distinct_nodes(d8) < 50_000
-
-
 def test_eighth_derivative_of_exp_sin():
     # (e^t sin t)^(8) = 2^4 e^t sin(t + 2 pi)
-    d8 = differentiate(parse("exp(t)*sin(t)"), 8)
+    d8 = Deriv(parse("exp(t)*sin(t)"), 8)
     for t in (-1.0, -0.3, 0.4, 1.0, 1.9):
         assert evaluate(d8, t) == pytest.approx(16 * math.exp(t) * math.sin(t), rel=1e-13)
 
@@ -229,24 +217,18 @@ JET_POINTS = (-0.7, 0.0, 0.3, 1.1)
 JET_ORDER = 8
 
 
-def _symbolic_derivatives(e, order):
-    derivatives = [e]
-    for _ in range(order):
-        derivatives.append(differentiate(derivatives[-1], 1))
-    return derivatives
-
-
 @pytest.mark.parametrize("dtype", [np.float64])
 @pytest.mark.parametrize("name", sorted(JET_CASES))
 def test_jet_coefficients_are_scaled_derivatives(name, dtype):
     e = JET_CASES[name]
-    derivatives = _symbolic_derivatives(e, JET_ORDER)
     for t0 in JET_POINTS:
         point = dtype(t0)
         jet = taylor(e, point, JET_ORDER + 1)
         assert jet.dtype == dtype and jet.shape == (JET_ORDER + 1,)
+        with mpmath.workdps(40):
+            derivatives = mp_derivatives(e, mpmath.mpf(t0), JET_ORDER)
         for k, d in enumerate(derivatives):
-            expected = values_on_grid(d, point)
+            expected = float(d)
             got = math.factorial(k) * jet[k]
             # relative, with a floor where the derivative vanishes, as
             # (e^t sin t)^(8) = 16 e^t sin(t + 2 pi) does at t = 0
@@ -293,19 +275,19 @@ def _close(got, expected):
 @pytest.mark.parametrize("name", sorted(JET_CASES))
 def test_deriv_matches_symbolic_differentiation(name, dtype):
     e = JET_CASES[name]
-    derivatives = _symbolic_derivatives(e, JET_ORDER)
     grid = DERIV_GRID.astype(dtype)
-    # the jet of a symbolic derivative in double is the less accurate
-    # route (the 7th derivative of "composite" at 1.1 is 2.5e-11 off in
-    # c_3, the jet of Deriv 1e-16), so the jets are checked against the
-    # derivatives of e to 40 digits
+    # every reference derivative is taken to 40 digits and rounded once; at
+    # about 5 ms a point, every 4th node (both ends included) is checked
     with mpmath.workdps(40):
+        on_grid = np.array(
+            [[float(d) for d in mp_derivatives(e, mpmath.mpf(x), JET_ORDER)] for x in grid[::4]]
+        )
         exact = {t0: mp_derivatives(e, mpmath.mpf(t0), JET_ORDER + 3) for t0 in JET_POINTS}
-    for k, d in enumerate(derivatives):
+    for k in range(JET_ORDER + 1):
         node = Deriv(e, k)
         got = values_on_grid(node, grid)
         assert got.dtype == dtype and got.shape == grid.shape
-        assert _close(got, values_on_grid(d, grid)), (name, k)
+        assert _close(got[::4], on_grid[:, k]), (name, k)
         for t0 in JET_POINTS:
             jet = taylor(node, dtype(t0), 4)
             assert jet.dtype == dtype
@@ -322,10 +304,11 @@ def test_deriv_folds_and_differentiates_to_a_higher_order():
     assert values_on_grid(Deriv(Deriv(e, 2), 3), DERIV_GRID) == pytest.approx(
         values_on_grid(Deriv(e, 5), DERIV_GRID), rel=1e-13
     )
-    assert differentiate(Deriv(e, 3), 2) == Deriv(e, 5)
     with pytest.raises(ValueError):
         Deriv(e, -1)
-    assert evaluate(Deriv(e, 3), 0.4) == pytest.approx(evaluate(differentiate(e, 3), 0.4), rel=1e-13)
+    with mpmath.workdps(40):
+        third = float(mp_derivatives(e, mpmath.mpf(0.4), 3)[3])
+    assert evaluate(Deriv(e, 3), 0.4) == pytest.approx(third, rel=1e-13)
 
 
 def test_deriv_prints_as_diff_and_parses_back():
@@ -408,9 +391,9 @@ def test_derivative_matches_central_difference(e, t):
     h = 1e-5
     stencil = [evaluate(e, t + k * h) for k in (-2, -1, 0, 1, 2)]
     assume(all(np.isfinite(v) and abs(v) < 50.0 for v in stencil))
-    third = evaluate(differentiate(e, 3), t)
+    third = evaluate(Deriv(e, 3), t)
     assume(np.isfinite(third) and abs(third) < 5e4)
-    analytic = evaluate(differentiate(e, 1), t)
+    analytic = evaluate(Deriv(e, 1), t)
     assume(np.isfinite(analytic))
     fd = (stencil[3] - stencil[1]) / (2 * h)
     assert abs(analytic - fd) <= 1e-6 * (1.0 + abs(analytic))
@@ -418,8 +401,8 @@ def test_derivative_matches_central_difference(e, t):
 
 @given(expressions, st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=2))
 def test_derivative_composition(e, j, k):
-    combined = differentiate(e, j + k)
-    nested = differentiate(differentiate(e, j), k)
+    combined = Deriv(e, j + k)
+    nested = Deriv(Deriv(e, j), k)
     for t in np.linspace(-1.2, 1.2, 7):
         a, b = evaluate(combined, t), evaluate(nested, t)
         assume(np.isfinite(a) and abs(a) < 1e8)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlosc.chain import HighOrderIVP
-from nlosc.expr import differentiate, evaluate, parse, values_on_grid
+from nlosc.expr import Deriv, evaluate, parse, values_on_grid
 from nlosc.spline import GridSolution
 from nlosc.verify import (
     METHODS,
@@ -44,11 +44,11 @@ def test_case1_initial_data_closed_forms(cases):
 
 
 def test_exact_solutions_satisfy_their_equations(cases):
-    """Symbolic residual |y^(order) + f y - g| at random interior points."""
+    """Residual |y^(order) + f y - g| at random interior points."""
     rng = np.random.default_rng(3)
     for case in cases.values():
         a, b = case.ivp.interval
-        high = differentiate(case.exact, case.ivp.order)
+        high = Deriv(case.exact, case.ivp.order)
         for t in rng.uniform(a, b, 20):
             residual = (
                 evaluate(high, t)
@@ -103,8 +103,12 @@ def test_convergence_order_requires_increasing_grids(cases):
 
 
 def test_convergence_order_improved4(cases):
-    slopes = convergence_order(cases[1], METHODS["improved4"], [6, 12, 24])
+    method, ns = METHODS["improved4"], [6, 12, 24]
+    slopes = convergence_order(cases[1], method, ns)
     assert all(s >= 5.5 for s in slopes)
+    # log2(n_b/n_a) is exactly 1.0, so doubling grids keep the bare ratio's bits
+    errors = [max_abs_error(method.solve(cases[1].ivp, n), cases[1].exact) for n in ns]
+    assert slopes == slopes_from_errors(errors)
 
 
 # ---------------------------------------------------------------------------
