@@ -142,29 +142,34 @@ def _eliminate(chain: OscillatorChain) -> tuple[tuple[float, ...], float, Expres
     t = a gives u_{2j} and u_{2j+1}.  Returns u and the closing pair
     (c_N, G_N) for which  y_N^(2N) + c_N * y_N = G_N.  Every G_j is built
     from Deriv nodes, so no derivative of a force is built as an expression.
+    ``ValueError`` if a c_j overflows or is not finite.
     """
     a = chain.interval[0]
-    cs: list[float] = []  # c_1..c_{j-1} at step j
+    # c_1..c_N: each step takes the identity's second derivative, then
+    # substitutes oscillator j's equation y_j'' = g_j - omega_j^2 * y_{j+1}
+    try:
+        cs = [chain.omegas[-1] ** 2]
+        for w in chain.omegas[:-1]:
+            cs.append(-cs[-1] * w**2)
+    except OverflowError:  # float ** raises where float * gives inf
+        cs = [math.inf]
+    if not all(map(math.isfinite, cs)):
+        raise ValueError("a coefficient c_j, a product of squared frequencies, is not finite")
 
     def forcing(j: int) -> Expression:
         G = Deriv(chain.forces[-1], 2 * j - 2)
-        for i, c_i in enumerate(cs, start=1):
+        for i, c_i in enumerate(cs[: j - 1], start=1):
             G = G - Const(c_i) * Deriv(chain.forces[i - 1], 2 * (j - i) - 2)
         return G
 
     u = [chain.positions[-1], chain.velocities[-1]]
-    c = chain.omegas[-1] ** 2
     for j in range(1, chain.size):
         value, slope = taylor(forcing(j), a, 2)
-        u.append(value - c * chain.positions[j - 1])
-        u.append(slope - c * chain.velocities[j - 1])
-        # take the identity's second derivative, then substitute oscillator j's
-        # equation y_j'' = g_j - omega_j^2 * y_{j+1}
-        cs.append(c)
-        c = -c * chain.omegas[j - 1] ** 2
+        u.append(value - cs[j - 1] * chain.positions[j - 1])
+        u.append(slope - cs[j - 1] * chain.velocities[j - 1])
     if not all(math.isfinite(v) for v in u):
         raise EvaluationError(f"non-finite force derivative at t={a}")
-    return tuple(u), c, forcing(chain.size)
+    return tuple(u), cs[-1], forcing(chain.size)
 
 
 def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:

@@ -148,6 +148,16 @@ def _method_field(value, path: str) -> Method:
         raise ConfigError(f"{path}.{closure_key}", str(exc)) from exc
 
 
+def _check_order(method: Method, order: int, path: str) -> None:
+    """``ConfigError`` at ``path`` unless ``method`` solves problems of ``order``."""
+    if method.order != order:
+        raise ConfigError(
+            path,
+            f"method {method.name!r} solves order {method.order}, "
+            f"but the problem has order {order}",
+        )
+
+
 @dataclass
 class RunConfig:
     """A loaded config; ``ivp`` is the problem to solve, for a chain config
@@ -215,7 +225,12 @@ def load_config(path: str) -> RunConfig:
             positions=positions,
             velocities=velocities,
         )
-        ivp = reduce_chain(chain)
+        try:
+            ivp = reduce_chain(chain)
+        except ExpressionError:
+            raise
+        except ValueError as exc:  # a coefficient overflows
+            raise ConfigError("$.omegas", str(exc)) from exc
     else:
         interval = _interval_field(_need(raw, "interval", "$"), "$.interval")
         order = _need(raw, "order", "$")
@@ -242,13 +257,7 @@ def load_config(path: str) -> RunConfig:
         mode=mode, chain=chain, ivp=ivp, method=method, n=n, exact=exact, raw=raw
     )
     if method is not None:
-        order = ivp.order
-        if method.order != order:
-            raise ConfigError(
-                "$.method",
-                f"method {method.name!r} solves order {method.order}, "
-                f"but the problem has order {order}",
-            )
+        _check_order(method, ivp.order, "$.method")
         if n is not None and n < method.min_n:
             raise ConfigError("$.n", f"method {method.name!r} needs n >= {method.min_n}")
     return config
@@ -326,13 +335,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_table(args) -> int:
     table = reproduce_table(args.id)
-    print(render_table(table))
     csv_columns = [("n", list(table.ns))]
     for j, name in enumerate(table.columns):
         csv_columns.append((name, [table.values[i, j] for i in range(len(table.ns))]))
+    # a --csv path that cannot be written fails before anything is printed
     if args.csv:
         _write_csv_file(csv_columns, args.csv, "--csv")
-    else:
+    print(render_table(table))
+    if not args.csv:
         print()
         _write_csv(csv_columns, sys.stdout)
     return 0
@@ -359,13 +369,8 @@ def _grid_sizes(text: str, method: Method) -> list[int]:
 
 def _cmd_convergence(args) -> int:
     case = case_by_id(args.case)
-    if args.method not in METHODS:
-        raise ConfigError("--method", f"unknown method preset {args.method!r}")
-    method = METHODS[args.method]
-    if case.ivp.order != method.order:
-        raise ConfigError(
-            "--method", f"case {args.case} has order {case.ivp.order}, method solves {method.order}"
-        )
+    method = _method_field(args.method, "--method")
+    _check_order(method, case.ivp.order, "--method")
     ns = _grid_sizes(args.n, method)
     slopes = convergence_order(case, method, ns)
     print(f"case {case.case_id} ({case.label}), method {method.name}")

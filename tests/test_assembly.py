@@ -10,25 +10,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nlosc import _assembly
-from nlosc._assembly import (
+from nlosc import spline
+from nlosc.chain import HighOrderIVP
+from nlosc.expr import parse, values_on_grid
+from nlosc.spline import (
+    IMPROVED_SET4,
     SWEEP_MIN_NODES,
     _loop,
     _march_rows,
+    _series_start,
     _sweep,
+    _zeroing_weights,
+    closure_rows,
     grid_values,
     head_system,
     march,
     min_n,
     solve_head,
-)
-from nlosc.chain import HighOrderIVP
-from nlosc.expr import parse, values_on_grid
-from nlosc.spline import (
-    IMPROVED_SET4,
-    _series_start,
-    _zeroing_weights,
-    closure_rows,
 )
 from nlosc.verify import METHODS, case_by_id, max_abs_error
 from test_spline import PRESET_CASES, four_ring
@@ -99,12 +97,7 @@ def dense_assembly(ivp, n, weights, end_conditions, pinned=(), dtype=np.float64,
         rhs[row] = dtype(value)
     for row, cond in enumerate(end_conditions, start=len(pinned)):
         value = dtype(0)
-        net = {}
         for j, c in cond.node_derivs:
-            net[j] = net.get(j, Fraction(0)) + c
-        for j, o in cond.bracket_derivs:
-            net[j] = net.get(j, Fraction(0)) - o
-        for j, c in net.items():
             rows[at(row, j)] += hp * cast(c) * f[j]
             value += hp * cast(c) * g[j]
         for j, d in cond.node_values:
@@ -149,7 +142,7 @@ def test_densified_band_matches_dense_assembly(case_id, method, n, dtype):
 
 @pytest.mark.parametrize(
     "field, node",
-    [("node_derivs", 6), ("node_values", 7), ("bracket_derivs", 6), ("node_values", -1)],
+    [("node_derivs", 6), ("node_values", 7), ("node_values", -1)],
 )
 def test_closure_row_outside_the_band_is_rejected_on_every_call(field, node):
     # row 1 of an order-4 closure may reach the nodes -2..5 of its band row;
@@ -400,7 +393,7 @@ def test_sweep_gives_the_bits_of_the_loop_for_any_forcing(
 def test_sweep_hands_unsettled_steps_to_the_loop(monkeypatch, limit):
     # the built-in cases need 4-8 sweeps, so each limit here ends the
     # sweeps early and the loop finishes from the first unsettled step
-    monkeypatch.setattr(_assembly, "SWEEP_LIMIT", limit)
+    monkeypatch.setattr(spline, "SWEEP_LIMIT", limit)
     for case_id, name in ONE_PER_CASE:
         ivp, method = case_by_id(case_id).ivp, METHODS[name]
         loop, sweep = loop_and_sweep(*march_inputs(ivp, method, 512 - head_end(ivp, method)))

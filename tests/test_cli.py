@@ -392,15 +392,23 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, argv, flag):
     target = str(tmp_path / "missing" / "x.csv")
     argv = [config if arg is None else arg for arg in argv] + [target]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"config error: {flag}: cannot write CSV: ") and target in err
     assert "Traceback" not in err
+    assert out == ""
     assert not (tmp_path / "missing").exists()
 
 
 def test_convergence_order_mismatch(capsys):
     assert main(["convergence", "--case", "3", "--method", "improved4", "--n", "8,16"]) == 2
     assert "order" in capsys.readouterr().err
+
+
+def test_convergence_unknown_method_lists_choices(capsys):
+    assert main(["convergence", "--case", "1", "--method", "nope", "--n", "8,16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --method: unknown method preset 'nope'")
+    assert "improved4" in err
 
 
 @pytest.mark.parametrize(
@@ -512,6 +520,20 @@ def test_numeric_fields_must_be_finite_numbers(tmp_path, capsys, mode, key, entr
         warnings.simplefilter("error")
         assert main(["solve", "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["reduce", "solve"])
+@pytest.mark.parametrize("omegas", [[1e200, 1.0], [1e100, 1e100, 1e100]], ids=["2", "3"])
+def test_overflowing_frequencies_are_a_config_error(tmp_path, capsys, omegas, command):
+    # c_2 = -omega_2^2 omega_1^2 leaves the float range: 1e200 ** 2 raises
+    # OverflowError, 1e200 * 1e200 is inf
+    size = len(omegas)
+    cfg = {**chain_config(), "omegas": omegas, "forces": ["0"] * size}
+    cfg.update(positions=[0] * size, velocities=[0] * size)
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $.omegas: ") and "not finite" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_preset_lists_choices(tmp_path, capsys):

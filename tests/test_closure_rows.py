@@ -1,18 +1,30 @@
 """The derived closure rows against the rows once typed into nlosc.spline.
 
 Until the rows were derived from their supports, the package held them as
-the literals below.  The derivation must give them back exactly: the same
-Fractions in the same term order, since the head builder folds right-hand
-sides in that order, so the order is part of a solve's bits."""
+the literals below, whose brackets held D terms of their own (``o_terms``,
+(j, o_j)).  The derivation must give them back exactly once those are
+netted into the D coefficients: the same Fractions in the same term
+order, since the head builder folds right-hand sides in that order, so the
+order is part of a solve's bits."""
 
 from fractions import Fraction
 
 import pytest
 
-from nlosc._assembly import EndCondition
+from nlosc import spline
 from nlosc.spline import CLOSURES, closure_rows
 
 _F = Fraction
+
+
+def EndCondition(node_derivs, node_values, initial_derivs, o_terms=()):
+    """A row as typed, with each bracket term (j, o_j) netted into the D
+    coefficients as c_j - o_j, in the same term order."""
+    net = dict(node_derivs)
+    for j, o in o_terms:
+        net[j] = net.get(j, 0) - o
+    return spline.EndCondition(tuple(net.items()), node_values, initial_derivs)
+
 
 # Standard fourth-order closure: rows exact for polynomials through degree 5.
 STANDARD_END_CONDITIONS4 = (
@@ -20,7 +32,7 @@ STANDARD_END_CONDITIONS4 = (
         node_derivs=((0, _F(1)), (4, _F(1))),
         node_values=((0, _F(-220, 9)), (1, _F(40)), (2, _F(-20)), (3, _F(40, 9))),
         initial_derivs=((1, _F(-40, 3)),),
-        bracket_derivs=((0, _F(-4, 3)),),
+        o_terms=((0, _F(-4, 3)),),
     ),
     EndCondition(
         node_derivs=((1, _F(1)), (5, _F(1))),
@@ -112,7 +124,7 @@ END_CONDITIONS6 = (
             (4, _F(21, 4)),
         ),
         initial_derivs=((1, _F(175)), (2, _F(42))),
-        bracket_derivs=((0, _F(-4, 5)),),
+        o_terms=((0, _F(-4, 5)),),
     ),
     EndCondition(
         node_derivs=((1, _F(1)), (5, _F(1))),
@@ -124,7 +136,7 @@ END_CONDITIONS6 = (
             (5, _F(87150, 21983)),
         ),
         initial_derivs=((1, _F(283500, 21983)), (2, _F(172620, 21983))),
-        bracket_derivs=((1, _F(-40167, 21983)),),
+        o_terms=((1, _F(-40167, 21983)),),
     ),
     EndCondition(
         node_derivs=((2, _F(1)), (6, _F(1))),
@@ -191,7 +203,7 @@ def test_derived_rows_equal_the_literals_term_by_term(closure):
     rows = closure_rows(closure, order)
     assert len(rows) == len(literal)
     for row, expected in zip(rows, literal):
-        for name in ("node_derivs", "node_values", "initial_derivs", "bracket_derivs"):
+        for name in ("node_derivs", "node_values", "initial_derivs"):
             terms = getattr(row, name)
             assert terms == getattr(expected, name), name
             assert all(type(j) is int and type(c) is Fraction for j, c in terms), name

@@ -74,11 +74,7 @@ def test_tabulated_closure_reaches_node_p_plus_2(closure):
     p = CLOSURES[closure].order
     rows = closure_rows(closure, p)
     assert len(rows) == p - 1
-    nodes = [
-        j
-        for cond in rows
-        for j, _ in cond.node_derivs + cond.node_values + cond.bracket_derivs
-    ]
+    nodes = [j for cond in rows for j, _ in cond.node_derivs + cond.node_values]
     assert max(nodes) == p + 2 == min_n(p)
     assert closure_rows(closure, p) is rows
 
