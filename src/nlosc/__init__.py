@@ -15,7 +15,6 @@ The public surface is organized by module:
 from nlosc.chain import (
     HighOrderIVP,
     OscillatorChain,
-    TrajectorySet,
     recover_trajectories,
     reduce_chain,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "to_text",
     "OscillatorChain",
     "HighOrderIVP",
-    "TrajectorySet",
     "reduce_chain",
     "recover_trajectories",
     "WeightSet",

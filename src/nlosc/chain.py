@@ -20,8 +20,9 @@ grows by a few nodes per oscillator and no differentiation error enters the
 reduced problem.  Once the reduced problem is solved on a grid, the other
 trajectories are recovered by walking the ring backwards and integrating
 each oscillator's own equation twice from its initial state, with a
-sixth-order Stormer-Cowell sum; recovered neighbors carry the pivot's
-accuracy.
+sixth-order Stormer-Cowell sum.  Above N = 2 the pivot converges faster
+than sixth order, so the recovered neighbors cap the ring's accuracy
+(ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from nlosc.expr import Const, Deriv, EvaluationError, Expression, taylor, values
 __all__ = [
     "OscillatorChain",
     "HighOrderIVP",
-    "TrajectorySet",
     "reduce_chain",
     "recover_trajectories",
 ]
@@ -111,26 +111,6 @@ class HighOrderIVP:
         a, b = self.interval
         if not a < b:
             raise ValueError(f"empty time interval [{a}, {b}]")
-
-
-@dataclass(frozen=True, eq=False)
-class TrajectorySet:
-    """Per-oscillator trajectories on a shared grid (row k-1 = oscillator k)."""
-
-    grid: np.ndarray
-    trajectories: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.trajectories, dtype=float)
-        if values.ndim != 2 or values.shape[1] != grid.shape[0]:
-            raise ValueError("trajectory rows must share the grid length")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "trajectories", values)
-
-    def oscillator(self, k: int) -> np.ndarray:
-        """Trajectory of oscillator ``k`` (1-based)."""
-        return self.trajectories[k - 1]
 
 
 def _eliminate(chain: OscillatorChain) -> tuple[tuple[float, ...], float, Expression]:
@@ -215,16 +195,18 @@ def _integrate_twice(F: np.ndarray, h: float, y0: float, v0: float) -> np.ndarra
     return y0 + np.concatenate(([0.0], np.cumsum(np.cumsum(steps))))
 
 
-def recover_trajectories(chain: OscillatorChain, solution) -> TrajectorySet:
-    """Translate a solved grid for y_N back into all N oscillator paths.
+def recover_trajectories(chain: OscillatorChain, solution) -> np.ndarray:
+    """All N oscillator paths from a solved grid for y_N: an (N, n+1)
+    array whose row k-1 is oscillator k on ``solution.t``.
 
     ``solution`` is a GridSolution for the reduced problem of this chain.
-    y_N is copied from the solution; the ring is then walked backwards,
-    integrating each oscillator's own equation y_k'' = g_k - omega_k^2 y_{k+1}
-    twice from its initial state, for k = N-1 down to 1.  Equation N holds
+    y_N is copied from it; the ring is then walked backwards, integrating
+    each oscillator's own equation y_k'' = g_k - omega_k^2 y_{k+1} twice
+    from its initial state, for k = N-1 down to 1.  Equation N holds
     through the reduction.  The integration is sixth order in the grid
-    spacing, so each neighbor carries the pivot's accuracy; it needs at
-    least six grid intervals.
+    spacing, which caps the neighbors' accuracy where the pivot converges
+    faster (N > 2); it needs at least six grid intervals.  ``ValueError``
+    names the oscillator and node where a path is first not finite.
     """
     t = np.asarray(solution.t, dtype=float)
     n = t.shape[0] - 1
@@ -236,6 +218,11 @@ def recover_trajectories(chain: OscillatorChain, solution) -> TrajectorySet:
     rows = np.empty((N, n + 1))
     rows[N - 1] = np.asarray(solution.y, dtype=float)
     for k in range(N - 1, 0, -1):
-        F = values_on_grid(chain.forces[k - 1], t) - chain.omegas[k - 1] ** 2 * rows[k]
-        rows[k - 1] = _integrate_twice(F, h, chain.positions[k - 1], chain.velocities[k - 1])
-    return TrajectorySet(grid=t, trajectories=rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = values_on_grid(chain.forces[k - 1], t) - chain.omegas[k - 1] ** 2 * rows[k]
+            path = _integrate_twice(F, h, chain.positions[k - 1], chain.velocities[k - 1])
+        bad = np.flatnonzero(~np.isfinite(path))
+        if bad.size:
+            raise ValueError(f"oscillator {k} is not finite from node {bad[0]} (t={t[bad[0]]}) on")
+        rows[k - 1] = path
+    return rows

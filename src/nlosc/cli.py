@@ -37,6 +37,7 @@ from nlosc.expr import Expression, ExpressionError, evaluate, parse, to_text, va
 from nlosc.spline import WeightSet
 from nlosc.verify import (
     METHODS,
+    REFERENCE_MAX_ERRORS,
     Method,
     case_by_id,
     convergence_order,
@@ -102,6 +103,16 @@ def _rational_field(value, path: str) -> Fraction:
     if abs(q) > sys.float_info.max:
         raise ConfigError(path, "outside the float range")
     return q
+
+
+def _entries(raw: dict, key: str, count: int | None, read) -> tuple:
+    """``raw[key]``: a JSON list of ``count`` entries, or of at least two
+    when ``count`` is None, each read as ``read(entry, "$.key[i]")``."""
+    value = _need(raw, key, "$")
+    if not isinstance(value, list) or (len(value) < 2 if count is None else len(value) != count):
+        expected = "at least two" if count is None else count
+        raise ConfigError(f"$.{key}", f"expected a list of {expected} entries")
+    return tuple(read(entry, f"$.{key}[{i}]") for i, entry in enumerate(value))
 
 
 def _interval_field(value, path: str) -> tuple[float, float]:
@@ -188,43 +199,19 @@ def load_config(path: str) -> RunConfig:
     if mode not in ("chain", "ivp"):
         raise ConfigError("$.mode", f"expected 'chain' or 'ivp', got {mode!r}")
 
+    interval = _interval_field(_need(raw, "interval", "$"), "$.interval")
+    number = functools.partial(_number_field, at=interval[0])
     chain = None
     if mode == "chain":
-        interval = _interval_field(_need(raw, "interval", "$"), "$.interval")
-        omegas = _need(raw, "omegas", "$")
-        if not isinstance(omegas, list) or len(omegas) < 2:
-            raise ConfigError("$.omegas", "expected a list of at least two frequencies")
-        count = len(omegas)
-        omegas = tuple(_finite(w, f"$.omegas[{i}]") for i, w in enumerate(omegas))
+        omegas = _entries(raw, "omegas", None, _finite)
         for i, w in enumerate(omegas):
             if w <= 0.0:
                 raise ConfigError(f"$.omegas[{i}]", "all frequencies must be positive")
-        forces_raw = _need(raw, "forces", "$")
-        if not isinstance(forces_raw, list) or len(forces_raw) != count:
-            raise ConfigError("$.forces", f"expected {count} force expressions")
-        forces = tuple(
-            _expr_field(text, f"$.forces[{i}]") for i, text in enumerate(forces_raw)
-        )
-        positions_raw = _need(raw, "positions", "$")
-        velocities_raw = _need(raw, "velocities", "$")
-        for name, seq in (("positions", positions_raw), ("velocities", velocities_raw)):
-            if not isinstance(seq, list) or len(seq) != count:
-                raise ConfigError(f"$.{name}", f"expected {count} entries")
-        positions = tuple(
-            _number_field(v, f"$.positions[{i}]", interval[0])
-            for i, v in enumerate(positions_raw)
-        )
-        velocities = tuple(
-            _number_field(v, f"$.velocities[{i}]", interval[0])
-            for i, v in enumerate(velocities_raw)
-        )
-        chain = OscillatorChain(
-            omegas=omegas,
-            forces=forces,
-            interval=interval,
-            positions=positions,
-            velocities=velocities,
-        )
+        count = len(omegas)
+        forces = _entries(raw, "forces", count, _expr_field)
+        positions = _entries(raw, "positions", count, number)
+        velocities = _entries(raw, "velocities", count, number)
+        chain = OscillatorChain(omegas, forces, interval, positions, velocities)
         try:
             ivp = reduce_chain(chain)
         except ExpressionError:
@@ -232,18 +219,12 @@ def load_config(path: str) -> RunConfig:
         except ValueError as exc:  # a coefficient overflows
             raise ConfigError("$.omegas", str(exc)) from exc
     else:
-        interval = _interval_field(_need(raw, "interval", "$"), "$.interval")
         order = _need(raw, "order", "$")
         if type(order) is not int:
             raise ConfigError("$.order", "expected an integer")
         if order < 4 or order % 2 != 0:
             raise ConfigError("$.order", f"order must be an even integer >= 4, got {order}")
-        u_raw = _need(raw, "u", "$")
-        if not isinstance(u_raw, list):
-            raise ConfigError("$.u", "expected a list")
-        if len(u_raw) != order:
-            raise ConfigError("$.u", f"need {order} initial derivatives, got {len(u_raw)}")
-        u = tuple(_number_field(v, f"$.u[{i}]", interval[0]) for i, v in enumerate(u_raw))
+        u = _entries(raw, "u", order, number)
         f, g = (_expr_field(_need(raw, key, "$"), f"$.{key}") for key in ("f", "g"))
         ivp = HighOrderIVP(order=order, f=f, g=g, interval=interval, u=u)
 
@@ -297,8 +278,7 @@ def _solve_config(config: RunConfig):
     columns = [("t", solution.t), ("y", solution.y)]
     if config.mode == "chain":
         paths = recover_trajectories(config.chain, solution)
-        for k in range(1, config.chain.size + 1):
-            columns.append((f"y{k}", paths.oscillator(k)))
+        columns += [(f"y{k}", path) for k, path in enumerate(paths, start=1)]
     if config.exact is not None:
         reference = values_on_grid(config.exact, solution.t)
         columns.append(("error", abs(reference - solution.y)))
@@ -398,7 +378,7 @@ def _parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_table = sub.add_parser("table", help="recompute a benchmark table")
-    p_table.add_argument("--id", type=int, required=True, choices=range(1, 9))
+    p_table.add_argument("--id", type=int, required=True, choices=sorted(REFERENCE_MAX_ERRORS))
     p_table.add_argument("--csv", help="also write the table as CSV to this path")
     p_table.set_defaults(func=_cmd_table)
 

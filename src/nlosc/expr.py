@@ -43,6 +43,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -318,15 +319,15 @@ def _values(e: Expression, t, count: int | None = None):
     arrays for an array ``t``: one series per point), computing each node
     of the shared expression DAG once.
 
-    Values use the plain operations of :data:`_VALUE_OPS`, jets the series
-    recurrences of :data:`_JET_OPS`, whose coefficient 0 is computed by the
-    same plain operation.
+    Values use each operator's plain ``value`` operation, jets its series
+    recurrence ``jet`` (:data:`_BINARY`, :data:`_FUNCTIONS`), whose
+    coefficient 0 is computed by the same plain operation.
     """
     if count is None:
-        ops, var = _VALUE_OPS, t
+        var = t
     else:
         zeros = [np.float64(0.0)] * (count - 1)
-        ops, var = _JET_OPS, [t, np.float64(1.0), *zeros][:count]
+        var = [t, np.float64(1.0), *zeros][:count]
     memo: dict[int, object] = {}
 
     def value(node: Expression):
@@ -340,14 +341,18 @@ def _values(e: Expression, t, count: int | None = None):
                 out = [out, *zeros]
         elif kind is Var:
             out = var
-        elif kind in _BINARY_KINDS:
-            out = ops[kind](value(node.left), value(node.right))
+        elif kind in _BINARY:
+            op = _BINARY[kind]
+            out = (op.value if count is None else op.jet)(value(node.left), value(node.right))
         elif kind is Pow:
-            out = ops[Pow](value(node.base), node.exponent)
+            base = value(node.base)
+            out = base**node.exponent if count is None else _power(base, node.exponent)
         elif kind is Neg:
-            out = ops[Neg](value(node.operand))
-        elif kind in _FUNCTION_KINDS:
-            out = ops[kind](value(node.arg))
+            operand = value(node.operand)
+            out = -operand if count is None else [-c for c in operand]
+        elif kind in _FUNCTIONS:
+            op = _FUNCTIONS[kind]
+            out = (op.value if count is None else op.jet)(value(node.arg))
         elif kind is Deriv:
             out = _derived(node, t, count)
         else:
@@ -443,39 +448,38 @@ def _sin_cos(u: list) -> tuple[list, list]:
     return sine, cosine
 
 
-_BINARY_KINDS = (Add, Sub, Mul, Div)
-_FUNCTION_KINDS = (Sin, Cos, Exp)
+class _Op(NamedTuple):
+    """A binary operator or function: its text, precedence and operations."""
 
-_VALUE_OPS = {
-    Add: operator.add,
-    Sub: operator.sub,
-    Mul: operator.mul,
-    Div: operator.truediv,
-    Pow: operator.pow,
-    Neg: operator.neg,
-    Sin: np.sin,
-    Cos: np.cos,
-    Exp: np.exp,
+    text: str
+    precedence: int
+    value: Callable
+    jet: Callable
+
+
+# how tightly each form binds (higher is tighter), for parser and printer
+_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
+
+_BINARY = {
+    Add: _Op("+", _PREC_ADD, operator.add, lambda a, b: list(map(operator.add, a, b))),
+    Sub: _Op("-", _PREC_ADD, operator.sub, lambda a, b: list(map(operator.sub, a, b))),
+    Mul: _Op("*", _PREC_MUL, operator.mul, _product),
+    Div: _Op("/", _PREC_MUL, operator.truediv, _quotient),
 }
 
-_JET_OPS = {
-    Add: lambda a, b: list(map(operator.add, a, b)),
-    Sub: lambda a, b: list(map(operator.sub, a, b)),
-    Mul: _product,
-    Div: _quotient,
-    Pow: _power,
-    Neg: lambda a: list(map(operator.neg, a)),
-    Sin: lambda u: _sin_cos(u)[0],
-    Cos: lambda u: _sin_cos(u)[1],
-    Exp: _exp,
+_FUNCTIONS = {
+    Sin: _Op("sin", _PREC_ATOM, np.sin, lambda u: _sin_cos(u)[0]),
+    Cos: _Op("cos", _PREC_ATOM, np.cos, lambda u: _sin_cos(u)[1]),
+    Exp: _Op("exp", _PREC_ATOM, np.exp, _exp),
 }
+
+# the node kind of each operator and function name, for the parser
+_KINDS = {op.text: kind for table in (_BINARY, _FUNCTIONS) for kind, op in table.items()}
 
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
-
-_FUNCTIONS = ("sin", "cos", "exp")
 
 _TOKEN = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -520,27 +524,17 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         self.advance()
 
-    def expression(self) -> Expression:
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def term(self) -> Expression:
+    def expression(self, precedence: int = _PREC_ADD) -> Expression:
+        """Operands joined, left to right, by the binary operators that bind
+        at least as tightly as ``precedence``."""
         node = self.factor()
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = Mul(node, rhs) if value == "*" else Div(node, rhs)
-            else:
+            node_kind = _KINDS.get(value) if kind == "op" else None
+            if node_kind not in _BINARY or _BINARY[node_kind].precedence < precedence:
                 return node
+            self.advance()
+            node = node_kind(node, self.expression(_BINARY[node_kind].precedence + 1))
 
     def uint(self, what: str) -> int:
         kind, value, pos = self.advance()
@@ -564,11 +558,11 @@ class _Parser:
         if kind == "ident":
             if value == "t":
                 return Var()
-            if value in _FUNCTIONS:
+            if _KINDS.get(value) in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expression()
                 self.expect_op(")")
-                return {"sin": Sin, "cos": Cos, "exp": Exp}[value](arg)
+                return _KINDS[value](arg)
             if value == "diff":
                 self.expect_op("(")
                 arg = self.expression()
@@ -611,12 +605,6 @@ def parse(text: str) -> Expression:
 # printing
 # ---------------------------------------------------------------------------
 
-# precedence used by the printer; higher binds tighter
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_POW = 3
-_PREC_ATOM = 4
-
 
 def _fmt_const(value: float) -> tuple[str, int]:
     if value < 0 or (value == 0.0 and np.signbit(value)):
@@ -632,26 +620,19 @@ def _render(e: Expression) -> tuple[str, int]:
         return _fmt_const(e.value)
     if isinstance(e, Var):
         return "t", _PREC_ATOM
-    if isinstance(e, Add):
-        return f"{_paren(e.left, _PREC_ADD)}+{_paren(e.right, _PREC_ADD + 1)}", _PREC_ADD
-    if isinstance(e, Sub):
-        return f"{_paren(e.left, _PREC_ADD)}-{_paren(e.right, _PREC_ADD + 1)}", _PREC_ADD
-    if isinstance(e, Mul):
-        return f"{_paren(e.left, _PREC_MUL)}*{_paren(e.right, _PREC_MUL + 1)}", _PREC_MUL
-    if isinstance(e, Div):
-        return f"{_paren(e.left, _PREC_MUL)}/{_paren(e.right, _PREC_MUL + 1)}", _PREC_MUL
+    if type(e) in _BINARY:
+        op = _BINARY[type(e)]
+        left, right = _paren(e.left, op.precedence), _paren(e.right, op.precedence + 1)
+        return f"{left}{op.text}{right}", op.precedence
     if isinstance(e, Pow):
         # the grammar reads -t^2 as (-t)^2, so a non-atomic base is always
         # parenthesized here to keep printing structure-preserving
         return f"{_paren(e.base, _PREC_ATOM)}^{e.exponent}", _PREC_POW
     if isinstance(e, Neg):
         return f"-{_paren(e.operand, _PREC_POW + 1)}", _PREC_MUL
-    if isinstance(e, Sin):
-        return f"sin({_render(e.arg)[0]})", _PREC_ATOM
-    if isinstance(e, Cos):
-        return f"cos({_render(e.arg)[0]})", _PREC_ATOM
-    if isinstance(e, Exp):
-        return f"exp({_render(e.arg)[0]})", _PREC_ATOM
+    if type(e) in _FUNCTIONS:
+        op = _FUNCTIONS[type(e)]
+        return f"{op.text}({_render(e.arg)[0]})", op.precedence
     if isinstance(e, Deriv):
         return f"diff({_render(e.operand)[0]}, {e.order})", _PREC_ATOM
     raise TypeError(f"not an expression node: {e!r}")

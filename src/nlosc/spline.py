@@ -829,15 +829,23 @@ def _series_start(ivp: HighOrderIVP, h: float) -> tuple[list[float], list[float]
 def solve(ivp: HighOrderIVP, n: int, weights: WeightSet, closure: str) -> GridSolution:
     """Solve on n subintervals: the head of ``closure``, y_0 pinned to
     u_0, then the march to node n.  Raises ``ValueError`` on a non-finite
-    coefficient and ``numpy.linalg.LinAlgError`` on a singular system."""
+    coefficient, a power of h past the float range or a solution that is
+    not finite (naming its first such node), and
+    ``numpy.linalg.LinAlgError`` on a singular system."""
     if weights.order != ivp.order:
         raise ValueError(f"weights of order {weights.order} cannot solve order {ivp.order}")
     rows = closure_rows(closure, ivp.order)
     t, h, f, g = grid_values(ivp, n)
-    if rows:
-        head = solve_head(f, g, h, ivp.u, weights.float_weights, rows)
-    else:
-        head = _series_start(ivp, h)
+    try:
+        if rows:
+            head = solve_head(f, g, h, ivp.u, weights.float_weights, rows)
+        else:
+            head = _series_start(ivp, h)
+    except OverflowError as exc:  # float ** raises where float * gives inf
+        raise ValueError(f"grid spacing h={h} is too large: its powers overflow") from exc
     y = march(f, g, h, weights.float_weights, *head)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"the solution is not finite from node {bad[0]} (t={t[bad[0]]}) on")
     return GridSolution(t=t, y=y, method=f"spline{ivp.order}-{closure}", n=n, h=h)
 

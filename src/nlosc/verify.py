@@ -59,7 +59,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class AnalyticCase:
-    """A benchmark problem with a closed-form solution."""
+    """A benchmark problem with a closed-form solution; ``tables`` are the
+    ids of the benchmark tables that run it."""
 
     case_id: int
     ivp: HighOrderIVP
@@ -365,19 +366,9 @@ class ErrorTable:
         return float(self.values[self.ns.index(n), self.columns.index(column)])
 
 
-_TABLE_LAYOUT: dict[int, tuple[int, tuple[int, ...], tuple[str, ...]]] = {
-    1: (1, (6, 12, 24, 48), ("table1-col1", "table1-col2", "table1-col3")),
-    2: (1, (6, 12, 24, 48), ("improved4",)),
-    3: (2, (6, 12, 24, 48), ("table3-col1", "table3-col2", "table3-col3")),
-    4: (2, (6, 12, 24, 48), ("improved4",)),
-    5: (3, (8, 16, 32, 64), ("table5-col1", "table5-col2", "table5-col3")),
-    6: (3, (8, 16), ("derived6-h4", "derived6-h6", "improved6")),
-    7: (4, (16, 32, 64, 128), ("table5-col1", "table5-col2", "table5-col3")),
-    8: (4, (8, 16), ("derived6-h4", "derived6-h6", "improved6")),
-}
-
-#: Expected max-abs errors, used as regression baselines.  Cells carry two
-#: or three significant figures.  The derived6-* columns of tables 6 and 8
+#: Expected max-abs errors, used as regression baselines, and the layout of
+#: each table: its grid sizes and columns, in order.  Cells carry two or
+#: three significant figures.  The derived6-* columns of tables 6 and 8
 #: are order-verified only: the baseline runs used an unpublished weight
 #: choice for them, so their cells are not compared value-for-value.
 REFERENCE_MAX_ERRORS: dict[int, dict[int, dict[str, float]]] = {
@@ -429,11 +420,13 @@ REFERENCE_MAX_ERRORS: dict[int, dict[int, dict[str, float]]] = {
 
 
 def reproduce_table(table_id: int) -> ErrorTable:
-    """Recompute benchmark table ``table_id`` (1..8)."""
-    if table_id not in _TABLE_LAYOUT:
+    """Recompute benchmark table ``table_id`` (1..8) on the grid sizes and
+    columns of its reference cells, for the case that lists it."""
+    if table_id not in REFERENCE_MAX_ERRORS:
         raise ValueError(f"no benchmark table {table_id}; valid ids are 1..8")
-    case_id, ns, columns = _TABLE_LAYOUT[table_id]
-    case = case_by_id(case_id)
+    ns = tuple(REFERENCE_MAX_ERRORS[table_id])
+    columns = tuple(REFERENCE_MAX_ERRORS[table_id][ns[0]])
+    case = next(case for case in builtin_cases() if table_id in case.tables)
     values = np.empty((len(ns), len(columns)))
     notes = []
     for j, name in enumerate(columns):
@@ -444,7 +437,7 @@ def reproduce_table(table_id: int) -> ErrorTable:
             values[i, j] = max_abs_error(method.solve(case.ivp, n), case.exact)
     return ErrorTable(
         table_id=table_id,
-        case_id=case_id,
+        case_id=case.case_id,
         ns=ns,
         columns=columns,
         values=values,
@@ -486,17 +479,16 @@ def build_report() -> str:
     instead of asserting that narrative.
     """
     lines = ["nlosc verification report", "=" * 60, ""]
-    for table_id in sorted(_TABLE_LAYOUT):
+    for table_id in sorted(REFERENCE_MAX_ERRORS):
         table = reproduce_table(table_id)
         lines.append(render_table(table))
         lines.append("")
         lines.append(f"{'n':>6}{'':>2}reference ratio (computed/reference)")
-        reference = REFERENCE_MAX_ERRORS[table_id]
-        for i, n in enumerate(table.ns):
-            ratios = []
-            for j, column in enumerate(table.columns):
-                ref = reference[n][column]
-                ratios.append(f"{column}={table.values[i, j] / ref:6.3f}")
+        for i, (n, references) in enumerate(REFERENCE_MAX_ERRORS[table_id].items()):
+            ratios = (
+                f"{column}={table.values[i, j] / ref:6.3f}"
+                for j, (column, ref) in enumerate(references.items())
+            )
             lines.append(f"{n:>6}  " + "  ".join(ratios))
         lines.append("")
         lines.append("observed slopes per doubling:")

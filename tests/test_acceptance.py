@@ -252,9 +252,9 @@ def test_criterion_7_property_suite(oracle):
     chain = example_chain()
     solution = solve(reduce_chain(chain), 48, IMPROVED_SET4, "improved")
     paths = recover_trajectories(chain, solution)
-    t = paths.grid
+    t = solution.t
     neighbor_error = np.max(
-        np.abs(paths.oscillator(1) - (-2 * np.cos(t) + (1 - t) * np.sin(t)))
+        np.abs(paths[0] - (-2 * np.cos(t) + (1 - t) * np.sin(t)))
     )
     if neighbor_error > 1e-3:
         failures.append(f"recovered neighbor error {neighbor_error:.2e} > 1e-3")

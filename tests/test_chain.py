@@ -336,10 +336,10 @@ def test_recover_case1_neighbor():
     ivp = reduce_chain(chain)
     solution = solve(ivp, 48, IMPROVED_SET4, "improved")
     paths = recover_trajectories(chain, solution)
-    t = paths.grid
+    t = solution.t
     exact_y1 = -2 * np.cos(t) + (1 - t) * np.sin(t)
-    assert np.max(np.abs(paths.oscillator(1) - exact_y1)) <= 1e-3
-    assert np.array_equal(paths.oscillator(2), solution.y)
+    assert np.max(np.abs(paths[0] - exact_y1)) <= 1e-3
+    assert np.array_equal(paths[1], solution.y)
 
 
 def test_recover_zero_chain():
@@ -347,7 +347,7 @@ def test_recover_zero_chain():
     ivp = reduce_chain(chain)
     solution = solve(ivp, 12, IMPROVED_SET4, "improved")
     paths = recover_trajectories(chain, solution)
-    assert np.max(np.abs(paths.trajectories)) <= 1e-12
+    assert np.max(np.abs(paths)) <= 1e-12
 
 
 def test_recover_three_oscillators_against_ring_oracle():
@@ -379,7 +379,7 @@ def test_recover_three_oscillators_against_ring_oracle():
         source = history[::500, 2 * (source_osc - 1)]
         step_bound = (h**2 / 12.0) * fourth_derivative_magnitude(source) / omega**2
         bound = 10.0 * (step_bound + inherited) + 1e-9
-        assert np.max(np.abs(paths.oscillator(k) - reference)) <= bound
+        assert np.max(np.abs(paths[k - 1] - reference)) <= bound
         inherited = step_bound + inherited
 
 
@@ -390,9 +390,10 @@ def test_recovered_neighbors_carry_the_pivot_accuracy():
     ivp = reduce_chain(chain)
     errors = {}
     for n in (32, 64, 128):
-        paths = recover_trajectories(chain, METHODS["improved6"].solve(ivp, n))
+        solution = METHODS["improved6"].solve(ivp, n)
+        paths = recover_trajectories(chain, solution)
         errors[n] = [
-            np.max(np.abs(paths.oscillator(k) - values_on_grid(exact[k - 1], paths.grid)))
+            np.max(np.abs(paths[k - 1] - values_on_grid(exact[k - 1], solution.t)))
             for k in (1, 2, 3)
         ]
         pivot = errors[n][-1]
@@ -409,7 +410,22 @@ def test_recovered_paths_start_at_the_initial_positions(n):
         method = METHODS["improved4" if ivp.order == 4 else "improved6"]
         paths = recover_trajectories(chain, method.solve(ivp, max(n, method.min_n)))
         for k in range(1, chain.size + 1):
-            assert paths.oscillator(k)[0] == chain.positions[k - 1]
+            assert paths[k - 1][0] == chain.positions[k - 1]
+
+
+def test_recovered_path_that_overflows_is_an_error():
+    # omega_1^2 y_2 = 1e200 * 1e300 leaves the float range
+    chain = OscillatorChain(
+        omegas=(1e100, 1.0),
+        forces=(parse("0"),) * 2,
+        interval=(0.0, 1.0),
+        positions=(0.0,) * 2,
+        velocities=(0.0,) * 2,
+    )
+    stub = GridSolution(t=np.linspace(0, 1, 9), y=np.full(9, 1e300), method="stub", n=8, h=0.125)
+    with pytest.raises(ValueError) as err:
+        recover_trajectories(chain, stub)
+    assert str(err.value) == "oscillator 1 is not finite from node 1 (t=0.125) on"
 
 
 def test_recover_grid_too_short():

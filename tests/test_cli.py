@@ -299,6 +299,42 @@ def test_forcing_infinite_at_a_node_fails_without_output(tmp_path, capsys, metho
     assert not out.exists()
 
 
+def test_overflowing_march_fails_without_output(tmp_path, capsys):
+    # c_2 = -1e300 is finite, but the march overflows from node 11 on
+    cfg = {**chain_config(), "omegas": [1e150, 1.0], "positions": [1, 1], "velocities": [0, 0]}
+    del cfg["exact"]
+    out = tmp_path / "grid.csv"
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the solution is not finite from node 11 (t=-0.5416666666666667) on\n"
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "method, order, b, n", [("improved4", 4, 1e100, 8), ("improved6", 6, 1e30, 16)]
+)
+def test_grid_spacing_whose_powers_overflow_is_an_error(tmp_path, capsys, method, order, b, n):
+    # improved4 overflows at h^4 in the tabulated head, improved6 at h^m in
+    # the series start
+    cfg = {
+        "mode": "ivp",
+        "order": order,
+        "f": "-1",
+        "g": "0",
+        "interval": [0, b],
+        "u": [1] + [0] * (order - 1),
+        "method": method,
+        "n": n,
+    }
+    out = tmp_path / "grid.csv"
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: grid spacing h={b / n!r} is too large: its powers overflow\n"
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_singular_system_is_a_solver_error(tmp_path, capsys):
     # h = 1/8, alpha = -1/16 and f = 2^16 make the y_n coefficient of the
     # last consistency row, the only row holding y_n, exactly 1 - 1 = 0

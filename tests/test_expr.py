@@ -90,6 +90,69 @@ def test_parse_unary_minus_binds_before_power():
     assert evaluate(parse("-2^2"), 0.0) == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # each binary operator beside the same and a tighter precedence
+        ("t-(t-1)", "t-(t-1)"),
+        ("(t-1)-t", "t-1-t"),
+        ("t+(t+1)", "t+(t+1)"),
+        ("t+t*2", "t+t*2"),
+        ("t-(t/2)", "t-t/2"),
+        ("(t+1)*t", "(t+1)*t"),
+        ("t*(t-1)", "t*(t-1)"),
+        ("t/(t*2)", "t/(t*2)"),
+        ("(t/2)*t", "t/2*t"),
+        ("t*(t/2)", "t*(t/2)"),
+        ("(t+1)/(t-1)", "(t+1)/(t-1)"),
+        # Neg, Pow and negative constants
+        ("-(t+1)", "-(t+1)"),
+        ("-(t*2)", "-(t*2)"),
+        ("-sin(t)", "-sin(t)"),
+        ("--t", "t"),
+        ("-t^2", "(-t)^2"),
+        ("(t+1)^3", "(t+1)^3"),
+        ("(t^2)^3", "(t^2)^3"),
+        ("sin(t)^2", "sin(t)^2"),
+        ("(-2)^3", "(-2)^3"),
+        ("t^1+t^0", "t+1"),
+        ("-2*t", "-2*t"),
+        ("t*-2", "t*(-2)"),
+        ("t--2", "t--2"),
+        ("t/-0.5", "t/(-0.5)"),
+        ("-0", "-0"),
+        ("1e20+2.0", "1e+20+2"),
+        # each function, and diff
+        ("sin(t+1)", "sin(t+1)"),
+        ("cos(-t)", "cos(-t)"),
+        ("exp(t*t)", "exp(t*t)"),
+        ("diff( exp(t)/t , 2 )", "diff(exp(t)/t, 2)"),
+        # every error path, with its message and position
+        ("3 $", ParseError("unexpected character '$'", 2)),
+        ("2*foo(t)", ParseError("unknown identifier 'foo'", 2)),
+        ("t^1.5", ParseError("exponent must be a nonnegative integer", 2)),
+        ("t^-1", ParseError("exponent must be a nonnegative integer", 2)),
+        ("sin(t", ParseError("expected ')'", 5)),
+        ("(t+1", ParseError("expected ')'", 4)),
+        ("diff(t 2)", ParseError("expected ','", 7)),
+        ("1+2)", ParseError("unexpected token ')' after expression", 3)),
+        ("t^2^3", ParseError("unexpected token '^' after expression", 3)),
+        ("t+", ParseError("unexpected end of input", 2)),
+        ("*t", ParseError("unexpected token '*'", 0)),
+        ("diff(t, 1.5)", ParseError("derivative order must be a nonnegative integer", 8)),
+        ("diff(t, -1)", ParseError("derivative order must be a nonnegative integer", 8)),
+    ],
+)
+def test_grammar_prints_and_rejects_exactly(text, expected):
+    if isinstance(expected, ParseError):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.position) == (str(expected), expected.position)
+    else:
+        assert to_text(parse(text)) == expected
+        assert to_text(parse(expected)) == expected
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
