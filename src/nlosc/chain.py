@@ -20,15 +20,16 @@ grows by a few nodes per oscillator and no differentiation error enters the
 reduced problem.  Once the reduced problem is solved on a grid, the other
 trajectories are recovered by walking the ring backwards and integrating
 each oscillator's own equation twice from its initial state, with a
-sixth-order Stormer-Cowell sum.  Above N = 2 the pivot converges faster
-than sixth order, so the recovered neighbors cap the ring's accuracy
-(ROADMAP item 3).
+Stormer-Cowell sum whose rows are derived exactly over windows of
+min(2N + 3, 9) nodes, so every recovered neighbor converges with the pivot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -172,26 +173,66 @@ def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
     )
 
 
-def _integrate_twice(F: np.ndarray, h: float, y0: float, v0: float) -> np.ndarray:
+def _kernel_weights(nodes: range, moments: list[int], denominator: int) -> list[Fraction]:
+    """Weights of the integral of K(s) F(s) over K's support, exact for F
+    of degree < len(nodes): K against the Lagrange basis of the integer
+    ``nodes``, where K's m-th moment is ``moments[m] / denominator``."""
+    weights = []
+    for j in nodes:
+        basis, scale = [1], denominator  # coefficients of prod (s - x), x != j
+        for x in nodes:
+            if x != j:
+                basis = [up - x * c for up, c in zip([0, *basis], [*basis, 0])]
+                scale *= j - x
+        weights.append(Fraction(sum(c * mu for c, mu in zip(basis, moments)), scale))
+    return weights
+
+
+def _recovery_rows(w: int) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """The exact start row and second-difference rows of a w-node window.
+
+    y(h) - y(0) - h y'(0) is h^2 times the integral of (1 - s) y''(sh) over
+    [0, 1], and y(t+h) - 2y(t) + y(t-h) is h^2 times that of (1 - |s|)
+    y''(t + sh) over [-1, 1]; each kernel against the Lagrange basis of the
+    window's nodes gives a row exact for y = t^m, m <= w + 1.  The start
+    row weighs nodes 0..w-1; row r-1 is the second difference at the
+    window's node r, for r = 1..w-2.
+    """
+    # the m-th moments over one denominator: 1/((m+1)(m+2)) for (1 - s),
+    # twice that for (1 - |s|) at even m and 0 at odd m
+    denominator = math.lcm(*((m + 1) * (m + 2) for m in range(w)))
+    ramp = [denominator // ((m + 1) * (m + 2)) for m in range(w)]
+    hat = [2 * mu if m % 2 == 0 else 0 for m, mu in enumerate(ramp)]
+    start = _kernel_weights(range(w), ramp, denominator)
+    rows = [_kernel_weights(range(-r, w - r), hat, denominator) for r in range(1, w - 1)]
+    return start, rows
+
+
+@cache
+def _recovery_stencils(w: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_recovery_rows` in read-only floats, derived once per width."""
+    start, rows = (np.array(r, dtype=float) for r in _recovery_rows(w))
+    start.flags.writeable = rows.flags.writeable = False
+    return start, rows
+
+
+def _integrate_twice(F: np.ndarray, h: float, y0: float, v0: float, w: int) -> np.ndarray:
     """Grid values of y with y'' = F, y(a) = y0 and y'(a) = v0.
 
-    Sixth-order central Stormer-Cowell in summed form (Henrici): each second
-    difference is h^2 (F_i + d2F_i/12 - d4F_i/240).  d4F at the two end
-    nodes is extrapolated quadratically from the three nearest interior
-    values, all that the smallest grid (n = 6) has.  The first difference
-    comes from a start formula exact for F of degree <= 4, and y from two
-    cumulative sums.
+    Stormer-Cowell in summed form (Henrici) over windows of w nodes, exact
+    for y of degree <= w + 1: each second difference weighs F on the
+    window centred at its node, or on the first or last w nodes near an
+    end; the first difference comes from a start row over nodes 0..w-1,
+    and y from two cumulative sums.
     """
-    d2 = F[:-2] - 2.0 * F[1:-1] + F[2:]
-    d4 = d2[:-2] - 2.0 * d2[1:-1] + d2[2:]
-    d4 = np.concatenate(
-        ([3.0 * (d4[0] - d4[1]) + d4[2]], d4, [3.0 * (d4[-1] - d4[-2]) + d4[-3]])
-    )
-    steps = np.empty(F.shape[0] - 1)
-    steps[0] = h * v0 + h * h * (
-        367.0 * F[0] + 540.0 * F[1] - 282.0 * F[2] + 116.0 * F[3] - 21.0 * F[4]
-    ) / 1440.0
-    steps[1:] = h * h * (F[1:-1] + d2 / 12.0 - d4 / 240.0)
+    start, rows = _recovery_stencils(w)
+    n, m = F.shape[0] - 1, w // 2
+    steps = np.empty(n)
+    steps[0] = h * v0 + h * h * (start @ F[:w])
+    steps[1:m] = rows[: m - 1] @ F[:w]
+    steps[m : n + 2 - w + m] = np.convolve(F, rows[m - 1][::-1], "valid")
+    steps[n + 2 - w + m :] = rows[m:] @ F[-w:]
+    steps[1:] *= h * h
     return y0 + np.concatenate(([0.0], np.cumsum(np.cumsum(steps))))
 
 
@@ -203,10 +244,11 @@ def recover_trajectories(chain: OscillatorChain, solution) -> np.ndarray:
     y_N is copied from it; the ring is then walked backwards, integrating
     each oscillator's own equation y_k'' = g_k - omega_k^2 y_{k+1} twice
     from its initial state, for k = N-1 down to 1.  Equation N holds
-    through the reduction.  The integration is sixth order in the grid
-    spacing, which caps the neighbors' accuracy where the pivot converges
-    faster (N > 2); it needs at least six grid intervals.  ``ValueError``
-    names the oscillator and node where a path is first not finite.
+    through the reduction.  Each integration is exact for paths of degree
+    w + 1 over windows of w = min(2N + 3, 9, n + 1) nodes, so the
+    neighbors converge with the pivot (w = 7 at N = 2, 9 above); it needs
+    at least six grid intervals.  ``ValueError`` names the oscillator and
+    node where a path is first not finite.
     """
     t = np.asarray(solution.t, dtype=float)
     n = t.shape[0] - 1
@@ -214,13 +256,15 @@ def recover_trajectories(chain: OscillatorChain, solution) -> np.ndarray:
         raise ValueError(f"grid too short to recover neighbors (n={n} < 6)")
     h = (t[-1] - t[0]) / n
     N = chain.size
+    w = min(2 * N + 3, 9, n + 1)
 
     rows = np.empty((N, n + 1))
     rows[N - 1] = np.asarray(solution.y, dtype=float)
     for k in range(N - 1, 0, -1):
         with np.errstate(over="ignore", invalid="ignore"):
-            F = values_on_grid(chain.forces[k - 1], t) - chain.omegas[k - 1] ** 2 * rows[k]
-            path = _integrate_twice(F, h, chain.positions[k - 1], chain.velocities[k - 1])
+            omega = chain.omegas[k - 1]  # omega * omega gives inf where ** raises
+            F = values_on_grid(chain.forces[k - 1], t) - omega * omega * rows[k]
+            path = _integrate_twice(F, h, chain.positions[k - 1], chain.velocities[k - 1], w)
         bad = np.flatnonzero(~np.isfinite(path))
         if bad.size:
             raise ValueError(f"oscillator {k} is not finite from node {bad[0]} (t={t[bad[0]]}) on")

@@ -39,6 +39,7 @@ from nlosc.verify import (
     METHODS,
     REFERENCE_MAX_ERRORS,
     Method,
+    builtin_cases,
     case_by_id,
     convergence_order,
     render_table,
@@ -383,7 +384,8 @@ def _parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table)
 
     p_conv = sub.add_parser("convergence", help="observed convergence slopes")
-    p_conv.add_argument("--case", type=int, required=True, choices=range(1, 5))
+    case_ids = [case.case_id for case in builtin_cases()]
+    p_conv.add_argument("--case", type=int, required=True, choices=case_ids)
     p_conv.add_argument("--method", required=True)
     p_conv.add_argument("--n", required=True, help="comma-separated grid sizes, e.g. 6,12,24")
     p_conv.set_defaults(func=_cmd_convergence)

@@ -157,7 +157,8 @@ def case_by_id(case_id: int) -> AnalyticCase:
     for case in builtin_cases():
         if case.case_id == case_id:
             return case
-    raise ValueError(f"no built-in case {case_id}; valid ids are 1..4")
+    ids = [case.case_id for case in builtin_cases()]
+    raise ValueError(f"no built-in case {case_id}; valid ids are {ids[0]}..{ids[-1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +424,8 @@ def reproduce_table(table_id: int) -> ErrorTable:
     """Recompute benchmark table ``table_id`` (1..8) on the grid sizes and
     columns of its reference cells, for the case that lists it."""
     if table_id not in REFERENCE_MAX_ERRORS:
-        raise ValueError(f"no benchmark table {table_id}; valid ids are 1..8")
+        ids = sorted(REFERENCE_MAX_ERRORS)
+        raise ValueError(f"no benchmark table {table_id}; valid ids are {ids[0]}..{ids[-1]}")
     ns = tuple(REFERENCE_MAX_ERRORS[table_id])
     columns = tuple(REFERENCE_MAX_ERRORS[table_id][ns[0]])
     case = next(case for case in builtin_cases() if table_id in case.tables)

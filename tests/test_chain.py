@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,11 +14,12 @@ from conftest import distinct_nodes, integrate_chain, mp_elimination, mp_value
 from nlosc.chain import (
     HighOrderIVP,
     OscillatorChain,
+    _recovery_rows,
     recover_trajectories,
     reduce_chain,
 )
 from nlosc.expr import Const, Deriv, EvaluationError, evaluate, parse, values_on_grid
-from nlosc.spline import IMPROVED_SET4, GridSolution, solve
+from nlosc.spline import IMPROVED_SET4, GridSolution, _zeroing_weights, solve
 from nlosc.verify import METHODS, rk_oracle
 
 COS1, SIN1 = math.cos(1.0), math.sin(1.0)
@@ -385,7 +387,7 @@ def test_recover_three_oscillators_against_ring_oracle():
 
 def test_recovered_neighbors_carry_the_pivot_accuracy():
     """Each neighbor is within twice the pivot's error (or 1e-7), and
-    converges at sixth order until it reaches the pivot's error."""
+    converges at least at fifth order until it reaches the pivot's error."""
     chain, exact = closed_form_ring()
     ivp = reduce_chain(chain)
     errors = {}
@@ -426,6 +428,78 @@ def test_recovered_path_that_overflows_is_an_error():
     with pytest.raises(ValueError) as err:
         recover_trajectories(chain, stub)
     assert str(err.value) == "oscillator 1 is not finite from node 1 (t=0.125) on"
+
+
+def test_recovering_past_a_frequency_whose_square_overflows_is_an_error():
+    # omega_1^2 = 1e400 is past the float range
+    chain = OscillatorChain(
+        omegas=(1e200, 1.0),
+        forces=(parse("0"),) * 2,
+        interval=(0.0, 1.0),
+        positions=(1.0, 1.0),
+        velocities=(0.0, 0.0),
+    )
+    stub = GridSolution(t=np.linspace(0, 1, 9), y=np.ones(9), method="stub", n=8, h=0.125)
+    with pytest.raises(ValueError) as err:
+        recover_trajectories(chain, stub)
+    assert str(err.value) == "oscillator 1 is not finite from node 1 (t=0.125) on"
+
+
+@pytest.mark.parametrize("w", [5, 7, 9])
+def test_recovery_rows_are_exact_through_degree_w_plus_1(w):
+    """On the unit grid, y = t^m has y'' = m(m-1) t^(m-2): the start row
+    gives y(1) - y(0) - y'(0) and row r-1 gives the second difference at
+    node r, exactly, for every m <= w + 1."""
+    start, rows = _recovery_rows(w)
+    assert len(start) == w and len(rows) == w - 2
+
+    def weighed(row, m):
+        if m < 2:
+            return 0
+        return sum(c * m * (m - 1) * Fraction(j) ** (m - 2) for j, c in enumerate(row))
+
+    for m in range(w + 2):
+        assert weighed(start, m) == 1 - 0**m - (m == 1), m
+        for r, row in enumerate(rows, start=1):
+            assert weighed(row, m) == (r + 1) ** m - 2 * r**m + (r - 1) ** m, (m, r)
+    # the rows near the far end are those near the start, reversed
+    assert rows == [row[::-1] for row in reversed(rows)]
+    if w == 5:  # the sixth-order Stormer-Cowell rows (Henrici)
+        assert [c * 1440 for c in start] == [367, 540, -282, 116, -21]
+        assert [c * 240 for c in rows[1]] == [-1, 24, 194, 24, -1]
+
+
+@pytest.mark.parametrize("size", [3, 4, 6, 8])
+def test_recovered_neighbors_reach_the_pivot_accuracy(size):
+    """At n = 128 the worst neighbor is within 3x the pivot's error, or at
+    the rounding floor, against a fine one-step integration of the ring."""
+    chain = OscillatorChain(
+        omegas=(1.0,) * size,
+        forces=(parse("exp(t)*sin(t)/(1+t^2)"),) * size,
+        interval=(0.0, 1.0),
+        positions=tuple(0.1 * k for k in range(1, size + 1)),
+        velocities=(0.0,) * size,
+    )
+    n, steps = 128, 10240
+    solution = solve(reduce_chain(chain), n, _zeroing_weights(2 * size, {}), "series")
+    paths = recover_trajectories(chain, solution)
+    _, history = integrate_chain(chain, 0.0, 1.0, steps)
+    errors = np.max(np.abs(paths - history[:: steps // n, 0::2].T), axis=1)
+    pivot, worst = errors[-1], np.max(errors[:-1])
+    assert worst <= max(3.0 * pivot, 1e-14), (worst, pivot)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_three_ring_recovers_on_the_smallest_grids(n):
+    """A 3-ring recovers from its exact pivot on the grids where the
+    recovery window is cut to n + 1 nodes (w = 7 at n = 6, 8 at n = 7)."""
+    chain, exact = closed_form_ring()
+    t = np.linspace(0.0, 1.0, n + 1)
+    stub = GridSolution(t=t, y=values_on_grid(exact[2], t), method="stub", n=n, h=1.0 / n)
+    paths = recover_trajectories(chain, stub)
+    for k in (1, 2):
+        assert np.max(np.abs(paths[k - 1] - values_on_grid(exact[k - 1], t))) <= 1e-4, k
+    assert np.array_equal(paths[2], stub.y)
 
 
 def test_recover_grid_too_short():

@@ -435,6 +435,18 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("command, flag", [("convergence", "--case"), ("table", "--id")])
+def test_unknown_id_lists_the_valid_ones(capsys, command, flag):
+    argv = [command, flag, "9"]
+    if command == "convergence":
+        argv += ["--method", "improved4", "--n", "8,16"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    choices = "1, 2, 3, 4" if command == "convergence" else "1, 2, 3, 4, 5, 6, 7, 8"
+    assert f"argument {flag}: invalid choice: 9 (choose from {choices})" in capsys.readouterr().err
+
+
 def test_convergence_order_mismatch(capsys):
     assert main(["convergence", "--case", "3", "--method", "improved4", "--n", "8,16"]) == 2
     assert "order" in capsys.readouterr().err

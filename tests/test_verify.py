@@ -59,8 +59,9 @@ def test_exact_solutions_satisfy_their_equations(cases):
 
 
 def test_case_by_id_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         case_by_id(9)
+    assert str(err.value) == "no built-in case 9; valid ids are 1..4"
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +175,9 @@ def test_reproduce_table_5_n64():
 
 
 def test_reproduce_table_rejects_unknown_id():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         reproduce_table(9)
+    assert str(err.value) == "no benchmark table 9; valid ids are 1..8"
 
 
 def test_tables_are_deterministic():
