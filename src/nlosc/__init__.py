@@ -8,7 +8,7 @@ The public surface is organized by module:
 * :mod:`nlosc.chain`   -- oscillator rings, reduction, trajectory recovery
 * :mod:`nlosc.spline`  -- one solver for every even order 2N (N-oscillator
   rings): weight sets, the closure table, truncation diagnostics
-* :mod:`nlosc.verify`  -- benchmark cases, error tables, convergence, oracle
+* :mod:`nlosc.verify`  -- benchmark cases, error tables, convergence
 * :mod:`nlosc.cli`     -- command-line front end
 """
 

@@ -31,7 +31,8 @@ row on its support that is exact through its closure's degree.
   t = a of degree max(SERIES_START_DEGREE, 2p + 1) (local error O(h^14)
   through p = 6, O(h^(2p+2)) above), so boundary error no longer masks
   the high-order interior weight sets.  Its derivatives at a come from
-  :func:`derivatives_at_start`.
+  :func:`derivatives_at_start`.  A series whose last terms grow out to
+  node p - 1 is an error: the grid is too coarse for it.
 
 A tabulated closure touches the nodes 0..p+2 only, so its p - 1 rows and
 the consistency rows of the windows ending at nodes p, p+1 and p+2 hold
@@ -816,11 +817,23 @@ def _series_start(ivp: HighOrderIVP, h: float) -> tuple[list[float], list[float]
     (:func:`_series_tables`), so each difference is summed from its own
     terms and none is a cancellation of rounded values: the higher
     differences keep their full relative accuracy.
+
+    Raises ``ValueError`` when the series grows out to node p - 1: the
+    largest of its last three terms there, |a_m| (p-1)^m, exceeds the
+    largest of the three before them.
     """
-    degree = max(SERIES_START_DEGREE, 2 * ivp.order + 1)
+    p = ivp.order
+    degree = max(SERIES_START_DEGREE, 2 * p + 1)
     derivs = derivatives_at_start(ivp, degree + 1)
     scaled = [d * h**m / factorial(m) for m, d in enumerate(derivs)]
-    powers, differences = _series_tables(ivp.order, degree)
+    terms = [abs(c) * (p - 1) ** m for m, c in enumerate(scaled[-6:], degree - 5)]
+    if max(terms[3:]) > max(terms[:3]):
+        a = ivp.interval[0]
+        raise ValueError(
+            f"the series start about t={a} grows out to t={a + (p - 1) * h} instead of "
+            "converging there: a finer grid is needed"
+        )
+    powers, differences = _series_tables(p, degree)
     values = [fsum(map(operator.mul, row, scaled)) for row in powers]
     stack = [fsum(map(operator.mul, row, scaled)) for row in differences]
     return values, stack
@@ -829,8 +842,9 @@ def _series_start(ivp: HighOrderIVP, h: float) -> tuple[list[float], list[float]
 def solve(ivp: HighOrderIVP, n: int, weights: WeightSet, closure: str) -> GridSolution:
     """Solve on n subintervals: the head of ``closure``, y_0 pinned to
     u_0, then the march to node n.  Raises ``ValueError`` on a non-finite
-    coefficient, a power of h past the float range or a solution that is
-    not finite (naming its first such node), and
+    coefficient, a power of h past the float range, a series start that
+    grows instead of converging or a solution that is not finite (naming
+    its first such node), and
     ``numpy.linalg.LinAlgError`` on a singular system."""
     if weights.order != ivp.order:
         raise ValueError(f"weights of order {weights.order} cannot solve order {ivp.order}")

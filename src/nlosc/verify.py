@@ -9,8 +9,7 @@ Four analytically solvable problems exercise the solver at both orders:
 
 Eight benchmark tables pair these cases with weight sets and grid sizes;
 ``REFERENCE_MAX_ERRORS`` records the expected max-abs grid errors used as
-regression baselines.  An independent classical Runge-Kutta oracle provides
-ground truth where no analytic solution is available.
+regression baselines.
 """
 
 from __future__ import annotations
@@ -48,9 +47,6 @@ __all__ = [
     "max_abs_error",
     "slopes_from_errors",
     "convergence_order",
-    "integrate_first_order",
-    "rk_oracle",
-    "oracle_max_error",
     "reproduce_table",
     "render_table",
     "build_report",
@@ -265,86 +261,6 @@ def convergence_order(case: AnalyticCase, method: Method, ns) -> list[float]:
         raise ValueError("grid sizes must be strictly increasing")
     errors = [max_abs_error(method.solve(case.ivp, n), case.exact) for n in ns]
     return [s / log2(b / a) for s, a, b in zip(slopes_from_errors(errors), ns, ns[1:])]
-
-
-# ---------------------------------------------------------------------------
-# independent oracle
-# ---------------------------------------------------------------------------
-
-
-def integrate_first_order(ivp: HighOrderIVP, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classical 4-stage one-step integration of the equivalent first-order
-    system z = (y, y', ..., y^(order-1)).
-
-    Returns the time grid and the full state history, shape
-    (steps + 1, order).  f and g are evaluated once per stage time up
-    front, so the stepping loop is pure float arithmetic.
-    """
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    a, b = ivp.interval
-    h = (b - a) / steps
-    t = a + h * np.arange(steps + 1)
-    mid = t[:-1] + 0.5 * h
-    f_node = values_on_grid(ivp.f, t).tolist()
-    g_node = values_on_grid(ivp.g, t).tolist()
-    f_mid = values_on_grid(ivp.f, mid).tolist()
-    g_mid = values_on_grid(ivp.g, mid).tolist()
-
-    order = ivp.order
-    out = np.empty((steps + 1, order))
-    z = list(ivp.u)
-    out[0] = z
-    sixth = h / 6.0
-    half = 0.5 * h
-    for i in range(steps):
-        f0, g0 = f_node[i], g_node[i]
-        fm, gm = f_mid[i], g_mid[i]
-        f1, g1 = f_node[i + 1], g_node[i + 1]
-        k1 = z[1:] + [g0 - f0 * z[0]]
-        s = [zj + half * kj for zj, kj in zip(z, k1)]
-        k2 = s[1:] + [gm - fm * s[0]]
-        s = [zj + half * kj for zj, kj in zip(z, k2)]
-        k3 = s[1:] + [gm - fm * s[0]]
-        s = [zj + h * kj for zj, kj in zip(z, k3)]
-        k4 = s[1:] + [g1 - f1 * s[0]]
-        z = [
-            zj + sixth * (a1 + 2.0 * (a2 + a3) + a4)
-            for zj, a1, a2, a3, a4 in zip(z, k1, k2, k3, k4)
-        ]
-        out[i + 1] = z
-    return t, out
-
-
-def rk_oracle(ivp: HighOrderIVP, steps: int, grid_n: int | None = None) -> GridSolution:
-    """Fine-step ground truth for an initial value problem.
-
-    Integrates with ``steps`` uniform steps and subsamples the result onto
-    a coarser grid of ``grid_n`` subintervals, which must divide ``steps``
-    evenly.
-    """
-    steps = int(steps)
-    if grid_n is None:
-        grid_n = steps
-    grid_n = int(grid_n)
-    if grid_n < 1 or steps % grid_n != 0:
-        raise ValueError(f"step count {steps} is not a multiple of the requested grid {grid_n}")
-    t, states = integrate_first_order(ivp, steps)
-    stride = steps // grid_n
-    a, b = ivp.interval
-    h = (b - a) / grid_n
-    return GridSolution(
-        t=t[::stride], y=states[::stride, 0], method="oracle-rk4", n=grid_n, h=h
-    )
-
-
-def oracle_max_error(solution: GridSolution, oracle: GridSolution) -> float:
-    """Max-abs deviation between a solution and oracle values on its grid."""
-    if oracle.n % solution.n != 0:
-        raise ValueError("oracle grid does not refine the solution grid")
-    stride = oracle.n // solution.n
-    return float(np.max(np.abs(oracle.y[::stride][1:] - solution.y[1:])))
 
 
 # ---------------------------------------------------------------------------

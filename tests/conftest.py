@@ -1,4 +1,6 @@
-"""Shared fixtures: benchmark cases and a memoized reference oracle."""
+"""Shared fixtures and references: benchmark cases, one Runge-Kutta
+stepper with its two oracles (the reduced problem and the ring's own
+system), and a 40-digit mpmath walk of the expressions."""
 
 import dataclasses
 import operator
@@ -21,9 +23,10 @@ from nlosc.expr import (
     Sin,
     Sub,
     Var,
+    values_on_grid,
 )
-from nlosc.spline import closure_rows, grid_values, head_system
-from nlosc.verify import builtin_cases, rk_oracle
+from nlosc.spline import GridSolution, closure_rows, grid_values, head_system
+from nlosc.verify import builtin_cases
 
 settings.register_profile(
     "ci",
@@ -36,6 +39,92 @@ settings.load_profile("ci")
 
 # divisible by every grid size the benchmark tables use (6..48, 8..128)
 ORACLE_STEPS = 96000
+
+
+def rk4(rhs, inputs, z, interval, steps):
+    """Classical fourth-order Runge-Kutta integration of z' = rhs(x, z)
+    over ``steps`` uniform steps of ``interval``, in Python floats.
+
+    ``inputs(times)`` gives the time-dependent inputs x, one entry per
+    time; it is called once for the nodes and once for the midpoints,
+    before stepping.  Returns the times and the state history, shape
+    (steps + 1, len(z)).
+    """
+    t0, t1 = interval
+    h = (t1 - t0) / steps
+    t = t0 + h * np.arange(steps + 1)
+    nodes, mids = inputs(t), inputs(t[:-1] + 0.5 * h)
+    half, sixth = 0.5 * h, h / 6.0
+    z = list(z)
+    history = list(z)  # flat: a list of floats keeps the garbage collector idle
+    for x0, xm, x1 in zip(nodes, mids, nodes[1:]):
+        k1 = rhs(x0, z)
+        k2 = rhs(xm, [zj + half * kj for zj, kj in zip(z, k1)])
+        k3 = rhs(xm, [zj + half * kj for zj, kj in zip(z, k2)])
+        k4 = rhs(x1, [zj + h * kj for zj, kj in zip(z, k3)])
+        z = [
+            zj + sixth * (a1 + 2.0 * (a2 + a3) + a4)
+            for zj, a1, a2, a3, a4 in zip(z, k1, k2, k3, k4)
+        ]
+        history += z
+    return t, np.array(history).reshape(steps + 1, len(z))
+
+
+def integrate_first_order(ivp, steps):
+    """RK4 of the reduced problem as its companion system
+    z = (y, y', ..., y^(p-1)), y^(p) = g - f*y: the times and the states."""
+
+    def inputs(t):
+        return list(zip(values_on_grid(ivp.f, t).tolist(), values_on_grid(ivp.g, t).tolist()))
+
+    def rhs(fg, z):
+        f, g = fg
+        return z[1:] + [g - f * z[0]]
+
+    return rk4(rhs, inputs, ivp.u, ivp.interval, steps)
+
+
+def rk_oracle(ivp, steps, grid_n=None):
+    """Fine-step ground truth for ``ivp``: ``steps`` RK4 steps, subsampled
+    onto a grid of ``grid_n`` subintervals (default ``steps``), which must
+    divide ``steps``."""
+    grid_n = steps if grid_n is None else grid_n
+    if grid_n < 1 or steps % grid_n != 0:
+        raise ValueError(f"step count {steps} is not a multiple of the requested grid {grid_n}")
+    t, states = integrate_first_order(ivp, steps)
+    stride = steps // grid_n
+    a, b = ivp.interval
+    return GridSolution(
+        t=t[::stride], y=states[::stride, 0], method="oracle-rk4", n=grid_n, h=(b - a) / grid_n
+    )
+
+
+def oracle_max_error(solution, oracle):
+    """Max-abs deviation between a solution and oracle values on its grid."""
+    if oracle.n % solution.n != 0:
+        raise ValueError("oracle grid does not refine the solution grid")
+    stride = oracle.n // solution.n
+    return float(np.max(np.abs(oracle.y[::stride][1:] - solution.y[1:])))
+
+
+def integrate_chain(chain, t0, t1, steps):
+    """RK4 of the ring's own system z = (y_1, y_1', ..., y_N, y_N'),
+    y_k'' = g_k - omega_k^2 y_{k+1}; independent of the reduction code.
+    Returns the times and the states."""
+    squares = [w**2 for w in chain.omegas]
+    neighbours = [2 * ((k + 1) % chain.size) for k in range(chain.size)]
+
+    def inputs(t):
+        return list(zip(*(values_on_grid(g, t).tolist() for g in chain.forces)))
+
+    def rhs(forces, z):
+        out = []
+        for k, (g, w2, j) in enumerate(zip(forces, squares, neighbours)):
+            out += (z[2 * k + 1], g - w2 * z[j])
+        return out
+
+    z = [v for pair in zip(chain.positions, chain.velocities) for v in pair]
+    return rk4(rhs, inputs, z, (t0, t1), steps)
 
 
 @pytest.fixture(scope="session")
@@ -56,24 +145,6 @@ def oracle(cases):
     return get
 
 
-def chain_system_rhs(chain):
-    """Right-hand side of the ring's first-order system
-    z = (y_1, y_1', ..., y_N, y_N') given the N force values at the stage
-    time; independent of the reduction code."""
-    omegas = chain.omegas
-    size = chain.size
-
-    def rhs(forces, z):
-        out = np.empty_like(z)
-        for k in range(size):
-            neighbor = (k + 1) % size
-            out[2 * k] = z[2 * k + 1]
-            out[2 * k + 1] = forces[k] - omegas[k] ** 2 * z[2 * neighbor]
-        return out
-
-    return rhs
-
-
 def distinct_nodes(*roots) -> int:
     """Number of distinct nodes of the expression DAGs under ``roots``."""
     seen, stack = set(), list(roots)
@@ -87,35 +158,6 @@ def distinct_nodes(*roots) -> int:
                 if dataclasses.is_dataclass(getattr(node, f.name))
             )
     return len(seen)
-
-
-def integrate_chain(chain, t0, t1, steps):
-    """Classical one-step integration of the ring system; used as the
-    trajectory oracle for recovery tests.  The forces are evaluated at
-    every stage time up front."""
-    from nlosc.expr import values_on_grid
-
-    rhs = chain_system_rhs(chain)
-    z = np.empty(2 * chain.size)
-    z[0::2] = chain.positions
-    z[1::2] = chain.velocities
-    h = (t1 - t0) / steps
-    starts = t0 + h * np.arange(steps)
-    stages = [
-        np.array([values_on_grid(g, times) for g in chain.forces]).T
-        for times in (starts, starts + h / 2, starts + h)
-    ]
-    history = np.empty((steps + 1, z.size))
-    history[0] = z
-    for i in range(steps):
-        g0, gm, g1 = (forces[i] for forces in stages)
-        k1 = rhs(g0, z)
-        k2 = rhs(gm, z + h / 2 * k1)
-        k3 = rhs(gm, z + h / 2 * k2)
-        k4 = rhs(g1, z + h * k3)
-        z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        history[i + 1] = z
-    return np.linspace(t0, t1, steps + 1), history
 
 
 def head_rows(ivp, n, weights, closure):

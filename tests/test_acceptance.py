@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import oracle_max_error
 from nlosc.chain import HighOrderIVP, recover_trajectories, reduce_chain
 from nlosc.expr import Deriv, evaluate, parse
 from nlosc.spline import (
@@ -35,7 +36,6 @@ from nlosc.verify import (
     METHODS,
     case_by_id,
     max_abs_error,
-    oracle_max_error,
     reproduce_table,
     slopes_from_errors,
 )

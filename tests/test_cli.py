@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import mp_elimination
+from conftest import integrate_chain, mp_elimination, rk_oracle
 from nlosc.chain import reduce_chain
 from nlosc.cli import ConfigError, _write_csv, load_config, main
 from nlosc.expr import Const, evaluate, parse, to_text, values_on_grid
-from nlosc.verify import METHODS, case_by_id, rk_oracle
+from nlosc.verify import METHODS, case_by_id
 from test_spline6 import product_ring
 
 
@@ -333,6 +333,46 @@ def test_grid_spacing_whose_powers_overflow_is_an_error(tmp_path, capsys, method
     assert err == f"error: grid spacing h={b / n!r} is too large: its powers overflow\n"
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def diverging_ring(n):
+    """A 3-ring on [0, 8] whose forces have poles at t = +-i, so the series
+    start about t = 0 has radius 1: at n = 32 it reaches out to
+    (p - 1)h = 1.25."""
+    return {
+        "mode": "chain",
+        "omegas": [1, 1, 1],
+        "forces": ["exp(t)*sin(t)/(1+t^2)"] * 3,
+        "interval": [0, 8],
+        "positions": [0.1, 0.2, 0.3],
+        "velocities": [0, 0, 0],
+        "method": "improved6",
+        "n": n,
+    }
+
+
+def test_diverging_series_start_is_an_error(tmp_path, capsys):
+    # a silent answer here had its pivot off by 27 times max|y| = 41
+    out = tmp_path / "grid.csv"
+    path = write_config(tmp_path, diverging_ring(32))
+    assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: the series start about t=0.0 grows out to t=1.25 instead of "
+        "converging there: a finer grid is needed\n"
+    )
+    assert not out.exists()
+
+
+def test_diverging_ring_solves_on_a_finer_grid(tmp_path):
+    # 10240 steps agree with 40960 to 1e-13 relative on this ring
+    out = tmp_path / "grid.csv"
+    path = write_config(tmp_path, diverging_ring(256))
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    _, rows = read_csv(out.read_text())
+    _, history = integrate_chain(load_config(path).chain, 0.0, 8.0, 10240)
+    pivot = history[::40, 4]
+    assert np.max(np.abs(rows[:, 1] - pivot)) <= 1e-5 * np.max(np.abs(pivot))
 
 
 def test_singular_system_is_a_solver_error(tmp_path, capsys):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import consistency_residual
+from conftest import consistency_residual, rk_oracle
 from nlosc import spline
 from nlosc.chain import OscillatorChain, reduce_chain
 from nlosc.expr import parse
@@ -23,7 +23,7 @@ from nlosc.spline import (
     solve,
     truncation_brackets,
 )
-from nlosc.verify import METHODS, Method, case_by_id, max_abs_error, rk_oracle
+from nlosc.verify import METHODS, Method, case_by_id, max_abs_error
 
 F = Fraction
 

@@ -6,7 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import consistency_residual, head_rows, monomial_residual
+from conftest import (
+    consistency_residual,
+    head_rows,
+    monomial_residual,
+    oracle_max_error,
+    rk_oracle,
+)
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import parse, values_on_grid
 from nlosc.spline import (
@@ -18,7 +24,7 @@ from nlosc.spline import (
     theta_coefficients4,
     truncation_brackets,
 )
-from nlosc.verify import METHODS, case_by_id, max_abs_error, rk_oracle, oracle_max_error
+from nlosc.verify import METHODS, case_by_id, max_abs_error
 from test_spline import PRESET_CASES
 
 F = Fraction

@@ -1,10 +1,12 @@
-"""Tests for benchmark cases, metrics, the oracle, and table reproduction."""
+"""Tests for benchmark cases, metrics, table reproduction, and the
+Runge-Kutta oracle the tests share (``conftest.py``)."""
 
 import math
 
 import numpy as np
 import pytest
 
+from conftest import integrate_first_order, oracle_max_error, rk_oracle
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import Deriv, evaluate, parse, values_on_grid
 from nlosc.spline import GridSolution
@@ -13,12 +15,9 @@ from nlosc.verify import (
     REFERENCE_MAX_ERRORS,
     case_by_id,
     convergence_order,
-    integrate_first_order,
     max_abs_error,
-    oracle_max_error,
     render_table,
     reproduce_table,
-    rk_oracle,
     slopes_from_errors,
 )
 
