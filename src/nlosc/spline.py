@@ -820,14 +820,14 @@ def _series_start(ivp: HighOrderIVP, h: float) -> tuple[list[float], list[float]
 
     Raises ``ValueError`` when the series grows out to node p - 1: the
     largest of its last three terms there, |a_m| (p-1)^m, exceeds the
-    largest of the three before them.
+    largest of the three before them, unless those are 0 (as for t^12).
     """
     p = ivp.order
     degree = max(SERIES_START_DEGREE, 2 * p + 1)
     derivs = derivatives_at_start(ivp, degree + 1)
     scaled = [d * h**m / factorial(m) for m, d in enumerate(derivs)]
     terms = [abs(c) * (p - 1) ** m for m, c in enumerate(scaled[-6:], degree - 5)]
-    if max(terms[3:]) > max(terms[:3]):
+    if 0 < max(terms[:3]) < max(terms[3:]):
         a = ivp.interval[0]
         raise ValueError(
             f"the series start about t={a} grows out to t={a + (p - 1) * h} instead of "

@@ -45,15 +45,18 @@ def rk4(rhs, inputs, z, interval, steps):
     """Classical fourth-order Runge-Kutta integration of z' = rhs(x, z)
     over ``steps`` uniform steps of ``interval``, in Python floats.
 
-    ``inputs(times)`` gives the time-dependent inputs x, one entry per
-    time; it is called once for the nodes and once for the midpoints,
-    before stepping.  Returns the times and the state history, shape
+    x holds the values of the expressions ``inputs`` at one time; they
+    are evaluated once at the nodes and once at the midpoints, before
+    stepping.  Returns the times and the state history, shape
     (steps + 1, len(z)).
     """
     t0, t1 = interval
     h = (t1 - t0) / steps
     t = t0 + h * np.arange(steps + 1)
-    nodes, mids = inputs(t), inputs(t[:-1] + 0.5 * h)
+    nodes, mids = (
+        list(zip(*(values_on_grid(e, times).tolist() for e in inputs)))
+        for times in (t, t[:-1] + 0.5 * h)
+    )
     half, sixth = 0.5 * h, h / 6.0
     z = list(z)
     history = list(z)  # flat: a list of floats keeps the garbage collector idle
@@ -74,14 +77,11 @@ def integrate_first_order(ivp, steps):
     """RK4 of the reduced problem as its companion system
     z = (y, y', ..., y^(p-1)), y^(p) = g - f*y: the times and the states."""
 
-    def inputs(t):
-        return list(zip(values_on_grid(ivp.f, t).tolist(), values_on_grid(ivp.g, t).tolist()))
-
     def rhs(fg, z):
         f, g = fg
         return z[1:] + [g - f * z[0]]
 
-    return rk4(rhs, inputs, ivp.u, ivp.interval, steps)
+    return rk4(rhs, (ivp.f, ivp.g), ivp.u, ivp.interval, steps)
 
 
 def rk_oracle(ivp, steps, grid_n=None):
@@ -114,9 +114,6 @@ def integrate_chain(chain, t0, t1, steps):
     squares = [w**2 for w in chain.omegas]
     neighbours = [2 * ((k + 1) % chain.size) for k in range(chain.size)]
 
-    def inputs(t):
-        return list(zip(*(values_on_grid(g, t).tolist() for g in chain.forces)))
-
     def rhs(forces, z):
         out = []
         for k, (g, w2, j) in enumerate(zip(forces, squares, neighbours)):
@@ -124,7 +121,7 @@ def integrate_chain(chain, t0, t1, steps):
         return out
 
     z = [v for pair in zip(chain.positions, chain.velocities) for v in pair]
-    return rk4(rhs, inputs, z, (t0, t1), steps)
+    return rk4(rhs, chain.forces, z, (t0, t1), steps)
 
 
 @pytest.fixture(scope="session")

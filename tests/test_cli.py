@@ -375,6 +375,28 @@ def test_diverging_ring_solves_on_a_finer_grid(tmp_path):
     assert np.max(np.abs(rows[:, 1] - pivot)) <= 1e-5 * np.max(np.abs(pivot))
 
 
+@pytest.mark.parametrize("power", [11, 12, 13])
+def test_series_that_ends_early_is_not_diverging(tmp_path, power):
+    # y = t^power about t = 0 has no terms of degree 8..10 in the
+    # degree-13 series start: zeros there are no sign of growth
+    out = tmp_path / "grid.csv"
+    rate = math.factorial(power) // math.factorial(power - 6)
+    config = {
+        "mode": "ivp",
+        "order": 6,
+        "f": "0",
+        "g": f"{rate}*t^{power - 6}",
+        "interval": [0, 2],
+        "u": [0] * 6,
+        "method": "improved6",
+        "n": 16,
+    }
+    assert main(["solve", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    _, rows = read_csv(out.read_text())
+    exact = rows[:, 0] ** power
+    assert np.max(np.abs(rows[:, 1] - exact)) <= 1e-14 * np.max(exact)
+
+
 def test_singular_system_is_a_solver_error(tmp_path, capsys):
     # h = 1/8, alpha = -1/16 and f = 2^16 make the y_n coefficient of the
     # last consistency row, the only row holding y_n, exactly 1 - 1 = 0
