@@ -114,16 +114,22 @@ class HighOrderIVP:
             raise ValueError(f"empty time interval [{a}, {b}]")
 
 
-def _eliminate(chain: OscillatorChain) -> tuple[tuple[float, ...], float, Expression]:
-    """Eliminate neighbors of the last oscillator, one ring step at a time.
+def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
+    """Reduce the ring to a single order-2N initial value problem in y_N.
 
-    Step j = 1..N-1 holds the identity  y_N^(2j) + c_j * y_j = G_j(t)  with
-    G_j = F_N^(2j-2) - sum_{i<j} c_i F_i^(2j-2-2i)  (F_k the forces, c_1 =
-    omega_N^2, c_{i+1} = -c_i omega_i^2), whose two-coefficient jet at
-    t = a gives u_{2j} and u_{2j+1}.  Returns u and the closing pair
-    (c_N, G_N) for which  y_N^(2N) + c_N * y_N = G_N.  Every G_j is built
-    from Deriv nodes, so no derivative of a force is built as an expression.
-    ``ValueError`` if a c_j overflows or is not finite.
+    Neighbors of the last oscillator are eliminated one ring step at a
+    time.  Step j = 1..N-1 holds the identity  y_N^(2j) + c_j * y_j = G_j(t)
+    with G_j = F_N^(2j-2) - sum_{i<j} c_i F_i^(2j-2-2i)  (F_k the local
+    driving forces, c_1 = omega_N^2, c_{i+1} = -c_i omega_i^2), whose
+    two-coefficient jet at t = a gives u_{2j} and u_{2j+1}.  The closing
+    pair gives  y_N^(2N) + c_N * y_N = G_N: the constant coefficient
+    c_N = ``(-1)^(N+1) * prod(omega_k^2)`` and the forcing G_N, evaluated
+    from the forces' jets.  Every G_j is built from Deriv nodes, so no
+    derivative of a force is built as an expression; ``to_text`` prints
+    each ``Deriv(F, k)`` as ``diff(F, k)``.  ``ValueError`` if a c_j
+    overflows or is not finite.  Solving for a different pivot oscillator
+    is done by rotating the ring labels before reducing, not by
+    re-deriving.
     """
     a = chain.interval[0]
     # c_1..c_N: each step takes the identity's second derivative, then
@@ -150,26 +156,12 @@ def _eliminate(chain: OscillatorChain) -> tuple[tuple[float, ...], float, Expres
         u.append(slope - cs[j - 1] * chain.velocities[j - 1])
     if not all(math.isfinite(v) for v in u):
         raise EvaluationError(f"non-finite force derivative at t={a}")
-    return tuple(u), cs[-1], forcing(chain.size)
-
-
-def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
-    """Reduce the ring to a single order-2N initial value problem in y_N.
-
-    The constant coefficient is ``(-1)^(N+1) * prod(omega_k^2)`` and the
-    forcing is ``Deriv(F_N, 2N-2) - sum_j c_j Deriv(F_j, 2N-2-2j)`` over
-    the local driving forces F_k, evaluated from their jets; ``to_text``
-    prints each ``Deriv(F, k)`` as ``diff(F, k)``.  Solving for a different pivot
-    oscillator is done by rotating the ring labels before reducing, not by
-    re-deriving.
-    """
-    u, c, g = _eliminate(chain)
     return HighOrderIVP(
         order=2 * chain.size,
-        f=Const(c),
-        g=g,
+        f=Const(cs[-1]),
+        g=forcing(chain.size),
         interval=chain.interval,
-        u=u,
+        u=tuple(u),
     )
 
 

@@ -93,11 +93,6 @@ O(h^(2p+2)), design order p + 2: that is IMPROVED_SET4 and IMPROVED_SET6,
 (1/30240, 41/5040, 2189/10080, 4153/7560) at p = 6.  Holding some weights
 at chosen values and zeroing fewer brackets gives the lower orders of
 :func:`derive_parameters6`.
-
-Theta-parameterized weights are provided for validation only, because the
-printed closed forms carry an inconsistency that is surfaced via their
-normalization defect rather than silently corrected (see
-:func:`theta_coefficients4`).
 """
 
 from __future__ import annotations
@@ -127,8 +122,6 @@ __all__ = [
     "derive_parameters6",
     "min_n",
     "solve",
-    "theta_coefficients4",
-    "theta_coefficients6",
     "truncation_brackets",
 ]
 
@@ -299,94 +292,6 @@ class GridSolution:
             raise ValueError("grid and values must both have n+1 entries")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "y", y)
-
-
-class ThetaSet4(NamedTuple):
-    alpha: float
-    beta: float
-    gamma: float
-
-    @property
-    def defect(self) -> float:
-        """Deviation of 2*alpha + 2*beta + gamma from 1.
-
-        The printed closed form for beta mixes a term of inconsistent
-        scaling (its middle term lacks a sin(theta) divisor compared with
-        its neighbors), so these weights do not normalize exactly; the
-        defect is reported instead of being corrected.
-        """
-        return 2.0 * self.alpha + 2.0 * self.beta + self.gamma - 1.0
-
-
-def theta_coefficients4(theta: float) -> ThetaSet4:
-    """Verbatim evaluation of the theta-parameterized weights.
-
-    ``theta`` is the product of the spline frequency and the grid spacing.
-    Evaluation is refused outside [1e-2, pi - 1e-2]: sin(theta) vanishes at
-    the ends and the formulas cancel catastrophically for tiny theta.
-    Validation-only; production solves take explicit rational weight sets.
-    """
-    theta = float(theta)
-    if not (1e-2 <= theta <= np.pi - 1e-2):
-        raise ValueError(f"theta={theta} outside the supported range [1e-2, pi-1e-2]")
-    s = np.sin(theta)
-    c = np.cos(theta)
-    alpha = 1.0 / (6.0 * theta * s) - 1.0 / (theta**3 * s) + 1.0 / theta**4
-    beta = 2.0 * (1.0 + c) / (theta**3 * s) - (c - 2.0) / (3.0 * theta) - 4.0 / theta**4
-    gamma = (
-        -2.0 * (1.0 + 2.0 * c) / (theta**3 * s)
-        + (1.0 - 4.0 * c) / (3.0 * theta * s)
-        + 6.0 / theta**4
-    )
-    return ThetaSet4(alpha, beta, gamma)
-
-
-class ThetaSet6(NamedTuple):
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-
-    @property
-    def defect(self) -> float:
-        """Deviation of alpha + beta + gamma + delta/2 from 1/2."""
-        return self.alpha + self.beta + self.gamma + 0.5 * self.delta - 0.5
-
-
-def theta_coefficients6(theta: float) -> ThetaSet6:
-    """Verbatim evaluation of the theta-parameterized weights.
-
-    Same domain policy as the fourth-order variant: theta must lie in
-    [1e-2, pi - 1e-2].  Validation-only.
-    """
-    theta = float(theta)
-    if not (1e-2 <= theta <= np.pi - 1e-2):
-        raise ValueError(f"theta={theta} outside the supported range [1e-2, pi-1e-2]")
-    s = np.sin(theta)
-    c = np.cos(theta)
-    t3 = theta**3
-    t5 = theta**5
-    t6 = theta**6
-    alpha = (theta - s) / (t6 * s) - 1.0 / (6.0 * t3 * s) + 1.0 / (12.0 * theta * s)
-    beta = (
-        6.0 / t6
-        - 2.0 * (c + 2.0) / (t5 * s)
-        + (c - 1.0) / (3.0 * t3 * s)
-        - (c - 13.0) / (60.0 * theta * s)
-    )
-    gamma = (
-        (8.0 * c + 7.0) / (t5 * s)
-        - 15.0 / t6
-        + (4.0 * c + 5.0) / (6.0 * t3 * s)
-        - (52.0 * c - 67.0) / (120.0 * theta * s)
-    )
-    delta = (
-        20.0 / t6
-        - 2.0 * (6.0 * c + 4.0) / (t5 * s)
-        - 2.0 * (3.0 * c + 1.0) / (3.0 * t3 * s)
-        - (33.0 * c - 13.0) / (30.0 * theta * s)
-    )
-    return ThetaSet6(alpha, beta, gamma, delta)
 
 
 # ---------------------------------------------------------------------------

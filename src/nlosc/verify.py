@@ -32,8 +32,6 @@ from nlosc.spline import (
     derive_parameters6,
     min_n,
     solve,
-    theta_coefficients4,
-    theta_coefficients6,
 )
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "convergence_order",
     "reproduce_table",
     "render_table",
-    "build_report",
 ]
 
 
@@ -380,75 +377,3 @@ def render_table(table: ErrorTable) -> str:
         lines.append(f"note: {note}")
     return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# verification report
-# ---------------------------------------------------------------------------
-
-
-def build_report() -> str:
-    """Full verification report: every benchmark table recomputed and
-    compared against its reference values, observed convergence slopes, and
-    the theta-weight normalization defects.
-
-    The reference narrative claims plain second-order behavior for the
-    standard weight sets ("error falls by 1/4 per doubling"); the observed
-    ratios recorded here are generally much steeper, and are archived
-    instead of asserting that narrative.
-    """
-    lines = ["nlosc verification report", "=" * 60, ""]
-    for table_id in sorted(REFERENCE_MAX_ERRORS):
-        table = reproduce_table(table_id)
-        lines.append(render_table(table))
-        lines.append("")
-        lines.append(f"{'n':>6}{'':>2}reference ratio (computed/reference)")
-        for i, (n, references) in enumerate(REFERENCE_MAX_ERRORS[table_id].items()):
-            ratios = (
-                f"{column}={table.values[i, j] / ref:6.3f}"
-                for j, (column, ref) in enumerate(references.items())
-            )
-            lines.append(f"{n:>6}  " + "  ".join(ratios))
-        lines.append("")
-        lines.append("observed slopes per doubling:")
-        for j, column in enumerate(table.columns):
-            slopes = slopes_from_errors(list(table.values[:, j]))
-            rendered = ", ".join(f"{s:.2f}" for s in slopes)
-            lines.append(f"  {column}: {rendered}")
-        lines.append("-" * 60)
-        lines.append("")
-
-    lines.append("theta-weight normalization defects (validation only):")
-    for theta in (0.5, 1.0, 1.5, 2.0, 3.0):
-        d4 = theta_coefficients4(theta).defect
-        d6 = theta_coefficients6(theta).defect
-        lines.append(f"  theta={theta:4.2f}:  order-4 defect {d4: .3e}   order-6 defect {d6: .3e}")
-    lines.append("")
-    lines.append("notes")
-    lines.append("-" * 60)
-    lines.append(
-        "* tables 1 and 3 share the same three weight sets but reproduce the\n"
-        "  reference values only with different closure families: table 1\n"
-        "  matches the improved closure rows, table 3 the standard ones.  The\n"
-        "  method presets encode that pairing (table1-col* vs table3-col*).\n"
-        "* every tabulated closure row was verified against an exact monomial\n"
-        "  expansion: each row is exact through its design degree and its\n"
-        "  leading truncation constant matches the documented value, including\n"
-        "  the sixth-order row whose mixed denominators looked suspicious.\n"
-        "* the reference narrative claims plain second-order decay (error /4\n"
-        "  per doubling) for the standard weight sets; the observed ratios\n"
-        "  above are generally much steeper and are archived rather than\n"
-        "  asserted.\n"
-        "* tables 6 and 8 derived6-*/improved6 columns use the canonical\n"
-        "  tie-break weights with the degree-13 series starting procedure; the\n"
-        "  reference runs used unpublished weights and closure there, so those\n"
-        "  columns verify convergence order only.  With the series closure the\n"
-        "  order-8 cell comes out about an order of magnitude below the\n"
-        "  reference value.\n"
-        "* every solve marches the consistency rows in summed form, carrying\n"
-        "  backward differences in double precision, so rounding grows about\n"
-        "  linearly in n: series-closure solves reach about 1e-15 on fine\n"
-        "  grids.  Tabulated closures start the march from a dense solve of\n"
-        "  their head rows, whose rounding the march still amplifies; their\n"
-        "  fine-grid errors stop falling past n of a few hundred."
-    )
-    return "\n".join(lines)

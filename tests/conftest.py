@@ -1,9 +1,11 @@
 """Shared fixtures and references: benchmark cases, one Runge-Kutta
 stepper with its two oracles (the reduced problem and the ring's own
-system), and a 40-digit mpmath walk of the expressions."""
+system), a 40-digit mpmath walk of the expressions, and the paper's
+printed theta-parameterized weights."""
 
 import dataclasses
 import operator
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -122,6 +124,89 @@ def integrate_chain(chain, t0, t1, steps):
 
     z = [v for pair in zip(chain.positions, chain.velocities) for v in pair]
     return rk4(rhs, chain.forces, z, (t0, t1), steps)
+
+
+class ThetaSet4(NamedTuple):
+    alpha: float
+    beta: float
+    gamma: float
+
+    @property
+    def defect(self) -> float:
+        """Deviation of 2*alpha + 2*beta + gamma from 1.
+
+        The printed closed form for beta mixes a term of inconsistent
+        scaling (its middle term lacks a sin(theta) divisor compared with
+        its neighbors), so these weights do not normalize exactly; the
+        defect is reported instead of being corrected.
+        """
+        return 2.0 * self.alpha + 2.0 * self.beta + self.gamma - 1.0
+
+
+class ThetaSet6(NamedTuple):
+    alpha: float
+    beta: float
+    gamma: float
+    delta: float
+
+    @property
+    def defect(self) -> float:
+        """Deviation of alpha + beta + gamma + delta/2 from 1/2."""
+        return self.alpha + self.beta + self.gamma + 0.5 * self.delta - 0.5
+
+
+def _theta_sin_cos(theta):
+    """theta as a float with its sine and cosine.  ``theta`` is the product
+    of the spline frequency and the grid spacing; it is refused outside
+    [1e-2, pi - 1e-2]: sin(theta) vanishes at the ends and the formulas
+    cancel catastrophically for tiny theta."""
+    theta = float(theta)
+    if not (1e-2 <= theta <= np.pi - 1e-2):
+        raise ValueError(f"theta={theta} outside the supported range [1e-2, pi-1e-2]")
+    return theta, np.sin(theta), np.cos(theta)
+
+
+def theta_coefficients4(theta) -> ThetaSet4:
+    """Verbatim evaluation of the printed order-4 theta-parameterized
+    weights; the solver takes exact rational weight sets instead."""
+    theta, s, c = _theta_sin_cos(theta)
+    alpha = 1.0 / (6.0 * theta * s) - 1.0 / (theta**3 * s) + 1.0 / theta**4
+    beta = 2.0 * (1.0 + c) / (theta**3 * s) - (c - 2.0) / (3.0 * theta) - 4.0 / theta**4
+    gamma = (
+        -2.0 * (1.0 + 2.0 * c) / (theta**3 * s)
+        + (1.0 - 4.0 * c) / (3.0 * theta * s)
+        + 6.0 / theta**4
+    )
+    return ThetaSet4(alpha, beta, gamma)
+
+
+def theta_coefficients6(theta) -> ThetaSet6:
+    """Verbatim evaluation of the printed order-6 theta-parameterized
+    weights, on the same domain as the order-4 ones."""
+    theta, s, c = _theta_sin_cos(theta)
+    t3 = theta**3
+    t5 = theta**5
+    t6 = theta**6
+    alpha = (theta - s) / (t6 * s) - 1.0 / (6.0 * t3 * s) + 1.0 / (12.0 * theta * s)
+    beta = (
+        6.0 / t6
+        - 2.0 * (c + 2.0) / (t5 * s)
+        + (c - 1.0) / (3.0 * t3 * s)
+        - (c - 13.0) / (60.0 * theta * s)
+    )
+    gamma = (
+        (8.0 * c + 7.0) / (t5 * s)
+        - 15.0 / t6
+        + (4.0 * c + 5.0) / (6.0 * t3 * s)
+        - (52.0 * c - 67.0) / (120.0 * theta * s)
+    )
+    delta = (
+        20.0 / t6
+        - 2.0 * (6.0 * c + 4.0) / (t5 * s)
+        - 2.0 * (3.0 * c + 1.0) / (3.0 * t3 * s)
+        - (33.0 * c - 13.0) / (30.0 * theta * s)
+    )
+    return ThetaSet6(alpha, beta, gamma, delta)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, at the stated tolerances.
 
 Each test prints one PASS/FAIL line (visible in the -rA summary).  The
-final test archives the full verification report, including the observed
-convergence slopes and the reference-comparison notes, next to the
-repository root as ``verification_report.txt``.
+final test writes the whole verification report to
+``verification_report.txt`` at the repository root: every benchmark table
+against its reference cells with its observed slopes, the normalization
+defects of the paper's printed theta weights, the notes, and these
+outcomes.
 
 Criterion 5 carries two documented measurement caveats (see the report and
 the module docstrings): its reference cell comes from a run whose boundary
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import oracle_max_error
+from conftest import oracle_max_error, theta_coefficients4, theta_coefficients6
 from nlosc.chain import HighOrderIVP, recover_trajectories, reduce_chain
 from nlosc.expr import Deriv, evaluate, parse
 from nlosc.spline import (
@@ -34,8 +36,10 @@ from nlosc.spline import (
 )
 from nlosc.verify import (
     METHODS,
+    REFERENCE_MAX_ERRORS,
     case_by_id,
     max_abs_error,
+    render_table,
     reproduce_table,
     slopes_from_errors,
 )
@@ -293,15 +297,14 @@ def test_criterion_8_convergence_slopes():
             if not all(s >= 1.8 for s in slopes):
                 failures.append(f"{name}@table{table_id} slopes {slopes}")
 
-    # archive the remaining tables' slopes (reference ratio claims differ
-    # from the observed ratios; recorded, not asserted)
+    # record the remaining tables' slopes too (reference ratio claims
+    # differ from the observed ratios; recorded, not asserted)
     for table_id in (3, 7):
         table = reproduce_table(table_id)
         for j, name in enumerate(table.columns):
             all_slopes[f"{name}@table{table_id}"] = slopes_from_errors(
                 list(table.values[:, j])
             )
-    _archive["slopes"] = all_slopes
 
     passed = not failures
     summary = "; ".join(
@@ -320,15 +323,74 @@ def _table_layouts():
 
 
 def test_write_verification_report():
-    """Archive the verification report (runs last in this module)."""
-    from nlosc.verify import build_report
+    """Write the verification report (runs last in this module): every
+    benchmark table recomputed and compared against its reference values
+    with its observed slopes, the theta-weight normalization defects, the
+    notes, and the acceptance outcomes.
 
-    lines = [build_report(), "", "acceptance outcomes", "-" * 60]
+    The reference narrative claims plain second-order behavior for the
+    standard weight sets ("error falls by 1/4 per doubling"); the observed
+    ratios recorded here are generally much steeper, and are archived
+    instead of asserting that narrative.
+    """
+    lines = ["nlosc verification report", "=" * 60, ""]
+    for table_id in sorted(REFERENCE_MAX_ERRORS):
+        table = reproduce_table(table_id)
+        lines.append(render_table(table))
+        lines.append("")
+        lines.append(f"{'n':>6}{'':>2}reference ratio (computed/reference)")
+        for i, (n, references) in enumerate(REFERENCE_MAX_ERRORS[table_id].items()):
+            ratios = (
+                f"{column}={table.values[i, j] / ref:6.3f}"
+                for j, (column, ref) in enumerate(references.items())
+            )
+            lines.append(f"{n:>6}  " + "  ".join(ratios))
+        lines.append("")
+        lines.append("observed slopes per doubling:")
+        for j, column in enumerate(table.columns):
+            slopes = slopes_from_errors(list(table.values[:, j]))
+            rendered = ", ".join(f"{s:.2f}" for s in slopes)
+            lines.append(f"  {column}: {rendered}")
+        lines.append("-" * 60)
+        lines.append("")
+
+    lines.append("theta-weight normalization defects (validation only):")
+    for theta in (0.5, 1.0, 1.5, 2.0, 3.0):
+        d4 = theta_coefficients4(theta).defect
+        d6 = theta_coefficients6(theta).defect
+        lines.append(f"  theta={theta:4.2f}:  order-4 defect {d4: .3e}   order-6 defect {d6: .3e}")
+    lines.append("")
+    lines.append("notes")
+    lines.append("-" * 60)
+    lines.append(
+        "* tables 1 and 3 share the same three weight sets but reproduce the\n"
+        "  reference values only with different closure families: table 1\n"
+        "  matches the improved closure rows, table 3 the standard ones.  The\n"
+        "  method presets encode that pairing (table1-col* vs table3-col*).\n"
+        "* every tabulated closure row was verified against an exact monomial\n"
+        "  expansion: each row is exact through its design degree and its\n"
+        "  leading truncation constant matches the documented value, including\n"
+        "  the sixth-order row whose mixed denominators looked suspicious.\n"
+        "* the reference narrative claims plain second-order decay (error /4\n"
+        "  per doubling) for the standard weight sets; the observed ratios\n"
+        "  above are generally much steeper and are archived rather than\n"
+        "  asserted.\n"
+        "* tables 6 and 8 derived6-*/improved6 columns use the canonical\n"
+        "  tie-break weights with the degree-13 series starting procedure; the\n"
+        "  reference runs used unpublished weights and closure there, so those\n"
+        "  columns verify convergence order only.  With the series closure the\n"
+        "  order-8 cell comes out about an order of magnitude below the\n"
+        "  reference value.\n"
+        "* every solve marches the consistency rows in summed form, carrying\n"
+        "  backward differences in double precision, so rounding grows about\n"
+        "  linearly in n: series-closure solves reach about 1e-15 on fine\n"
+        "  grids.  Tabulated closures start the march from a dense solve of\n"
+        "  their head rows, whose rounding the march still amplifies; their\n"
+        "  fine-grid errors stop falling past n of a few hundred."
+    )
+
+    lines += ["", "acceptance outcomes", "-" * 60]
     lines.extend(_outcomes)
-    if "slopes" in _archive:
-        lines += ["", "observed slopes per doubling (criterion 8 archive)", "-" * 60]
-        for key, slopes in sorted(_archive["slopes"].items()):
-            lines.append(f"  {key}: " + ", ".join(f"{s:.2f}" for s in slopes))
     if "criterion5" in _archive:
         lines += ["", "criterion 5 slope details", "-" * 60]
         for key, (errs, slope) in sorted(_archive["criterion5"].items()):

@@ -375,6 +375,26 @@ def test_diverging_ring_solves_on_a_finer_grid(tmp_path):
     assert np.max(np.abs(rows[:, 1] - pivot)) <= 1e-5 * np.max(np.abs(pivot))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3, table half: at n = 64 the series start passes the "
+    "divergence rule unconverged; the adaptive degree that mends it waits on a ruling",
+)
+def test_diverging_ring_on_a_coarse_grid_solves_or_fails(tmp_path):
+    # exit non-zero with no CSV, or a pivot within 1e-8 max|y|; today the
+    # run exits 0 with the pivot off by 2.2e-1 max|y| (max|y| = 41.1)
+    out = tmp_path / "grid.csv"
+    path = write_config(tmp_path, diverging_ring(64))
+    if main(["solve", "--config", path, "--out", str(out)]) != 0:
+        assert not out.exists()
+        return
+    _, rows = read_csv(out.read_text())
+    _, history = integrate_chain(load_config(path).chain, 0.0, 8.0, 10240)
+    pivot = history[::160, 4]
+    assert np.max(np.abs(rows[:, 1] - pivot)) <= 1e-8 * np.max(np.abs(pivot))
+
+
 @pytest.mark.parametrize("power", [11, 12, 13])
 def test_series_that_ends_early_is_not_diverging(tmp_path, power):
     # y = t^power about t = 0 has no terms of degree 8..10 in the

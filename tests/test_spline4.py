@@ -12,6 +12,7 @@ from conftest import (
     monomial_residual,
     oracle_max_error,
     rk_oracle,
+    theta_coefficients4,
 )
 from nlosc.chain import HighOrderIVP
 from nlosc.expr import parse, values_on_grid
@@ -21,7 +22,6 @@ from nlosc.spline import (
     WeightSet,
     closure_rows,
     solve,
-    theta_coefficients4,
     truncation_brackets,
 )
 from nlosc.verify import METHODS, case_by_id, max_abs_error

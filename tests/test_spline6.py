@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import consistency_residual, head_rows, monomial_residual
+from conftest import consistency_residual, head_rows, monomial_residual, theta_coefficients6
 from nlosc.chain import HighOrderIVP, OscillatorChain, reduce_chain
 from nlosc.expr import parse
 from nlosc.spline import (
@@ -19,7 +19,6 @@ from nlosc.spline import (
     derivatives_at_start,
     derive_parameters6,
     solve,
-    theta_coefficients6,
     truncation_brackets,
 )
 from nlosc.verify import case_by_id, max_abs_error
