@@ -7,8 +7,9 @@ The public surface is organized by module:
 * :mod:`nlosc.expr`    -- tiny closed-form expression language in t
 * :mod:`nlosc.chain`   -- oscillator rings, reduction, trajectory recovery
 * :mod:`nlosc.spline`  -- one solver for every even order 2N (N-oscillator
-  rings): weight sets, the closure table, truncation diagnostics
-* :mod:`nlosc.verify`  -- benchmark cases, error tables, convergence
+  rings): ``Method(name, weights, closure).solve(ivp, n)``, the only solve
+  path; weight sets, the closure table, truncation diagnostics
+* :mod:`nlosc.verify`  -- benchmark cases, presets, error tables, convergence
 * :mod:`nlosc.cli`     -- command-line front end
 """
 
@@ -23,9 +24,9 @@ from nlosc.spline import (
     IMPROVED_SET4,
     IMPROVED_SET6,
     GridSolution,
+    Method,
     WeightSet,
     derive_parameters6,
-    solve,
     truncation_brackets,
 )
 
@@ -45,7 +46,7 @@ __all__ = [
     "GridSolution",
     "IMPROVED_SET4",
     "IMPROVED_SET6",
-    "solve",
+    "Method",
     "derive_parameters6",
     "truncation_brackets",
     "__version__",

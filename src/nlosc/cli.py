@@ -34,11 +34,10 @@ import numpy as np
 
 from nlosc.chain import HighOrderIVP, OscillatorChain, recover_trajectories, reduce_chain
 from nlosc.expr import Expression, ExpressionError, evaluate, parse, to_text, values_on_grid
-from nlosc.spline import WeightSet
+from nlosc.spline import Method, WeightSet
 from nlosc.verify import (
     METHODS,
     REFERENCE_MAX_ERRORS,
-    Method,
     builtin_cases,
     case_by_id,
     convergence_order,

@@ -136,38 +136,12 @@ class Expression:
                 return self
         return Mul(self, other)
 
-    def __truediv__(self, other) -> "Expression":
-        other = self._wrap(other)
-        if isinstance(other, Const) and other.value == 1.0:
-            return self
-        if isinstance(self, Const) and isinstance(other, Const) and other.value != 0.0:
-            return Const(self.value / other.value)
-        return Div(self, other)
-
     def __neg__(self) -> "Expression":
         if isinstance(self, Const):
             return Const(-self.value)
         if isinstance(self, Neg):
             return self.operand
         return Neg(self)
-
-    def __pow__(self, exponent: int) -> "Expression":
-        exponent = int(exponent)
-        if exponent < 0:
-            raise ValueError("powers are restricted to nonnegative integer exponents")
-        if exponent == 0:
-            return Const(1.0)
-        if exponent == 1:
-            return self
-        if isinstance(self, Const):
-            return Const(self.value**exponent)
-        return Pow(self, exponent)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other) -> "Expression":
-        return self._wrap(other) - self
 
 
 @dataclass(frozen=True)
@@ -366,12 +340,21 @@ def _values(e: Expression, t, count: int | None = None):
 def _derived(node: Deriv, t, count: int | None):
     """Value, or jet of ``count`` coefficients, of a Deriv node, from a
     jet of its operand ``order`` coefficients longer: the k-th derivative
-    of sum_i c_i (t - t0)^i has coefficients c_{j+k} (j+k)!/j!."""
+    of sum_i c_i (t - t0)^i has coefficients c_{j+k} (j+k)!/j!.
+    ``EvaluationError``, before the operand's jet is walked, if such a
+    factor is past the float range."""
     k = node.order
+    try:
+        math.gamma(k + 1)  # overflows from k = 171 on, as k! does, without building k!
+        factors = [float(math.perm(j + k, k)) for j in range(count or 1)]
+    except OverflowError:
+        raise EvaluationError(
+            f"derivative of order {k}: its factorial factor is past the float range"
+        ) from None
     jet = _values(node.operand, t, (count or 1) + k)
     if count is None:
-        return float(math.factorial(k)) * jet[k]
-    return [float(math.perm(j + k, k)) * jet[j + k] for j in range(count)]
+        return factors[0] * jet[k]
+    return [c * jet[j + k] for j, c in enumerate(factors)]
 
 
 # Series recurrences on coefficient lists (Griewank & Walther, ch. 13).
@@ -548,7 +531,8 @@ class _Parser:
         if kind == "op" and value == "^":
             self.advance()
             exponent = self.uint("exponent")
-            node = Pow(node, exponent) if exponent > 1 else node**exponent
+            if exponent != 1:
+                node = Pow(node, exponent) if exponent else Const(1.0)
         return node
 
     def base(self) -> Expression:

@@ -34,6 +34,9 @@ row on its support that is exact through its closure's degree.
   :func:`derivatives_at_start`.  A series whose last terms grow out to
   node p - 1 is an error: the grid is too coarse for it.
 
+A :class:`Method` names one scheme, a weight set and a closure that fits
+its order, and :meth:`Method.solve` is the one way to solve with it.
+
 A tabulated closure touches the nodes 0..p+2 only, so its p - 1 rows and
 the consistency rows of the windows ending at nodes p, p+1 and p+2 hold
 y_1..y_{p+2} and no other unknown.  One builder, :func:`head_system`,
@@ -114,14 +117,13 @@ __all__ = [
     "GridSolution",
     "IMPROVED_SET4",
     "IMPROVED_SET6",
+    "Method",
     "SERIES_START_DEGREE",
     "WeightSet",
-    "check_closure",
     "closure_rows",
     "derivatives_at_start",
     "derive_parameters6",
     "min_n",
-    "solve",
     "truncation_brackets",
 ]
 
@@ -365,7 +367,7 @@ CLOSURES: dict[str, _TabulatedClosure | None] = {
 }
 
 
-def check_closure(closure: str, order: int) -> None:
+def _check_closure(closure: str, order: int) -> None:
     """``ValueError`` if ``closure`` is unknown or tabulated for another
     order; reads the support table only, so it derives no row."""
     if not isinstance(closure, str) or closure not in CLOSURES:
@@ -380,7 +382,7 @@ def check_closure(closure: str, order: int) -> None:
 def closure_rows(closure: str, order: int) -> tuple[EndCondition, ...]:
     """The rows of ``closure`` at ``order``, none for the series start;
     derived on the first call and kept for the process."""
-    check_closure(closure, order)
+    _check_closure(closure, order)
     return _derived_rows(closure) if CLOSURES[closure] else ()
 
 
@@ -434,14 +436,17 @@ def min_n(order: int) -> int:
 
 def grid_values(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """``(t, h, f, g)``: the grid t_i = a + i*h, i = 0..n, and the values
-    of f and g on it; ``ValueError`` if n is below :func:`min_n` or a value
-    is not finite."""
+    of f and g on it; ``ValueError`` if n is below :func:`min_n` or past the
+    float range, or a value is not finite."""
     if n < min_n(ivp.order):
         raise ValueError(
             f"grid too coarse: n={n} but the closure rows need n >= {min_n(ivp.order)}"
         )
     a, b = ivp.interval
-    h = (b - a) / n
+    try:
+        h = (b - a) / n
+    except OverflowError:  # an int n past the float range
+        raise ValueError(f"grid size n={n} is past the float range") from None
     t = a + h * np.arange(n + 1)
     f, g = values_on_grid(ivp.f, t), values_on_grid(ivp.g, t)
     require_finite(f, g)
@@ -744,27 +749,49 @@ def _series_start(ivp: HighOrderIVP, h: float) -> tuple[list[float], list[float]
     return values, stack
 
 
-def solve(ivp: HighOrderIVP, n: int, weights: WeightSet, closure: str) -> GridSolution:
-    """Solve on n subintervals: the head of ``closure``, y_0 pinned to
-    u_0, then the march to node n.  Raises ``ValueError`` on a non-finite
-    coefficient, a power of h past the float range, a series start that
-    grows instead of converging or a solution that is not finite (naming
-    its first such node), and
-    ``numpy.linalg.LinAlgError`` on a singular system."""
-    if weights.order != ivp.order:
-        raise ValueError(f"weights of order {weights.order} cannot solve order {ivp.order}")
-    rows = closure_rows(closure, ivp.order)
-    t, h, f, g = grid_values(ivp, n)
-    try:
-        if rows:
-            head = solve_head(f, g, h, ivp.u, weights.float_weights, rows)
-        else:
-            head = _series_start(ivp, h)
-    except OverflowError as exc:  # float ** raises where float * gives inf
-        raise ValueError(f"grid spacing h={h} is too large: its powers overflow") from exc
-    y = march(f, g, h, weights.float_weights, *head)
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise ValueError(f"the solution is not finite from node {bad[0]} (t={t[bad[0]]}) on")
-    return GridSolution(t=t, y=y, method=f"spline{ivp.order}-{closure}", n=n, h=h)
+@dataclass(frozen=True)
+class Method:
+    """A named scheme: a weight set, which fixes the order, and a closure of
+    :data:`CLOSURES` that fits it (checked at construction).  Its
+    :meth:`solve` is the one way to solve."""
 
+    name: str
+    coefficients: WeightSet
+    closure: str
+    note: str = ""
+
+    def __post_init__(self):
+        _check_closure(self.closure, self.order)
+
+    @property
+    def order(self) -> int:
+        return self.coefficients.order
+
+    @property
+    def min_n(self) -> int:
+        return min_n(self.order)
+
+    def solve(self, ivp: HighOrderIVP, n: int) -> GridSolution:
+        """Solve on n subintervals: the head of the closure, y_0 pinned to
+        u_0, then the march to node n.  Raises ``ValueError`` on a
+        non-finite coefficient, a grid size or a power of h past the float
+        range, a series start that grows instead of converging or a
+        solution that is not finite (naming its first such node), and
+        ``numpy.linalg.LinAlgError`` on a singular system."""
+        weights = self.coefficients
+        if weights.order != ivp.order:
+            raise ValueError(f"weights of order {weights.order} cannot solve order {ivp.order}")
+        rows = closure_rows(self.closure, ivp.order)
+        t, h, f, g = grid_values(ivp, n)
+        try:
+            if rows:
+                head = solve_head(f, g, h, ivp.u, weights.float_weights, rows)
+            else:
+                head = _series_start(ivp, h)
+        except OverflowError as exc:  # float ** raises where float * gives inf
+            raise ValueError(f"grid spacing h={h} is too large: its powers overflow") from exc
+        y = march(f, g, h, weights.float_weights, *head)
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise ValueError(f"the solution is not finite from node {bad[0]} (t={t[bad[0]]}) on")
+        return GridSolution(t=t, y=y, method=self.name, n=n, h=h)

@@ -1,4 +1,4 @@
-"""Built-in benchmark cases, error metrics and table reproduction.
+"""Built-in benchmark cases, method presets, error metrics and tables.
 
 Four analytically solvable problems exercise the solver at both orders:
 
@@ -7,14 +7,15 @@ Four analytically solvable problems exercise the solver at both orders:
 3. order 6:  y^(6) - y = -6 e^t             on [0, 1],   y = (1-t) e^t
 4. order 6:  y^(6) + y = 6 (2t cos t + 5 sin t) on [-1, 1], y = (t^2-1) sin t
 
-Eight benchmark tables pair these cases with weight sets and grid sizes;
+``METHODS`` holds the preset :class:`nlosc.spline.Method` objects, and
+eight benchmark tables pair the cases with presets and grid sizes;
 ``REFERENCE_MAX_ERRORS`` records the expected max-abs grid errors used as
 regression baselines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import log2
@@ -27,11 +28,9 @@ from nlosc.spline import (
     IMPROVED_SET4,
     IMPROVED_SET6,
     GridSolution,
+    Method,
     WeightSet,
-    check_closure,
     derive_parameters6,
-    min_n,
-    solve,
 )
 
 __all__ = [
@@ -155,38 +154,8 @@ def case_by_id(case_id: int) -> AnalyticCase:
 
 
 # ---------------------------------------------------------------------------
-# methods
+# method presets
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Method:
-    """A named solver configuration: weight set plus boundary closure.
-
-    The weights fix the problem order; ``closure`` names an entry of
-    :data:`nlosc.spline.CLOSURES` that fits it (checked at construction).
-    """
-
-    name: str
-    coefficients: WeightSet
-    closure: str
-    note: str = ""
-
-    def __post_init__(self):
-        check_closure(self.closure, self.order)
-
-    @property
-    def order(self) -> int:
-        return self.coefficients.order
-
-    @property
-    def min_n(self) -> int:
-        return min_n(self.order)
-
-    def solve(self, ivp: HighOrderIVP, n: int) -> GridSolution:
-        solution = solve(ivp, n, self.coefficients, self.closure)
-        return replace(solution, method=self.name)
-
 
 _F = Fraction
 

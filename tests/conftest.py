@@ -243,7 +243,7 @@ def distinct_nodes(*roots) -> int:
 
 
 def head_rows(ivp, n, weights, closure):
-    """``(block, rhs)`` of the head that :func:`nlosc.spline.solve` builds
+    """``(block, rhs)`` of the head that :meth:`nlosc.spline.Method.solve` builds
     for a tabulated closure on a grid of n: the rows of y_1..y_{p+2}, which
     at n = p + 2 are the whole system."""
     _, h, f, g = grid_values(ivp, n)

@@ -29,9 +29,9 @@ from nlosc.expr import Deriv, evaluate, parse
 from nlosc.spline import (
     IMPROVED_SET4,
     IMPROVED_SET6,
+    Method,
     WeightSet,
     derive_parameters6,
-    solve,
     truncation_brackets,
 )
 from nlosc.verify import (
@@ -202,7 +202,7 @@ def test_criterion_7_property_suite(oracle):
     grid = np.linspace(0, 1, 13)
     cubic = 1 + 2 * grid - grid**2 + 3 * grid**3
     for cs, closure in ((WeightSet((F(0), F(0), F(1))), "standard"), (IMPROVED_SET4, "improved")):
-        err = np.max(np.abs(solve(cubic_ivp, 12, cs, closure).y - cubic))
+        err = np.max(np.abs(Method(closure, cs, closure).solve(cubic_ivp, 12).y - cubic))
         if err > 1e-9:
             failures.append(f"cubic exactness violated: {err:.2e}")
 
@@ -254,7 +254,7 @@ def test_criterion_7_property_suite(oracle):
     from test_chain import example_chain
 
     chain = example_chain()
-    solution = solve(reduce_chain(chain), 48, IMPROVED_SET4, "improved")
+    solution = METHODS["improved4"].solve(reduce_chain(chain), 48)
     paths = recover_trajectories(chain, solution)
     t = solution.t
     neighbor_error = np.max(

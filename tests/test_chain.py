@@ -26,7 +26,7 @@ from nlosc.chain import (
     reduce_chain,
 )
 from nlosc.expr import Const, Deriv, EvaluationError, evaluate, parse, values_on_grid
-from nlosc.spline import IMPROVED_SET4, GridSolution, _zeroing_weights, solve
+from nlosc.spline import GridSolution, Method, _zeroing_weights
 from nlosc.verify import METHODS
 
 COS1, SIN1 = math.cos(1.0), math.sin(1.0)
@@ -341,7 +341,7 @@ def test_round_trip_inverse_map():
 def test_recover_case1_neighbor():
     chain = example_chain()
     ivp = reduce_chain(chain)
-    solution = solve(ivp, 48, IMPROVED_SET4, "improved")
+    solution = METHODS["improved4"].solve(ivp, 48)
     paths = recover_trajectories(chain, solution)
     t = solution.t
     exact_y1 = -2 * np.cos(t) + (1 - t) * np.sin(t)
@@ -352,7 +352,7 @@ def test_recover_case1_neighbor():
 def test_recover_zero_chain():
     chain = zero_chain(2)
     ivp = reduce_chain(chain)
-    solution = solve(ivp, 12, IMPROVED_SET4, "improved")
+    solution = METHODS["improved4"].solve(ivp, 12)
     paths = recover_trajectories(chain, solution)
     assert np.max(np.abs(paths)) <= 1e-12
 
@@ -474,7 +474,8 @@ def test_recovered_neighbors_reach_the_pivot_accuracy(size):
         velocities=(0.0,) * size,
     )
     n, steps = 128, 10240
-    solution = solve(reduce_chain(chain), n, _zeroing_weights(2 * size, {}), "series")
+    method = Method(f"improved{2 * size}", _zeroing_weights(2 * size, {}), "series")
+    solution = method.solve(reduce_chain(chain), n)
     paths = recover_trajectories(chain, solution)
     _, history = integrate_chain(chain, 0.0, 1.0, steps)
     errors = np.max(np.abs(paths - history[:: steps // n, 0::2].T), axis=1)

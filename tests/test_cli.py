@@ -335,6 +335,37 @@ def test_grid_spacing_whose_powers_overflow_is_an_error(tmp_path, capsys, method
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_grid_size_past_the_float_range_is_an_error(tmp_path, capsys, command):
+    # (b - a) / n converts n to a float first, which overflows
+    n = 10**400
+    out = tmp_path / "grid.csv"
+    if command == "solve":
+        config = write_config(tmp_path, {**chain_config(), "n": n})
+        argv = ["solve", "--config", config, "--out", str(out)]
+    else:
+        argv = ["convergence", "--case", "1", "--method", "improved4", "--n", f"12,{n}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: grid size n={n} is past the float range\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["g", "forces"])
+def test_derivative_order_past_the_float_range_is_an_expression_error(tmp_path, capsys, field):
+    # 171! does not convert to a float
+    if field == "g":
+        cfg = {**case_config(1, "improved4", 16), "g": "diff(sin(t), 171)"}
+    else:
+        cfg = {**chain_config(), "forces": ["0", "diff(sin(t), 171)"]}
+    out = tmp_path / "grid.csv"
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("expression error: derivative of order 171: "), err
+    assert not out.exists()
+
+
 def diverging_ring(n):
     """A 3-ring on [0, 8] whose forces have poles at t = +-i, so the series
     start about t = 0 has radius 1: at n = 32 it reaches out to
@@ -775,6 +806,56 @@ def test_ivp_expression_errors_name_their_field_once(tmp_path, capsys, key, valu
     assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: $.{key}: "), err
+
+
+def _chain_config_without(key):
+    return {k: v for k, v in chain_config().items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "config, prefix",
+    [
+        (None, "config error: {path}: cannot read config: "),
+        ("{", "config error: {path}: invalid JSON: "),
+        ([], "config error: $: config must be a JSON object"),
+        ({**chain_config(), "mode": "tree"}, "config error: $.mode: expected 'chain' or 'ivp'"),
+        ({**chain_config(), "interval": [0, 1, 2]}, "config error: $.interval: expected [a, b]"),
+        ({**chain_config(), "interval": [1, 0]}, "config error: $.interval: empty interval"),
+        ({**chain_config(), "positions": ["1/0", "0"]}, "config error: $.positions[0]: "),
+        (
+            {**chain_config(), "method": {**IMPROVED4, "alpha": "1/0"}},
+            "config error: $.method.alpha: ",
+        ),
+        ({**chain_config(), "method": []}, "config error: $.method: expected a preset name"),
+        ({**chain_config(), "method": {"family": "spline5"}}, "config error: $.method.family: "),
+        (_chain_config_without("method"), "config error: $.method: missing required field"),
+        (_chain_config_without("n"), "config error: $.n: missing required field"),
+        ({**chain_config(), "forces": ["0", "1/t"], "interval": [0, 1]}, "expression error: "),
+    ],
+    ids=[
+        "missing-file",
+        "bad-json",
+        "not-an-object",
+        "bad-mode",
+        "interval-of-three",
+        "empty-interval",
+        "position-1/0",
+        "weight-1/0",
+        "method-list",
+        "unknown-family",
+        "no-method",
+        "no-n",
+        "force-1/t",
+    ],
+)
+def test_config_errors_exit_2_with_their_message(tmp_path, capsys, config, prefix):
+    path = tmp_path / "config.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    assert main(["solve", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(prefix.format(path=path)), err
+    assert out == ""
 
 
 def test_series_start_at_order_4_from_a_method_object(tmp_path, capsys):

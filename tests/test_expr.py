@@ -358,6 +358,25 @@ def test_deriv_matches_symbolic_differentiation(name, dtype):
             assert _close(jet, np.array(expected)), (name, k, t0)
 
 
+def test_derivative_order_past_the_float_range_is_an_evaluation_error():
+    # 170! is a float, 171! is past the float range
+    e = parse("sin(t)")
+    grid = np.array([0.5, 1.0, 1.5])
+    assert values_on_grid(Deriv(e, 170), grid) == pytest.approx(-np.sin(grid), rel=1e-12)
+    with pytest.raises(EvaluationError, match="derivative of order 171: "):
+        values_on_grid(Deriv(e, 171), grid)
+    # the jet's second coefficient takes 171! / 1!
+    assert taylor(Deriv(e, 170), 0.5, 1) == pytest.approx([-math.sin(0.5)], rel=1e-12)
+    with pytest.raises(EvaluationError, match="derivative of order 170: "):
+        taylor(Deriv(e, 170), 0.5, 2)
+    # the factor is checked before the operand's jet is walked, which at
+    # 5001 coefficients would take seconds
+    start = time.perf_counter()
+    with pytest.raises(EvaluationError, match="derivative of order 5000: "):
+        evaluate(Deriv(e, 5000), 0.5)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_deriv_folds_and_differentiates_to_a_higher_order():
     e = parse("exp(t)*sin(t)/(1+t^2)")
     for c in (0.0, -1.25, 3.0):

@@ -20,7 +20,6 @@ from nlosc.spline import (
     WeightSet,
     closure_rows,
     min_n,
-    solve,
     truncation_brackets,
 )
 from nlosc.verify import METHODS, Method, case_by_id, max_abs_error
@@ -110,7 +109,7 @@ def test_series_start_at_order_4_converges_below_the_improved_closure(case_id):
 
     def errors(closure):
         return [
-            max_abs_error(solve(case.ivp, n, IMPROVED_SET4, closure), case.exact)
+            max_abs_error(Method(closure, IMPROVED_SET4, closure).solve(case.ivp, n), case.exact)
             for n in (12, 24, 48)
         ]
 
@@ -189,6 +188,6 @@ def test_series_start_degree_grows_with_the_order():
     # left the pivot at 4.1e-8 here (5.8e-12 now)
     ivp = four_ring()
     assert ivp.order == 8
-    y = solve(ivp, 64, spline._zeroing_weights(8, {}), "series").y
+    y = Method("improved8", spline._zeroing_weights(8, {}), "series").solve(ivp, 64).y
     reference = rk_oracle(ivp, steps=51200, grid_n=64).y
     assert np.max(np.abs(y - reference)) <= 1e-10

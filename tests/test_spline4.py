@@ -19,9 +19,9 @@ from nlosc.expr import parse, values_on_grid
 from nlosc.spline import (
     IMPROVED_SET4,
     IMPROVED_SET6,
+    Method,
     WeightSet,
     closure_rows,
-    solve,
     truncation_brackets,
 )
 from nlosc.verify import METHODS, case_by_id, max_abs_error
@@ -60,7 +60,7 @@ def test_weights_reject_floats():
 
 def test_unknown_end_variant():
     with pytest.raises(ValueError):
-        solve(case1_ivp(), 6, SET_COL1, "fancy")
+        Method("fancy", SET_COL1, "fancy").solve(case1_ivp(), 6)
 
 
 def test_improved_set_is_normalized_exactly():
@@ -178,21 +178,21 @@ def test_truncation_leading_improved_set():
 
 def test_assembly_rejects_small_grids():
     with pytest.raises(ValueError):
-        solve(case1_ivp(), 5, SET_COL1, "standard")
+        METHODS["table3-col1"].solve(case1_ivp(), 5)
 
 
 def test_assembly_rejects_wrong_order():
     with pytest.raises(ValueError):
-        solve(case_by_id(3).ivp, 16, IMPROVED_SET6, "standard")
+        Method("improved6-standard", IMPROVED_SET6, "standard").solve(case_by_id(3).ivp, 16)
     with pytest.raises(ValueError):
-        solve(case_by_id(3).ivp, 16, SET_COL1, "standard")
+        METHODS["table3-col1"].solve(case_by_id(3).ivp, 16)
 
 
 def test_homogeneous_problem_has_zero_rhs():
     ivp = HighOrderIVP(order=4, f=parse("0"), g=parse("0"), interval=(0, 1), u=(0, 0, 0, 0))
     _, rhs = head_rows(ivp, 8, WeightSet((F(1, 6), F(1, 6), F(1, 3))), "standard")
     assert np.all(rhs == 0.0)
-    assert np.max(np.abs(solve(ivp, 8, SET_COL1, "standard").y)) == 0.0
+    assert np.max(np.abs(METHODS["table3-col1"].solve(ivp, 8).y)) == 0.0
 
 
 def test_first_consistency_row_coefficients():
@@ -268,7 +268,7 @@ def test_cubic_problems_are_reproduced_exactly():
     expected = 1 + 2 * grid - grid**2 + 3 * grid**3
     for variant in ("standard", "improved"):
         for weights in [(F(0), F(0), F(1)), (F(1, 6), F(1, 6), F(1, 3)), (F(-1, 720), F(31, 180), F(79, 120))]:
-            solution = solve(ivp, 12, WeightSet(weights), variant)
+            solution = Method(variant, WeightSet(weights), variant).solve(ivp, 12)
             assert np.max(np.abs(solution.y - expected)) <= 1e-10
 
 
@@ -277,17 +277,17 @@ def test_case1_standard_and_improved_closures_at_coarse_grid():
     ivp = case1_ivp()
     exact = case_by_id(1).exact
     for variant, rel in (("standard", 0.05), ("improved", 0.01)):
-        err = max_abs_error(solve(ivp, 6, SET_COL1, variant), exact)
+        err = max_abs_error(Method(variant, SET_COL1, variant).solve(ivp, 6), exact)
         assert err == pytest.approx(6.74e-1, rel=rel)
 
 
 def test_case1_improved_fine_grid():
-    err = max_abs_error(solve(case1_ivp(), 48, IMPROVED_SET4, "improved"), case_by_id(1).exact)
+    err = max_abs_error(METHODS["improved4"].solve(case1_ivp(), 48), case_by_id(1).exact)
     assert 7.72e-11 / 5 <= err <= 7.72e-11 * 5
 
 
 def test_solution_pins_initial_value():
-    solution = solve(case1_ivp(), 12, IMPROVED_SET4, "improved")
+    solution = METHODS["improved4"].solve(case1_ivp(), 12)
     assert solution.y[0] == case1_ivp().u[0]
     assert solution.t[0] == -1.0 and solution.t[-1] == 1.0
 
@@ -306,7 +306,7 @@ def test_improved_solver_tracks_oracle_on_generated_problems():
             interval=(0.0, 1.0),
             u=(0.4, -0.3, 0.2, 0.1),
         )
-        solution = solve(ivp, 48, IMPROVED_SET4, "improved")
+        solution = METHODS["improved4"].solve(ivp, 48)
         oracle = rk_oracle(ivp, steps=48 * 500)
         assert oracle_max_error(solution, oracle) <= 1e-6
 
@@ -322,7 +322,7 @@ def test_table1_set_slopes_are_at_least_second_order():
     exact = case_by_id(1).exact
     ivp = case1_ivp()
     for weights in [(F(0), F(0), F(1)), (F(1, 2), F(1, 2), F(-1)), (F(1, 6), F(1, 6), F(1, 3))]:
-        cs = WeightSet(weights)
-        errs = [max_abs_error(solve(ivp, n, cs, "improved"), exact) for n in (12, 24, 48)]
+        method = Method("improved", WeightSet(weights), "improved")
+        errs = [max_abs_error(method.solve(ivp, n), exact) for n in (12, 24, 48)]
         slopes = [log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(s >= 1.8 for s in slopes), (weights, slopes)

@@ -13,15 +13,15 @@ from nlosc.chain import HighOrderIVP, OscillatorChain, reduce_chain
 from nlosc.expr import parse
 from nlosc.spline import (
     IMPROVED_SET6,
+    Method,
     WeightSet,
     _series_start,
     closure_rows,
     derivatives_at_start,
     derive_parameters6,
-    solve,
     truncation_brackets,
 )
-from nlosc.verify import case_by_id, max_abs_error
+from nlosc.verify import METHODS, case_by_id, max_abs_error
 
 F = Fraction
 
@@ -241,11 +241,11 @@ def test_start_derivatives_reject_a_singular_forcing_silently():
 
 def test_assembly_rejects_small_grids_and_wrong_order():
     with pytest.raises(ValueError):
-        solve(case_by_id(3).ivp, 7, SET_T5_COL1, "printed")
+        METHODS["table5-col1"].solve(case_by_id(3).ivp, 7)
     with pytest.raises(ValueError):
-        solve(case_by_id(1).ivp, 16, SET_T5_COL1, "printed")
+        METHODS["table5-col1"].solve(case_by_id(1).ivp, 16)
     with pytest.raises(ValueError):
-        solve(case_by_id(3).ivp, 16, SET_T5_COL1, "voodoo")
+        Method("voodoo", SET_T5_COL1, "voodoo").solve(case_by_id(3).ivp, 16)
 
 
 def test_homogeneous_problem_has_zero_rhs():
@@ -306,23 +306,23 @@ def test_quintic_problems_are_reproduced_exactly():
     )
     for cs in TABLE5_SETS + (IMPROVED_SET6,):
         for closure in ("printed", "series"):
-            solution = solve(ivp, 12, cs, closure)
+            solution = Method(closure, cs, closure).solve(ivp, 12)
             assert np.max(np.abs(solution.y - expected)) <= 1e-9
 
 
 def test_case3_reference_cells():
     ivp = case_by_id(3).ivp
     exact = case_by_id(3).exact
-    err16 = max_abs_error(solve(ivp, 16, SET_T5_COL1, "printed"), exact)
+    err16 = max_abs_error(METHODS["table5-col1"].solve(ivp, 16), exact)
     assert err16 == pytest.approx(7.50e-5, rel=0.02)
-    err32 = max_abs_error(solve(ivp, 32, SET_T5_COL1, "printed"), exact)
+    err32 = max_abs_error(METHODS["table5-col1"].solve(ivp, 32), exact)
     assert err32 == pytest.approx(5.45e-6, rel=0.02)
 
 
 def test_case4_improved_series_closure():
     ivp = case_by_id(4).ivp
     exact = case_by_id(4).exact
-    err = max_abs_error(solve(ivp, 16, IMPROVED_SET6, "series"), exact)
+    err = max_abs_error(METHODS["improved6"].solve(ivp, 16), exact)
     # at least as accurate as the reference cell 9.93e-8 allows, within 10x
     assert err <= 9.93e-8 * 10
 
@@ -330,7 +330,7 @@ def test_case4_improved_series_closure():
 def test_zero_problem_solves_to_zero():
     ivp = HighOrderIVP(order=6, f=parse("0"), g=parse("0"), interval=(0, 1), u=(0,) * 6)
     for closure in ("printed", "series"):
-        assert np.max(np.abs(solve(ivp, 12, SET_T5_COL1, closure).y)) == 0.0
+        assert np.max(np.abs(Method(closure, SET_T5_COL1, closure).solve(ivp, 12).y)) == 0.0
 
 
 def test_improved_set_slope_case4_between_16_and_32():
@@ -339,7 +339,7 @@ def test_improved_set_slope_case4_between_16_and_32():
     the printed closure's boundary error would mask this entirely)."""
     case = case_by_id(4)
     errs = [
-        max_abs_error(solve(case.ivp, n, IMPROVED_SET6, "series"), case.exact)
+        max_abs_error(METHODS["improved6"].solve(case.ivp, n), case.exact)
         for n in (16, 32)
     ]
     assert math.log2(errs[0] / errs[1]) >= 6.0
