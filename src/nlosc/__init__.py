@@ -26,8 +26,8 @@ from nlosc.spline import (
     GridSolution,
     Method,
     WeightSet,
-    derive_parameters6,
     truncation_brackets,
+    zeroing_weights,
 )
 
 __version__ = "0.1.0"
@@ -47,7 +47,7 @@ __all__ = [
     "IMPROVED_SET4",
     "IMPROVED_SET6",
     "Method",
-    "derive_parameters6",
     "truncation_brackets",
+    "zeroing_weights",
     "__version__",
 ]

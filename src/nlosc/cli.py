@@ -190,7 +190,7 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(path, f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past 4300 digits
         raise ConfigError(path, f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("$", "config must be a JSON object")

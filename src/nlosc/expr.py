@@ -85,7 +85,8 @@ class ParseError(ExpressionError):
 
 
 class EvaluationError(ExpressionError):
-    """Division by zero or overflow while evaluating an expression."""
+    """Division by zero or overflow while evaluating an expression, or
+    nesting deeper than Python's recursion limit allows."""
 
 
 @dataclass(frozen=True)
@@ -334,7 +335,10 @@ def _values(e: Expression, t, count: int | None = None):
         memo[key] = out
         return out
 
-    return value(e)
+    try:
+        return value(e)
+    except RecursionError:
+        raise EvaluationError("expression nested too deeply to evaluate") from None
 
 
 def _derived(node: Deriv, t, count: int | None):
@@ -574,11 +578,15 @@ def parse(text: str) -> Expression:
     Raises
     ------
     ParseError
-        With the offending character position, for malformed input or an
-        unknown identifier.
+        With the offending character position, for malformed input, an
+        unknown identifier or nesting deeper than Python's recursion limit
+        allows.
     """
     parser = _Parser(text)
-    node = parser.expression()
+    try:
+        node = parser.expression()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {value!r} after expression", pos)
@@ -599,31 +607,30 @@ def _fmt_const(value: float) -> tuple[str, int]:
     return repr(float(value)), _PREC_ATOM
 
 
-def _render(e: Expression) -> tuple[str, int]:
+def _render(e: Expression, minimum: int = _PREC_ADD) -> str:
+    """``e`` as text, parenthesized if it binds less tightly than ``minimum``
+    (one call per level of nesting)."""
     if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Var):
-        return "t", _PREC_ATOM
-    if type(e) in _BINARY:
+        text, prec = _fmt_const(e.value)
+    elif isinstance(e, Var):
+        text, prec = "t", _PREC_ATOM
+    elif type(e) in _BINARY:
         op = _BINARY[type(e)]
-        left, right = _paren(e.left, op.precedence), _paren(e.right, op.precedence + 1)
-        return f"{left}{op.text}{right}", op.precedence
-    if isinstance(e, Pow):
+        left, right = _render(e.left, op.precedence), _render(e.right, op.precedence + 1)
+        text, prec = f"{left}{op.text}{right}", op.precedence
+    elif isinstance(e, Pow):
         # the grammar reads -t^2 as (-t)^2, so a non-atomic base is always
         # parenthesized here to keep printing structure-preserving
-        return f"{_paren(e.base, _PREC_ATOM)}^{e.exponent}", _PREC_POW
-    if isinstance(e, Neg):
-        return f"-{_paren(e.operand, _PREC_POW + 1)}", _PREC_MUL
-    if type(e) in _FUNCTIONS:
+        text, prec = f"{_render(e.base, _PREC_ATOM)}^{e.exponent}", _PREC_POW
+    elif isinstance(e, Neg):
+        text, prec = f"-{_render(e.operand, _PREC_POW + 1)}", _PREC_MUL
+    elif type(e) in _FUNCTIONS:
         op = _FUNCTIONS[type(e)]
-        return f"{op.text}({_render(e.arg)[0]})", op.precedence
-    if isinstance(e, Deriv):
-        return f"diff({_render(e.operand)[0]}, {e.order})", _PREC_ATOM
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _paren(e: Expression, minimum: int) -> str:
-    text, prec = _render(e)
+        text, prec = f"{op.text}({_render(e.arg)})", op.precedence
+    elif isinstance(e, Deriv):
+        text, prec = f"diff({_render(e.operand)}, {e.order})", _PREC_ATOM
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
     return f"({text})" if prec < minimum else text
 
 
@@ -631,5 +638,9 @@ def to_text(e: Expression) -> str:
     """Render ``e`` as parseable text; ``parse(to_text(e))`` evaluates
     identically to ``e`` at every point (the printing is structure
     preserving up to unary-minus/negative-constant equivalence).  A
-    :class:`Deriv` prints as ``diff(e, k)``."""
-    return _render(e)[0]
+    :class:`Deriv` prints as ``diff(e, k)``.  ``ExpressionError`` if ``e``
+    is nested deeper than Python's recursion limit allows."""
+    try:
+        return _render(e)
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply to print") from None

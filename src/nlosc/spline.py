@@ -94,8 +94,8 @@ so it expands in even powers of h with brackets B_k
 B_p..B_2p fixes the half-stencil uniquely and gives interior truncation
 O(h^(2p+2)), design order p + 2: that is IMPROVED_SET4 and IMPROVED_SET6,
 (1/30240, 41/5040, 2189/10080, 4153/7560) at p = 6.  Holding some weights
-at chosen values and zeroing fewer brackets gives the lower orders of
-:func:`derive_parameters6`.
+at chosen values and zeroing fewer brackets gives lower orders:
+:func:`zeroing_weights` (p, held) derives each set once, at any even order.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ __all__ = [
     "WeightSet",
     "closure_rows",
     "derivatives_at_start",
-    "derive_parameters6",
     "min_n",
     "truncation_brackets",
+    "zeroing_weights",
 ]
 
 #: Least truncation degree of the series starting procedure: start rows
@@ -144,22 +144,16 @@ def _fraction(value) -> Fraction:
 @dataclass(frozen=True)
 class WeightSet:
     """Exact consistency weights of order p, as the half-stencil
-    (w_0, ..., w_{p/2}) from the outermost weight in.
-
-    The normalization "the full stencil sums to 1" is enforced exactly at
-    construction; pass ``unchecked=True`` to experiment with weight sets
-    that violate it.
-    """
+    (w_0, ..., w_{p/2}) from the outermost weight in (the paper's alpha,
+    beta, gamma, ...).  The full stencil must sum to 1 exactly."""
 
     half: tuple[Fraction, ...]
-    unchecked: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "half", tuple(_fraction(w) for w in self.half))
-        if not self.unchecked:
-            defect = sum(self.weights) - 1
-            if defect != 0:
-                raise ValueError(f"the full weight stencil must sum to 1 (defect {defect})")
+        defect = sum(self.weights) - 1
+        if defect != 0:
+            raise ValueError(f"the full weight stencil must sum to 1 (defect {defect})")
 
     @property
     def order(self) -> int:
@@ -174,12 +168,6 @@ class WeightSet:
     def float_weights(self) -> tuple[float, ...]:
         """:attr:`weights` in floats, converted on first use."""
         return tuple(map(float, self.weights))
-
-    # the paper's names, outermost weight first
-    alpha = property(lambda self: self.half[0])
-    beta = property(lambda self: self.half[1])
-    gamma = property(lambda self: self.half[2])
-    delta = property(lambda self: self.half[3])
 
 
 def _bracket_forms(p: int, count: int) -> list[tuple[list[Fraction], Fraction]]:
@@ -200,18 +188,20 @@ def _bracket_forms(p: int, count: int) -> list[tuple[list[Fraction], Fraction]]:
     return [([coefficient(j, m) for j in range(centre + 1)], power[m]) for m in range(count)]
 
 
-def truncation_brackets(weights: WeightSet, count: int) -> tuple[Fraction, ...]:
+def truncation_brackets(half, count: int) -> tuple[Fraction, ...]:
     """Exact brackets B_p, B_{p+2}, ..., B_{p+2(count-1)} of the interior
-    truncation error, whose residual on the exact solution is
+    truncation error of the half-stencil ``half`` (w_0..w_{p/2}, any exact
+    values, normalized or not), whose residual on the exact solution is
     sum_k B_k h^k y^(k) about the window centre, with
 
         B_k = sum_j w_j (j - p/2)^(k-p) / (k-p)!  -  [x^(k-p)] (2 sinh(x/2)/x)^p.
 
     The odd brackets vanish because the stencil is symmetric.
     """
+    half = tuple(map(_fraction, half))
     return tuple(
-        sum(c * w for c, w in zip(coefficients, weights.half)) - constant
-        for coefficients, constant in _bracket_forms(weights.order, count)
+        sum(c * w for c, w in zip(coefficients, half)) - constant
+        for coefficients, constant in _bracket_forms(2 * (len(half) - 1), count)
     )
 
 
@@ -232,10 +222,23 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     return [m[r][size] for r in range(size)]
 
 
-def _zeroing_weights(p: int, held: dict[int, Fraction]) -> WeightSet:
+def zeroing_weights(p: int, held: dict[int, Fraction] | None = None) -> WeightSet:
     """The order-p weight set whose half weights w_j for j in ``held`` take
-    the given values and whose first brackets B_p, B_{p+2}, ... vanish, one
-    for each remaining half weight."""
+    the given exact values and whose first brackets B_p, B_{p+2}, ... vanish,
+    one for each remaining half weight.  With nothing held, that is the
+    unique set of interior truncation O(h^(2p+2)).  Derived once per
+    (p, held) and kept: the same arguments give the same object."""
+    if p % 2 or p < 4:
+        raise ValueError(f"the order must be even and at least 4; got {p}")
+    held = {} if held is None else held
+    if any(j not in range(p // 2 + 1) for j in held):
+        raise ValueError(f"held weight indices must lie in 0..{p // 2}; got {sorted(held)}")
+    return _derived_weights(p, tuple(sorted((j, _fraction(w)) for j, w in held.items())))
+
+
+@cache
+def _derived_weights(p: int, held: tuple[tuple[int, Fraction], ...]) -> WeightSet:
+    held = dict(held)
     free = [j for j in range(p // 2 + 1) if j not in held]
     rows, rhs = [], []
     for coefficients, constant in _bracket_forms(p, len(free)):
@@ -247,34 +250,11 @@ def _zeroing_weights(p: int, held: dict[int, Fraction]) -> WeightSet:
 
 #: The unique weight set whose interior truncation drops from O(h^6) to
 #: O(h^10): B_4 = B_6 = B_8 = 0; used together with the improved closure rows.
-IMPROVED_SET4 = _zeroing_weights(4, {})
+IMPROVED_SET4 = zeroing_weights(4)
 
 #: The unique weight set that kills the h^6..h^12 truncation brackets,
 #: giving an O(h^8) method.
-IMPROVED_SET6 = _zeroing_weights(6, {})
-
-# half weights held by each target order of :func:`derive_parameters6`;
-# the remaining ones zero one bracket each
-_HELD6 = {
-    2: {0: Fraction(0), 1: Fraction(0), 2: Fraction(1, 4)},
-    4: {0: Fraction(0), 2: Fraction(0)},
-    6: {0: Fraction(0)},
-    8: {},
-}
-
-
-def derive_parameters6(target_order: int) -> WeightSet:
-    """Weight set achieving a requested convergence order in {2, 4, 6, 8}.
-
-    Order 2 kills only the h^6 bracket, order 4 also h^8, order 6 also
-    h^10, and order 8 additionally h^12.  The lower orders are
-    underdetermined; the canonical tie-break fixes alpha = 0 (for order 4
-    also gamma = 0; for order 2 also beta = 0 and gamma = 1/4).  The
-    order-8 system is uniquely determined.
-    """
-    if target_order not in _HELD6:
-        raise ValueError(f"target order must be one of 2, 4, 6, 8; got {target_order}")
-    return _zeroing_weights(6, _HELD6[target_order])
+IMPROVED_SET6 = zeroing_weights(6)
 
 
 @dataclass(frozen=True, eq=False)

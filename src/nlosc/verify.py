@@ -30,7 +30,7 @@ from nlosc.spline import (
     GridSolution,
     Method,
     WeightSet,
-    derive_parameters6,
+    zeroing_weights,
 )
 
 __all__ = [
@@ -185,13 +185,13 @@ METHODS: dict[str, Method] = {
         Method("improved6", IMPROVED_SET6, "series"),
         Method(
             "derived6-h4",
-            derive_parameters6(4),
+            zeroing_weights(6, {0: 0, 2: 0}),
             "series",
             note="canonical order-4 weights; reference used an unpublished choice",
         ),
         Method(
             "derived6-h6",
-            derive_parameters6(6),
+            zeroing_weights(6, {0: 0}),
             "series",
             note="canonical order-6 weights; reference used an unpublished choice",
         ),

@@ -31,8 +31,8 @@ from nlosc.spline import (
     IMPROVED_SET6,
     Method,
     WeightSet,
-    derive_parameters6,
     truncation_brackets,
+    zeroing_weights,
 )
 from nlosc.verify import (
     METHODS,
@@ -173,20 +173,21 @@ def test_criterion_6_exact_identities():
         IMPROVED_SET4,
     ]
     for cs in table1_sets:
-        if 2 * cs.alpha + 2 * cs.beta + cs.gamma != 1:
+        alpha, beta, gamma = cs.half
+        if 2 * alpha + 2 * beta + gamma != 1:
             failures.append(f"order-4 normalization broken for {cs}")
-    if -1 + 24 * IMPROVED_SET4.alpha + 6 * IMPROVED_SET4.beta != 0:
+    alpha, beta, _ = IMPROVED_SET4.half
+    if -1 + 24 * alpha + 6 * beta != 0:
         failures.append("improved 4th-order kill condition broken")
     for name in ("table5-col1", "table5-col2", "table5-col3"):
-        cs = METHODS[name].coefficients
-        if cs.alpha + cs.beta + cs.gamma + F(cs.delta, 2) != F(1, 2):
+        alpha, beta, gamma, delta = METHODS[name].coefficients.half
+        if alpha + beta + gamma + F(delta, 2) != F(1, 2):
             failures.append(f"order-6 normalization broken for {name}")
-    if truncation_brackets(IMPROVED_SET6, 4) != (0, 0, 0, 0):
+    if truncation_brackets(IMPROVED_SET6.half, 4) != (0, 0, 0, 0):
         failures.append("improved 6th-order kill conditions broken")
-    derived = derive_parameters6(8)
     expected = (F(1, 30240), F(41, 5040), F(2189, 10080), F(4153, 7560))
-    if (derived.alpha, derived.beta, derived.gamma, derived.delta) != expected:
-        failures.append("derive_parameters6(8) does not reproduce the reference set")
+    if zeroing_weights(6).half != expected:
+        failures.append("zeroing_weights(6) does not reproduce the reference set")
     passed = not failures
     record(6, passed, "all exact rational identities hold" if passed else "; ".join(failures))
     assert passed, failures

@@ -20,13 +20,13 @@ from nlosc.spline import (
     _march_rows,
     _series_start,
     _sweep,
-    _zeroing_weights,
     closure_rows,
     grid_values,
     head_system,
     march,
     min_n,
     solve_head,
+    zeroing_weights,
 )
 from nlosc.verify import METHODS, case_by_id, max_abs_error
 from test_spline import PRESET_CASES, four_ring
@@ -345,7 +345,7 @@ def test_sweep_gives_the_bits_of_the_loop(name, case_id):
 def test_sweep_gives_the_bits_of_the_loop_at_order_8(n):
     ivp = four_ring()
     _, h, f, g = grid_values(ivp, n)
-    weights = _zeroing_weights(8, {}).float_weights
+    weights = zeroing_weights(8).float_weights
     loop, sweep = loop_and_sweep(f, g, h, weights, *_series_start(ivp, h))
     assert np.all(np.isfinite(loop))
     assert_same_bits(sweep, loop)
@@ -354,7 +354,7 @@ def test_sweep_gives_the_bits_of_the_loop_at_order_8(n):
 @pytest.mark.parametrize("order", [8, 16])
 def test_sweep_gives_the_bits_of_the_loop_for_one_node(order):
     # one column of P and window terms: numpy would sum it pairwise
-    weights = _zeroing_weights(order, {}).float_weights
+    weights = zeroing_weights(order).float_weights
     t = np.linspace(0.0, 1.0, order + 1)
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -384,7 +384,7 @@ def test_sweep_gives_the_bits_of_the_loop_for_any_forcing(
     f = sign * 10.0**scale * (1 + 0.5 * np.sin(7 * t) if variable else np.ones_like(t))
     g = rng.standard_normal(n + 1)
     head, stack = rng.uniform(-1, 1, order), rng.uniform(-1, 1, order)
-    weights = _zeroing_weights(order, {}).float_weights
+    weights = zeroing_weights(order).float_weights
     loop, sweep = loop_and_sweep(f, g, 1.0 / n, weights, head, stack)
     assert_same_bits(sweep, loop)
 

@@ -26,7 +26,7 @@ from nlosc.chain import (
     reduce_chain,
 )
 from nlosc.expr import Const, Deriv, EvaluationError, evaluate, parse, values_on_grid
-from nlosc.spline import GridSolution, Method, _zeroing_weights
+from nlosc.spline import GridSolution, Method, zeroing_weights
 from nlosc.verify import METHODS
 
 COS1, SIN1 = math.cos(1.0), math.sin(1.0)
@@ -474,7 +474,7 @@ def test_recovered_neighbors_reach_the_pivot_accuracy(size):
         velocities=(0.0,) * size,
     )
     n, steps = 128, 10240
-    method = Method(f"improved{2 * size}", _zeroing_weights(2 * size, {}), "series")
+    method = Method(f"improved{2 * size}", zeroing_weights(2 * size), "series")
     solution = method.solve(reduce_chain(chain), n)
     paths = recover_trajectories(chain, solution)
     _, history = integrate_chain(chain, 0.0, 1.0, steps)

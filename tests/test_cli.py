@@ -366,6 +366,46 @@ def test_derivative_order_past_the_float_range_is_an_expression_error(tmp_path, 
     assert not out.exists()
 
 
+# a force too deep for Python's recursion limit: a long sum parses (the
+# parser loops over it) but cannot be evaluated; deep parentheses and a long
+# run of unary minuses cannot be parsed, which names the field
+DEEP_FORCES = {
+    "sum-3000": ("+".join(["t"] * 3000), "expression error: expression nested too deeply"),
+    "parens-400": ("(" * 400 + "t" + ")" * 400, "config error: $.forces[1]: expression nested"),
+    "minus-2000": ("-" * 2000 + "t", "config error: $.forces[1]: expression nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("command", ["reduce", "solve"])
+@pytest.mark.parametrize("name", sorted(DEEP_FORCES))
+def test_deep_or_long_force_exits_2_without_a_traceback(tmp_path, capsys, name, command):
+    force, prefix = DEEP_FORCES[name]
+    config = write_config(tmp_path, {**chain_config(), "forces": ["0", force]})
+    out = tmp_path / "grid.csv"
+    argv = [command, "--config", config] + (["--out", str(out)] if command == "solve" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix), captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_450_term_sum_still_reduces_and_solves(tmp_path, capsys):
+    configs = {
+        name: write_config(tmp_path, {**chain_config(), "forces": ["0", force]}, f"{name}.json")
+        for name, force in (("long", "+".join(["t"] * 450)), ("short", "450*t"))
+    }
+    g, csv = {}, {}
+    for name, config in configs.items():
+        assert main(["reduce", "--config", config]) == 0
+        g[name] = parse(json.loads(capsys.readouterr().out)["g"])
+        assert main(["solve", "--config", config]) == 0
+        csv[name] = read_csv(capsys.readouterr().out)[1]
+    for t in (-1.0, 0.25, 1.0):
+        assert evaluate(g["long"], t) == pytest.approx(evaluate(g["short"], t), rel=1e-12)
+    assert np.allclose(csv["long"], csv["short"], rtol=1e-12, atol=1e-12)
+
+
 def diverging_ring(n):
     """A 3-ring on [0, 8] whose forces have poles at t = +-i, so the series
     start about t = 0 has radius 1: at n = 32 it reaches out to
@@ -831,6 +871,11 @@ def _chain_config_without(key):
         (_chain_config_without("method"), "config error: $.method: missing required field"),
         (_chain_config_without("n"), "config error: $.n: missing required field"),
         ({**chain_config(), "forces": ["0", "1/t"], "interval": [0, 1]}, "expression error: "),
+        # json.load refuses an int of more than 4300 digits with a plain ValueError
+        (
+            json.dumps(chain_config()).replace('"n": 48', '"n": 1' + "0" * 4400),
+            "config error: {path}: invalid JSON: ",
+        ),
     ],
     ids=[
         "missing-file",
@@ -846,6 +891,7 @@ def _chain_config_without(key):
         "no-method",
         "no-n",
         "force-1/t",
+        "n-of-4401-digits",
     ],
 )
 def test_config_errors_exit_2_with_their_message(tmp_path, capsys, config, prefix):

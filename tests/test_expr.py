@@ -19,6 +19,7 @@ from nlosc.expr import (
     Div,
     EvaluationError,
     Exp,
+    ExpressionError,
     Mul,
     Neg,
     ParseError,
@@ -501,6 +502,30 @@ def test_print_parse_round_trip(e):
         except EvaluationError:
             continue
         assert evaluate(reparsed, t) == expected
+
+
+WALKS = {
+    "evaluate": lambda e: evaluate(e, 0.5),
+    "values_on_grid": lambda e: values_on_grid(e, [0.0, 1.0]),
+    "taylor": lambda e: taylor(e, 0.0, 3),
+    "to_text": to_text,
+}
+
+
+@pytest.mark.parametrize("walk", sorted(WALKS))
+def test_nesting_past_the_recursion_limit_is_an_expression_error(walk):
+    # the parser loops over a sum, and each walk takes one call per level
+    WALKS[walk](parse("+".join(["t"] * 600)))
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        WALKS[walk](parse("+".join(["t"] * 3000)))
+
+
+@pytest.mark.parametrize(
+    "text", ["(" * 400 + "t" + ")" * 400, "-" * 2000 + "t"], ids=["parens-400", "minus-2000"]
+)
+def test_parse_past_the_recursion_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(text)
 
 
 @given(expressions, st.floats(min_value=-1.5, max_value=1.5))

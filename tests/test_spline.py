@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import nlosc
 from conftest import consistency_residual, rk_oracle
 from nlosc import spline
 from nlosc.chain import OscillatorChain, reduce_chain
@@ -21,6 +22,7 @@ from nlosc.spline import (
     closure_rows,
     min_n,
     truncation_brackets,
+    zeroing_weights,
 )
 from nlosc.verify import METHODS, Method, case_by_id, max_abs_error
 
@@ -49,7 +51,7 @@ def test_brackets_are_the_centred_monomial_residuals(weights):
     """On (t - p/2)^k the exact residual of the relation is k! B_k for
     every k, and zero for odd k."""
     p = weights.order
-    brackets = truncation_brackets(weights, 7)
+    brackets = truncation_brackets(weights.half, 7)
     for k in range(p, p + 14):
         residual = consistency_residual(weights.weights, p, k, origin=p // 2)
         expected = brackets[(k - p) // 2] if k % 2 == 0 else 0
@@ -57,14 +59,37 @@ def test_brackets_are_the_centred_monomial_residuals(weights):
 
 
 def test_order8_set_zeroes_its_first_five_brackets():
-    assert truncation_brackets(SET8, 6)[:5] == (0,) * 5
-    assert truncation_brackets(SET8, 6)[5] != 0
-    assert spline._zeroing_weights(8, {}) == SET8
+    assert truncation_brackets(SET8.half, 6)[:5] == (0,) * 5
+    assert truncation_brackets(SET8.half, 6)[5] != 0
+    assert zeroing_weights(8) == SET8
+
+
+def test_weight_sets_are_derived_once_per_order_and_held_weights():
+    assert zeroing_weights(8) is zeroing_weights(8)
+    assert zeroing_weights(4) is IMPROVED_SET4 and zeroing_weights(6, {}) is IMPROVED_SET6
+    assert zeroing_weights(6, {0: 0}) is zeroing_weights(6, {0: F(0)})
+    assert zeroing_weights(6, {0: 0, 2: 0}) is zeroing_weights(6, {2: 0, 0: 0})
+    assert nlosc.zeroing_weights is zeroing_weights and "zeroing_weights" in nlosc.__all__
+
+
+@pytest.mark.parametrize(
+    "p, held", [(5, None), (2, None), (0, None), (-4, None), (6, {4: 0}), (6, {-1: 0}), (8, {5: 0})]
+)
+def test_weight_derivation_rejects_odd_or_small_orders_and_bad_indices(p, held):
+    with pytest.raises(ValueError):
+        zeroing_weights(p, held)
+
+
+def test_weight_derivation_and_brackets_take_only_exact_values():
+    with pytest.raises(TypeError):
+        zeroing_weights(6, {0: 0.0})
+    with pytest.raises(TypeError):
+        truncation_brackets((0.25, 0.25, 0.5), 2)
 
 
 def test_brackets_do_not_skip_h8_at_order_4():
     weights = WeightSet((F(0), F(1, 6), F(2, 3)))
-    assert truncation_brackets(weights, 3) == (0, 0, F(1, 720))
+    assert truncation_brackets(weights.half, 3) == (0, 0, F(1, 720))
     assert consistency_residual(weights.weights, 4, 8) / math.factorial(8) == F(1, 720)
 
 
@@ -188,6 +213,6 @@ def test_series_start_degree_grows_with_the_order():
     # left the pivot at 4.1e-8 here (5.8e-12 now)
     ivp = four_ring()
     assert ivp.order == 8
-    y = Method("improved8", spline._zeroing_weights(8, {}), "series").solve(ivp, 64).y
+    y = Method("improved8", zeroing_weights(8), "series").solve(ivp, 64).y
     reference = rk_oracle(ivp, steps=51200, grid_n=64).y
     assert np.max(np.abs(y - reference)) <= 1e-10

@@ -48,11 +48,6 @@ def test_weight_normalization_enforced():
         WeightSet((F(1, 2), F(1, 2), F(1, 2)))
 
 
-def test_weight_normalization_unchecked_escape_hatch():
-    cs = WeightSet((F(1, 2), F(1, 2), F(1, 2)), unchecked=True)
-    assert cs.gamma == F(1, 2)
-
-
 def test_weights_reject_floats():
     with pytest.raises(TypeError):
         WeightSet((0.0, 0.0, 1.0))
@@ -64,8 +59,8 @@ def test_unknown_end_variant():
 
 
 def test_improved_set_is_normalized_exactly():
-    s = IMPROVED_SET4
-    assert 2 * s.alpha + 2 * s.beta + s.gamma == 1
+    alpha, beta, gamma = IMPROVED_SET4.half
+    assert 2 * alpha + 2 * beta + gamma == 1
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +145,8 @@ def test_interior_truncation_matches_bracket(weights):
     for degree in range(6):
         assert consistency_residual(stencil, 4, degree) == 0
     lead = consistency_residual(stencil, 4, 6) / math.factorial(6)
-    assert lead == F(1, 6) * (-1 + 24 * cs.alpha + 6 * cs.beta)
+    alpha, beta, _ = cs.half
+    assert lead == F(1, 6) * (-1 + 24 * alpha + 6 * beta)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +155,12 @@ def test_interior_truncation_matches_bracket(weights):
 
 
 def test_truncation_leading_order6_sets():
-    assert truncation_brackets(WeightSet((F(1, 6), F(1, 6), F(1, 3))), 2) == (0, F(2, 3))
-    assert truncation_brackets(SET_COL1, 2) == (0, F(-1, 6))
+    assert truncation_brackets((F(1, 6), F(1, 6), F(1, 3)), 2) == (0, F(2, 3))
+    assert truncation_brackets(SET_COL1.half, 2) == (0, F(-1, 6))
 
 
 def test_truncation_leading_improved_set():
-    brackets = truncation_brackets(IMPROVED_SET4, 4)
+    brackets = truncation_brackets(IMPROVED_SET4.half, 4)
     assert brackets[:3] == (0, 0, 0)  # the leading term is h^10
     constant = brackets[3]
     assert constant == F(-17, 30240) + F(5376, 30240) * F(-1, 720) + F(84, 30240) * F(31, 180)

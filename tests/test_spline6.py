@@ -18,8 +18,8 @@ from nlosc.spline import (
     _series_start,
     closure_rows,
     derivatives_at_start,
-    derive_parameters6,
     truncation_brackets,
+    zeroing_weights,
 )
 from nlosc.verify import METHODS, case_by_id, max_abs_error
 
@@ -40,13 +40,13 @@ TABLE5_SETS = (
 
 def test_all_reference_sets_are_normalized_exactly():
     for cs in TABLE5_SETS + (IMPROVED_SET6,):
-        assert cs.alpha + cs.beta + cs.gamma + F(cs.delta, 2) == F(1, 2)
+        alpha, beta, gamma, delta = cs.half
+        assert alpha + beta + gamma + F(delta, 2) == F(1, 2)
 
 
 def test_weight_normalization_enforced():
     with pytest.raises(ValueError):
         WeightSet((F(1), F(0), F(0), F(0)))
-    assert WeightSet((F(1), F(0), F(0), F(0)), unchecked=True).alpha == 1
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def test_closure_leading_truncation(row):
 
 
 def test_improved_set_kills_first_four_brackets():
-    brackets = truncation_brackets(IMPROVED_SET6, 6)
+    brackets = truncation_brackets(IMPROVED_SET6.half, 6)
     assert brackets[0] == brackets[1] == brackets[2] == brackets[3] == 0
     assert brackets[4] == F(1, 57600)
     assert brackets[4] != 0 and brackets[5] != 0
@@ -113,41 +113,40 @@ def test_improved_set_kills_first_four_brackets():
 
 def test_bracket_example_sets():
     cs = WeightSet((F(1, 120), F(15, 120), F(30, 120), F(28, 120)))
-    brackets = truncation_brackets(cs, 6)
+    brackets = truncation_brackets(cs.half, 6)
     assert brackets[0] == 0
     assert brackets[1] == F(23, 40)  # (1/4)(-1 + 3.3) = 0.575
-    zero = WeightSet((F(0), F(0), F(0), F(0)), unchecked=True)
-    assert truncation_brackets(zero, 6)[0] == -1
+    assert truncation_brackets((0, 0, 0, 0), 6)[0] == -1
 
 
 def test_brackets_match_monomial_residuals():
     """Independent check of the bracket series: the residual of the
     seven-point relation on t^k equals bracket_k * k! once all lower
     brackets vanish."""
-    unnormalized = WeightSet((F(1, 100), F(1, 50), F(1, 25), F(1, 10)), unchecked=True)
+    unnormalized = (F(1, 100), F(1, 50), F(1, 25), F(1, 10))
     b = truncation_brackets(unnormalized, 6)
-    assert consistency_residual(unnormalized.weights, 6, 6) == b[0] * math.factorial(6)
+    full = unnormalized + unnormalized[-2::-1]
+    assert consistency_residual(full, 6, 6) == b[0] * math.factorial(6)
 
     for cs in TABLE5_SETS:  # h^6 bracket vanishes
-        b = truncation_brackets(cs, 6)
+        b = truncation_brackets(cs.half, 6)
         assert consistency_residual(cs.weights, 6, 8) == b[1] * math.factorial(8)
 
-    h6 = derive_parameters6(6)  # h^6..h^10 brackets vanish
-    b = truncation_brackets(h6, 6)
+    h6 = zeroing_weights(6, {0: 0})  # h^6..h^10 brackets vanish
+    b = truncation_brackets(h6.half, 6)
     assert consistency_residual(h6.weights, 6, 12) == b[3] * math.factorial(12)
 
-    b = truncation_brackets(IMPROVED_SET6, 6)  # h^6..h^12 brackets vanish
+    b = truncation_brackets(IMPROVED_SET6.half, 6)  # h^6..h^12 brackets vanish
     assert consistency_residual(IMPROVED_SET6.weights, 6, 14) == b[4] * math.factorial(14)
 
 
 # ---------------------------------------------------------------------------
-# derive_parameters6
+# zeroing_weights at p = 6
 # ---------------------------------------------------------------------------
 
 
 def test_derive_order_8_reproduces_reference_set():
-    cs = derive_parameters6(8)
-    assert (cs.alpha, cs.beta, cs.gamma, cs.delta) == (
+    assert zeroing_weights(6).half == (
         F(1, 30240),
         F(41, 5040),
         F(2189, 10080),
@@ -156,23 +155,17 @@ def test_derive_order_8_reproduces_reference_set():
 
 
 def test_derive_order_4_canonical_tie_break():
-    cs = derive_parameters6(4)
-    assert (cs.alpha, cs.beta, cs.gamma, cs.delta) == (F(0), F(1, 16), F(0), F(7, 8))
+    assert zeroing_weights(6, {0: 0, 2: 0}).half == (F(0), F(1, 16), F(0), F(7, 8))
 
 
 def test_derive_order_2_canonical_tie_break():
-    cs = derive_parameters6(2)
-    assert (cs.alpha, cs.beta, cs.gamma, cs.delta) == (F(0), F(0), F(1, 4), F(1, 2))
+    cs = zeroing_weights(6, {0: 0, 1: 0, 2: F(1, 4)})
+    assert cs.half == (F(0), F(0), F(1, 4), F(1, 2))
 
 
 def test_derive_order_6_kills_three_brackets():
-    brackets = truncation_brackets(derive_parameters6(6), 6)
+    brackets = truncation_brackets(zeroing_weights(6, {0: 0}).half, 6)
     assert brackets[0] == brackets[1] == brackets[2] == 0
-
-
-def test_derive_rejects_other_orders():
-    with pytest.raises(ValueError):
-        derive_parameters6(5)
 
 
 # ---------------------------------------------------------------------------
