@@ -21,18 +21,17 @@ Grammar (whitespace insignificant)::
 Expressions are immutable and share subtrees freely, so an expression is a
 DAG rather than a tree.  Parsing and evaluation are pure functions, so
 expressions are safe to share between threads.  There is one evaluator
-walk, which computes each shared node once per call.  It carries either
+walk per call, with one memo per jet length, ``diff`` operands included,
+so each shared node is computed at most once per length.  It carries
 plain values, for :func:`evaluate` (one point, errors raised) and
 :func:`values_on_grid` (an array of doubles), or truncated Taylor series
-("jets"), for :func:`taylor`, which gives every derivative up to a chosen
-order at one point without building a derivative expression.  A jet's
-coefficients may also be grid arrays: the walk then carries the series
-about every grid point at once.
+("jets"), for :func:`taylor`: every derivative up to a chosen order at one
+point, with no derivative expression built.  A jet's coefficients may also
+be grid arrays, one series about each grid point.
 
-``diff(e, k)`` is a :class:`Deriv` node, which the walk computes from a
-jet of its operand k coefficients longer (``k! c_k`` for a value, the
-shifted and scaled tail for a jet), so a derivative of any order costs one
-jet walk of the operand, and :func:`to_text` prints it back as
+``diff(e, k)`` is a :class:`Deriv` node, which the same walk computes from
+its operand's jet k coefficients longer (``k! c_k`` for a value, the
+shifted and scaled tail for a jet); :func:`to_text` prints it back as
 ``diff(e, k)``.  The operator overloads perform only trivial constant
 folding (0 and 1 identities); there is no other simplification machinery.
 """
@@ -291,74 +290,74 @@ def taylor(e: Expression, t0, count: int) -> np.ndarray:
 def _values(e: Expression, t, count: int | None = None):
     """Value of ``e`` at ``t`` (a number or an array), or with ``count``
     its Taylor coefficients c_0..c_{count-1} about ``t`` as a list (of
-    arrays for an array ``t``: one series per point), computing each node
-    of the shared expression DAG once.
+    arrays for an array ``t``: one series per point).
 
-    Values use each operator's plain ``value`` operation, jets its series
-    recurrence ``jet`` (:data:`_BINARY`, :data:`_FUNCTIONS`), whose
-    coefficient 0 is computed by the same plain operation.
+    One memo per jet length, plain values counting as one.  Values use
+    each operator's plain ``value`` operation, jets its series recurrence
+    ``jet`` (:data:`_BINARY`, :data:`_FUNCTIONS`), whose c_0 is the same
+    plain operation.  A Deriv node of order k reads its operand at length
+    count + k (1 + k for a value): the k-th derivative of
+    sum_i c_i (t - t0)^i has coefficients c_{j+k} (j+k)!/j!.
     """
-    if count is None:
-        var = t
-    else:
-        zeros = [np.float64(0.0)] * (count - 1)
-        var = [t, np.float64(1.0), *zeros][:count]
-    memo: dict[int, object] = {}
+    walks: dict[int | None, Callable] = {}
 
-    def value(node: Expression):
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        kind = type(node)
-        if kind is Const:
-            out = np.float64(node.value)  # numpy scalar: errstate governs it
-            if count is not None:
-                out = [out, *zeros]
-        elif kind is Var:
-            out = var
-        elif kind in _BINARY:
-            op = _BINARY[kind]
-            out = (op.value if count is None else op.jet)(value(node.left), value(node.right))
-        elif kind is Pow:
-            base = value(node.base)
-            out = base**node.exponent if count is None else _power(base, node.exponent)
-        elif kind is Neg:
-            operand = value(node.operand)
-            out = -operand if count is None else [-c for c in operand]
-        elif kind in _FUNCTIONS:
-            op = _FUNCTIONS[kind]
-            out = (op.value if count is None else op.jet)(value(node.arg))
-        elif kind is Deriv:
-            out = _derived(node, t, count)
+    def walk(count: int | None) -> Callable:
+        if count in walks:
+            return walks[count]
+        if count is None:
+            var = t
         else:
-            raise TypeError(f"not an expression node: {node!r}")
-        memo[key] = out
-        return out
+            zeros = [np.float64(0.0)] * (count - 1)
+            var = [t, np.float64(1.0), *zeros][:count]
+        memo: dict[int, object] = {}
+
+        def value(node: Expression):
+            key = id(node)
+            if key in memo:
+                return memo[key]
+            kind = type(node)
+            if kind is Const:
+                out = np.float64(node.value)  # numpy scalar: errstate governs it
+                if count is not None:
+                    out = [out, *zeros]
+            elif kind is Var:
+                out = var
+            elif kind in _BINARY:
+                op = _BINARY[kind]
+                out = (op.value if count is None else op.jet)(value(node.left), value(node.right))
+            elif kind is Pow:
+                base = value(node.base)
+                out = base**node.exponent if count is None else _power(base, node.exponent)
+            elif kind is Neg:
+                operand = value(node.operand)
+                out = -operand if count is None else [-c for c in operand]
+            elif kind in _FUNCTIONS:
+                op = _FUNCTIONS[kind]
+                out = (op.value if count is None else op.jet)(value(node.arg))
+            elif kind is Deriv:
+                k = node.order
+                try:  # before the operand's walk; gamma overflows from k = 171 on, as k! does
+                    math.gamma(k + 1)
+                    factors = [float(math.perm(j + k, k)) for j in range(count or 1)]
+                except OverflowError:
+                    raise EvaluationError(
+                        f"derivative of order {k}: its factorial factor is past the float range"
+                    ) from None
+                jet = walk((count or 1) + k)(node.operand)
+                out = [c * jet[j + k] for j, c in enumerate(factors)]
+                out = out[0] if count is None else out
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            memo[key] = out
+            return out
+
+        walks[count] = value
+        return value
 
     try:
-        return value(e)
+        return walk(count)(e)
     except RecursionError:
         raise EvaluationError("expression nested too deeply to evaluate") from None
-
-
-def _derived(node: Deriv, t, count: int | None):
-    """Value, or jet of ``count`` coefficients, of a Deriv node, from a
-    jet of its operand ``order`` coefficients longer: the k-th derivative
-    of sum_i c_i (t - t0)^i has coefficients c_{j+k} (j+k)!/j!.
-    ``EvaluationError``, before the operand's jet is walked, if such a
-    factor is past the float range."""
-    k = node.order
-    try:
-        math.gamma(k + 1)  # overflows from k = 171 on, as k! does, without building k!
-        factors = [float(math.perm(j + k, k)) for j in range(count or 1)]
-    except OverflowError:
-        raise EvaluationError(
-            f"derivative of order {k}: its factorial factor is past the float range"
-        ) from None
-    jet = _values(node.operand, t, (count or 1) + k)
-    if count is None:
-        return factors[0] * jet[k]
-    return [c * jet[j + k] for j, c in enumerate(factors)]
 
 
 # Series recurrences on coefficient lists (Griewank & Walther, ch. 13).

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import nlosc.expr
 from conftest import mp_derivatives
 from nlosc.expr import (
     Add,
@@ -212,13 +213,44 @@ def test_evaluate_raises_whatever_the_callers_errstate():
                 evaluate(parse(text), t)
 
 
-def test_values_on_grid_visits_shared_nodes_once():
+def test_values_on_grid_visits_shared_nodes_once(monkeypatch):
     # 30 rounds of x -> x*x - x: a tree of more than 2^30 nodes, 61 distinct
     e, expected = Var(), np.linspace(0.0, 1.0, 9)
     t = expected.copy()
     for _ in range(30):
         e, expected = e * e - e, expected * expected - expected
     assert values_on_grid(e, t).tobytes() == expected.tobytes()
+
+    # k rounds of e -> diff(e, 1) + e from sin(t) give 2^(k/2) sin(t + k pi/4);
+    # sharing the nodes changes no bit
+    def unshared(k):
+        return Sin(Var()) if k == 0 else Deriv(unshared(k - 1), 1) + unshared(k - 1)
+
+    def bits(e):
+        return values_on_grid(e, t).tobytes(), taylor(e, 0.5, 3).tobytes()
+
+    e = Sin(Var())
+    for k in range(30):
+        if k == 8:
+            assert bits(e) == bits(unshared(8))
+        e = Deriv(e, 1) + e
+    # a diff operand is walked by the caller's walk, one coefficient longer:
+    # sin(t) is then expanded once at each length, where a fresh walk per
+    # diff would expand it exponentially often in the depth
+    lengths, sin_cos = [], nlosc.expr._sin_cos
+
+    def once_per_length(u):
+        assert len(u) not in lengths, f"sin(t) expanded twice at length {len(u)}"
+        lengths.append(len(u))
+        return sin_cos(u)
+
+    monkeypatch.setattr(nlosc.expr, "_sin_cos", once_per_length)
+    exact = 2**15 * np.sin(t + 30 * math.pi / 4)
+    np.testing.assert_allclose(values_on_grid(e, t), exact, rtol=1e-12, atol=0)
+    lengths.clear()
+    # its k-th derivative is 2^15 sin(t + 30 pi/4 + k pi/2)
+    exact = [2**15 * math.sin(0.5 + (15 + k) * math.pi / 2) / math.factorial(k) for k in range(3)]
+    np.testing.assert_allclose(taylor(e, 0.5, 3), exact, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +346,15 @@ def test_jet_order_14_in_milliseconds():
     assert elapsed < 0.05
 
 
-@pytest.mark.parametrize("dtype", [np.float64])
-def test_jet_of_a_constant_multiple_scales_the_jet(dtype):
+def test_jet_of_a_constant_multiple_scales_the_jet():
     e = parse("exp(t)*sin(t)/(1+t^2)")
     for c in (-2.75, 3.0, 1e-3):
         for t0 in JET_POINTS:
-            point = dtype(t0)
-            expected = dtype(c) * taylor(e, point, 9)
+            point = np.float64(t0)
+            expected = np.float64(c) * taylor(e, point, 9)
             for scaled in (Mul(Const(c), e), Mul(e, Const(c))):
                 got = taylor(scaled, point, 9)
-                assert got.dtype == dtype
+                assert got.dtype == np.float64
                 assert np.array_equal(got, expected), (c, t0)
 
 
