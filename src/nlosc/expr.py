@@ -21,17 +21,17 @@ Grammar (whitespace insignificant)::
 Expressions are immutable and share subtrees freely, so an expression is a
 DAG rather than a tree.  Parsing and evaluation are pure functions, so
 expressions are safe to share between threads.  There is one evaluator
-walk per call, with one memo per jet length, ``diff`` operands included,
-so each shared node is computed at most once per length.  It carries
-plain values, for :func:`evaluate` (one point, errors raised) and
-:func:`values_on_grid` (an array of doubles), or truncated Taylor series
-("jets"), for :func:`taylor`: every derivative up to a chosen order at one
-point, with no derivative expression built.  A jet's coefficients may also
-be grid arrays, one series about each grid point.
+walk per call and one arithmetic path: every node yields a truncated Taylor
+series ("jet"), and a plain value is the one-coefficient jet.  The walk
+keeps one memo per jet length, ``diff`` operands included, so each shared
+node is computed at most once per length.  :func:`evaluate` (one point,
+errors raised) and :func:`values_on_grid` (an array of doubles) take that
+one coefficient; :func:`taylor` takes every derivative up to a chosen order
+at one point, with no derivative expression built.  A jet's coefficients
+may also be grid arrays, one series about each grid point.
 
 ``diff(e, k)`` is a :class:`Deriv` node, which the same walk computes from
-its operand's jet k coefficients longer (``k! c_k`` for a value, the
-shifted and scaled tail for a jet); :func:`to_text` prints it back as
+its operand's jet k coefficients longer; :func:`to_text` prints it back as
 ``diff(e, k)``.  The operator overloads perform only trivial constant
 folding (0 and 1 identities); there is no other simplification machinery.
 """
@@ -178,10 +178,21 @@ class Div(Expression):
     right: Expression
 
 
+def _natural(value, what: str) -> int:
+    """``value`` as an int: ``TypeError`` unless an integer, ``ValueError`` if negative."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0")
+    return value
+
+
 @dataclass(frozen=True)
 class Pow(Expression):
     base: Expression
     exponent: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "exponent", _natural(self.exponent, "exponent"))
 
 
 @dataclass(frozen=True)
@@ -217,9 +228,7 @@ class Deriv(Expression):
     order: int
 
     def __new__(cls, operand: Expression, order: int) -> Expression:
-        order = int(order)
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
+        order = _natural(order, "derivative order")
         if order == 0:
             return operand
         if isinstance(operand, Const):
@@ -248,7 +257,7 @@ def evaluate(e: Expression, t: float) -> float:
     """
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return float(_values(e, np.float64(t)))
+            return float(_values(e, np.float64(t), 1)[0])
     except ArithmeticError as exc:
         raise EvaluationError(f"{exc} while evaluating at t={t}") from exc
 
@@ -262,7 +271,7 @@ def values_on_grid(e: Expression, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=np.float64)
     with np.errstate(all="ignore"):
-        out = np.asarray(_values(e, t), dtype=np.float64)
+        out = np.asarray(_values(e, t, 1)[0], dtype=np.float64)
     if out.ndim == 0:
         out = np.full(t.shape, out)
     return out
@@ -287,77 +296,65 @@ def taylor(e: Expression, t0, count: int) -> np.ndarray:
         return np.array(_values(e, t0, count), dtype=np.float64)
 
 
-def _values(e: Expression, t, count: int | None = None):
-    """Value of ``e`` at ``t`` (a number or an array), or with ``count``
-    its Taylor coefficients c_0..c_{count-1} about ``t`` as a list (of
-    arrays for an array ``t``: one series per point).
+def _values(e: Expression, t, count: int) -> list:
+    """Taylor coefficients c_0..c_{count-1} of ``e`` about ``t`` (a number,
+    or an array for one series per point) as a list; c_0 is the value.
 
-    One memo per jet length, plain values counting as one.  Values use
-    each operator's plain ``value`` operation, jets its series recurrence
-    ``jet`` (:data:`_BINARY`, :data:`_FUNCTIONS`), whose c_0 is the same
-    plain operation.  A Deriv node of order k reads its operand at length
-    count + k (1 + k for a value): the k-th derivative of
-    sum_i c_i (t - t0)^i has coefficients c_{j+k} (j+k)!/j!.
+    One memo per jet length, emptied on return.  Each operator runs its
+    series recurrence ``jet`` (:data:`_BINARY`, :data:`_FUNCTIONS`), whose
+    c_0 is the plain operation on values.  A Deriv node of order k reads its
+    operand at length count + k: the k-th derivative of sum_i c_i (t - t0)^i
+    has coefficients c_{j+k} (j+k)!/j!.
     """
-    walks: dict[int | None, Callable] = {}
+    memos: dict[int, dict[int, list]] = {}
 
-    def walk(count: int | None) -> Callable:
-        if count in walks:
-            return walks[count]
-        if count is None:
-            var = t
-        else:
-            zeros = [np.float64(0.0)] * (count - 1)
-            var = [t, np.float64(1.0), *zeros][:count]
-        memo: dict[int, object] = {}
+    def walk(count: int) -> Callable:
+        zeros = [np.float64(0.0)] * (count - 1)
+        var = [t, np.float64(1.0), *zeros][:count]
+        memo = memos.setdefault(count, {})
 
-        def value(node: Expression):
+        def series(node: Expression) -> list:
             key = id(node)
             if key in memo:
                 return memo[key]
             kind = type(node)
             if kind is Const:
-                out = np.float64(node.value)  # numpy scalar: errstate governs it
-                if count is not None:
-                    out = [out, *zeros]
+                out = [np.float64(node.value), *zeros]  # numpy scalars: errstate governs them
             elif kind is Var:
                 out = var
             elif kind in _BINARY:
-                op = _BINARY[kind]
-                out = (op.value if count is None else op.jet)(value(node.left), value(node.right))
+                out = _BINARY[kind].jet(series(node.left), series(node.right))
             elif kind is Pow:
-                base = value(node.base)
-                out = base**node.exponent if count is None else _power(base, node.exponent)
+                out = _power(series(node.base), node.exponent)
             elif kind is Neg:
-                operand = value(node.operand)
-                out = -operand if count is None else [-c for c in operand]
+                out = [-c for c in series(node.operand)]
             elif kind in _FUNCTIONS:
-                op = _FUNCTIONS[kind]
-                out = (op.value if count is None else op.jet)(value(node.arg))
+                out = _FUNCTIONS[kind].jet(series(node.arg))
             elif kind is Deriv:
                 k = node.order
                 try:  # before the operand's walk; gamma overflows from k = 171 on, as k! does
                     math.gamma(k + 1)
-                    factors = [float(math.perm(j + k, k)) for j in range(count or 1)]
+                    factors = [float(math.perm(j + k, k)) for j in range(count)]
                 except OverflowError:
                     raise EvaluationError(
                         f"derivative of order {k}: its factorial factor is past the float range"
                     ) from None
-                jet = walk((count or 1) + k)(node.operand)
+                jet = walk(count + k)(node.operand)
                 out = [c * jet[j + k] for j, c in enumerate(factors)]
-                out = out[0] if count is None else out
             else:
                 raise TypeError(f"not an expression node: {node!r}")
             memo[key] = out
             return out
 
-        walks[count] = value
-        return value
+        return series
 
     try:
         return walk(count)(e)
     except RecursionError:
         raise EvaluationError("expression nested too deeply to evaluate") from None
+    finally:  # a closure that calls itself is a cycle: free the jets now, not at collection
+        for memo in memos.values():
+            memo.clear()
 
 
 # Series recurrences on coefficient lists (Griewank & Walther, ch. 13).
@@ -403,7 +400,9 @@ def _quotient(a: list, b: list) -> list:
 
 
 def _power(a: list, exponent: int) -> list:
-    """a^exponent by repeated products; c_0 from ``**`` like the value."""
+    """a^exponent: the tail (none at length 1) by repeated products, then c_0 by ``**``."""
+    if len(a) == 1:
+        return [a[0] ** exponent]
     out = [np.float64(1.0)] + [np.float64(0.0)] * (len(a) - 1)
     for _ in range(exponent):
         out = _product(out, a)
@@ -422,7 +421,8 @@ def _exp(u: list) -> list:
 
 
 def _sin_cos(u: list) -> tuple[list, list]:
-    """s = sin(u) and c = cos(u) together, from s' = u' c and c' = -u' s."""
+    """s = sin(u) and c = cos(u) together, from s' = u' c and c' = -u' s.
+    :data:`_FUNCTIONS` takes a one-coefficient jet from one function alone."""
     sine, cosine = [np.sin(u[0])], [np.cos(u[0])]
     for k in range(1, len(u)):
         s, c = u[1] * cosine[k - 1], u[1] * sine[k - 1]
@@ -435,11 +435,10 @@ def _sin_cos(u: list) -> tuple[list, list]:
 
 
 class _Op(NamedTuple):
-    """A binary operator or function: its text, precedence and operations."""
+    """A binary operator or function: its text, precedence and series recurrence."""
 
     text: str
     precedence: int
-    value: Callable
     jet: Callable
 
 
@@ -447,16 +446,16 @@ class _Op(NamedTuple):
 _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 
 _BINARY = {
-    Add: _Op("+", _PREC_ADD, operator.add, lambda a, b: list(map(operator.add, a, b))),
-    Sub: _Op("-", _PREC_ADD, operator.sub, lambda a, b: list(map(operator.sub, a, b))),
-    Mul: _Op("*", _PREC_MUL, operator.mul, _product),
-    Div: _Op("/", _PREC_MUL, operator.truediv, _quotient),
+    Add: _Op("+", _PREC_ADD, lambda a, b: list(map(operator.add, a, b))),
+    Sub: _Op("-", _PREC_ADD, lambda a, b: list(map(operator.sub, a, b))),
+    Mul: _Op("*", _PREC_MUL, _product),
+    Div: _Op("/", _PREC_MUL, _quotient),
 }
 
 _FUNCTIONS = {
-    Sin: _Op("sin", _PREC_ATOM, np.sin, lambda u: _sin_cos(u)[0]),
-    Cos: _Op("cos", _PREC_ATOM, np.cos, lambda u: _sin_cos(u)[1]),
-    Exp: _Op("exp", _PREC_ATOM, np.exp, _exp),
+    Sin: _Op("sin", _PREC_ATOM, lambda u: _sin_cos(u)[0] if len(u) > 1 else [np.sin(u[0])]),
+    Cos: _Op("cos", _PREC_ATOM, lambda u: _sin_cos(u)[1] if len(u) > 1 else [np.cos(u[0])]),
+    Exp: _Op("exp", _PREC_ATOM, _exp),
 }
 
 # the node kind of each operator and function name, for the parser

@@ -1,8 +1,10 @@
 """Tests for the expression language: parsing, evaluation, derivatives."""
 
 import dataclasses
+import gc
 import math
 import time
+import weakref
 
 import mpmath
 import numpy as np
@@ -253,6 +255,54 @@ def test_values_on_grid_visits_shared_nodes_once(monkeypatch):
     np.testing.assert_allclose(taylor(e, 0.5, 3), exact, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize(
+    "text, idle, exact",
+    [
+        ("sin(t)", "cos", lambda t: np.sin(t)),
+        ("exp(t)*sin(t)/(1+t^2)", "cos", lambda t: np.exp(t) * np.sin(t) / (1 + t**2)),
+        ("cos(t)", "sin", lambda t: np.cos(t)),
+        ("t^5", "_product", lambda t: t**5),
+    ],
+    ids=["sin", "composite", "cos", "power"],
+)
+def test_plain_values_do_only_a_values_work(monkeypatch, text, idle, exact):
+    # a value is the one-coefficient jet: a sine computes no cosine, a cosine
+    # no sine, and a power runs no product loop
+    owner = nlosc.expr if idle == "_product" else np
+    calls, original = [], getattr(owner, idle)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, idle, counted)
+    e, grid = parse(text), np.linspace(-0.7, 1.1, 9)
+    values, value = values_on_grid(e, grid), evaluate(e, 0.4)
+    assert calls == []
+    monkeypatch.undo()
+    np.testing.assert_array_equal(values, exact(grid))
+    assert value == exact(np.float64(0.4))
+
+
+def test_a_walk_frees_its_jets_on_return(monkeypatch):
+    # the walk's closures call themselves, so they wait for the cycle
+    # collector; the jets in their memos must go when the walk returns
+    made, exp = [], nlosc.expr._FUNCTIONS[Exp]
+
+    def tracked(u):
+        out = exp.jet(u)
+        made.extend(weakref.ref(c) for c in out)
+        return out
+
+    monkeypatch.setitem(nlosc.expr._FUNCTIONS, Exp, exp._replace(jet=tracked))
+    gc.disable()
+    try:
+        values_on_grid(parse("diff(exp(t), 2)+exp(t)*t"), np.linspace(0.0, 1.0, 9))
+        assert made and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # derivatives
 # ---------------------------------------------------------------------------
@@ -423,6 +473,31 @@ def test_deriv_folds_and_differentiates_to_a_higher_order():
     with mpmath.workdps(40):
         third = float(mp_derivatives(e, mpmath.mpf(0.4), 3)[3])
     assert evaluate(Deriv(e, 3), 0.4) == pytest.approx(third, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: taylor(Pow(Var(), -1), 1.0, 3), ValueError, "exponent must be >= 0"),
+        (lambda: evaluate(Deriv(Pow(Var(), -1), 1), 1.0), ValueError, "exponent must be >= 0"),
+        (lambda: Deriv(parse("t^3"), 2.7), TypeError, "cannot be interpreted as an integer"),
+        (lambda: values_on_grid(Pow(Var(), 0.5), [1.0, 4.0]), TypeError, "cannot be interpreted"),
+        (lambda: to_text(Pow(Var(), -1)), ValueError, "exponent must be >= 0"),
+    ],
+    ids=["negative-power-jet", "negative-power-diff", "fractional-order", "fractional-power",
+         "negative-power-text"],
+)
+def test_powers_and_derivative_orders_are_nonnegative_integers(build, error, message):
+    # each used to give a wrong number, a late TypeError or unparseable text
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_integer_like_powers_and_orders_become_ints():
+    e = parse("t^3")
+    power, derivative = Pow(Var(), np.int64(3)), Deriv(e, np.int64(2))
+    assert type(power.exponent) is int and power == e and to_text(power) == "t^3"
+    assert type(derivative.order) is int and derivative == Deriv(e, 2)
 
 
 def test_deriv_prints_as_diff_and_parses_back():
