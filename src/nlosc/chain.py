@@ -87,31 +87,32 @@ class OscillatorChain:
 
 @dataclass(frozen=True, eq=False)
 class HighOrderIVP:
-    """The reduced problem y^(order) + f(t) y = g(t) on [a, b].
+    """The reduced problem y^(p) + f(t) y = g(t) on [a, b].
 
-    ``u`` holds the initial derivatives y(a), y'(a), ..., y^(order-1)(a).
-    For chain reductions ``f`` is a constant expression and ``g`` a sum of
+    ``u`` holds the initial derivatives y(a), y'(a), ..., y^(p-1)(a), so
+    its length is the order p, an even integer >= 4 (:attr:`order`).  For
+    chain reductions ``f`` is a constant expression and ``g`` a sum of
     :class:`~nlosc.expr.Deriv` nodes over the forces; the solvers accept
     any continuous ``f`` and any expression ``g``.
     """
 
-    order: int
     f: Expression
     g: Expression
     interval: tuple[float, float]
     u: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "order", int(self.order))
         object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
         object.__setattr__(self, "u", tuple(float(v) for v in self.u))
         if self.order < 4 or self.order % 2 != 0:
-            raise ValueError(f"order must be an even integer >= 4, got {self.order}")
-        if len(self.u) != self.order:
-            raise ValueError(f"need {self.order} initial derivatives, got {len(self.u)}")
+            raise ValueError(f"need an even number >= 4 of initial derivatives, got {self.order}")
         a, b = self.interval
         if not a < b:
             raise ValueError(f"empty time interval [{a}, {b}]")
+
+    @property
+    def order(self) -> int:
+        return len(self.u)
 
 
 def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
@@ -156,13 +157,7 @@ def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
         u.append(slope - cs[j - 1] * chain.velocities[j - 1])
     if not all(math.isfinite(v) for v in u):
         raise EvaluationError(f"non-finite force derivative at t={a}")
-    return HighOrderIVP(
-        order=2 * chain.size,
-        f=Const(cs[-1]),
-        g=forcing(chain.size),
-        interval=chain.interval,
-        u=tuple(u),
-    )
+    return HighOrderIVP(f=Const(cs[-1]), g=forcing(chain.size), interval=chain.interval, u=tuple(u))
 
 
 def _kernel_weights(nodes: range, moments: list[int], denominator: int) -> list[Fraction]:

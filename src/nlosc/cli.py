@@ -172,9 +172,8 @@ def _check_order(method: Method, order: int, path: str) -> None:
 @dataclass
 class RunConfig:
     """A loaded config; ``ivp`` is the problem to solve, for a chain config
-    the chain's reduction."""
+    the chain's reduction.  ``chain`` is None for an ivp config."""
 
-    mode: str
     chain: OscillatorChain | None
     ivp: HighOrderIVP
     method: Method | None
@@ -226,7 +225,7 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("$.order", f"order must be an even integer >= 4, got {order}")
         u = _entries(raw, "u", order, number)
         f, g = (_expr_field(_need(raw, key, "$"), f"$.{key}") for key in ("f", "g"))
-        ivp = HighOrderIVP(order=order, f=f, g=g, interval=interval, u=u)
+        ivp = HighOrderIVP(f=f, g=g, interval=interval, u=u)
 
     method = _method_field(raw["method"], "$.method") if "method" in raw else None
     n = raw.get("n")
@@ -234,9 +233,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("$.n", "expected a positive integer")
     exact = _expr_field(raw["exact"], "$.exact") if "exact" in raw else None
 
-    config = RunConfig(
-        mode=mode, chain=chain, ivp=ivp, method=method, n=n, exact=exact, raw=raw
-    )
+    config = RunConfig(chain=chain, ivp=ivp, method=method, n=n, exact=exact, raw=raw)
     if method is not None:
         _check_order(method, ivp.order, "$.method")
         if n is not None and n < method.min_n:
@@ -251,7 +248,7 @@ def load_config(path: str) -> RunConfig:
 
 def _cmd_reduce(args) -> int:
     config = load_config(args.config)
-    if config.mode != "chain":
+    if config.chain is None:
         raise ConfigError("$.mode", "reduce expects a chain config")
     ivp = config.ivp
     payload = {
@@ -276,7 +273,7 @@ def _solve_config(config: RunConfig):
         raise ConfigError("$.n", "missing required field")
     solution = config.method.solve(config.ivp, config.n)
     columns = [("t", solution.t), ("y", solution.y)]
-    if config.mode == "chain":
+    if config.chain is not None:
         paths = recover_trajectories(config.chain, solution)
         columns += [(f"y{k}", path) for k, path in enumerate(paths, start=1)]
     if config.exact is not None:

@@ -540,7 +540,10 @@ class _Parser:
     def base(self) -> Expression:
         kind, value, pos = self.advance()
         if kind == "num":
-            return Const(float(value))
+            number = float(value)
+            if not math.isfinite(number):
+                raise ParseError(f"number {value} is past the float range", pos)
+            return Const(number)
         if kind == "ident":
             if value == "t":
                 return Var()
@@ -577,8 +580,8 @@ def parse(text: str) -> Expression:
     ------
     ParseError
         With the offending character position, for malformed input, an
-        unknown identifier or nesting deeper than Python's recursion limit
-        allows.
+        unknown identifier, a number past the float range or nesting deeper
+        than Python's recursion limit allows.
     """
     parser = _Parser(text)
     try:
@@ -597,6 +600,8 @@ def parse(text: str) -> Expression:
 
 
 def _fmt_const(value: float) -> tuple[str, int]:
+    if not math.isfinite(value):
+        raise ExpressionError(f"cannot print the non-finite constant {value}")
     if value < 0 or (value == 0.0 and np.signbit(value)):
         text, _ = _fmt_const(-value)
         return f"-{text}", _PREC_MUL  # parenthesized by callers that bind tighter
@@ -637,7 +642,8 @@ def to_text(e: Expression) -> str:
     identically to ``e`` at every point (the printing is structure
     preserving up to unary-minus/negative-constant equivalence).  A
     :class:`Deriv` prints as ``diff(e, k)``.  ``ExpressionError`` if ``e``
-    is nested deeper than Python's recursion limit allows."""
+    holds a non-finite constant, which has no literal, or is nested deeper
+    than Python's recursion limit allows."""
     try:
         return _render(e)
     except RecursionError:

@@ -259,21 +259,23 @@ IMPROVED_SET6 = zeroing_weights(6)
 
 @dataclass(frozen=True, eq=False)
 class GridSolution:
-    """Approximate solution values on the uniform grid t_i = a + i*h."""
+    """Values ``y`` of the scheme ``method`` on the grid ``t``: t_i = a + i*h, i = 0..n."""
 
     t: np.ndarray
     y: np.ndarray
     method: str
-    n: int
-    h: float
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        if t.shape != y.shape or t.shape != (self.n + 1,):
-            raise ValueError("grid and values must both have n+1 entries")
+        if t.ndim != 1 or t.shape != y.shape:
+            raise ValueError("grid and values must be 1-D arrays of equal length")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "y", y)
+
+    @property
+    def n(self) -> int:
+        return len(self.t) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +418,9 @@ def min_n(order: int) -> int:
 
 def grid_values(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """``(t, h, f, g)``: the grid t_i = a + i*h, i = 0..n, and the values
-    of f and g on it; ``ValueError`` if n is below :func:`min_n` or past the
-    float range, or a value is not finite."""
+    of f and g on it; ``TypeError`` if n is not an integer, ``ValueError``
+    if it is below :func:`min_n` or past the float range or a value is not finite."""
+    n = operator.index(n)
     if n < min_n(ivp.order):
         raise ValueError(
             f"grid too coarse: n={n} but the closure rows need n >= {min_n(ivp.order)}"
@@ -756,12 +759,14 @@ class Method:
         u_0, then the march to node n.  Raises ``ValueError`` on a
         non-finite coefficient, a grid size or a power of h past the float
         range, a series start that grows instead of converging or a
-        solution that is not finite (naming its first such node), and
-        ``numpy.linalg.LinAlgError`` on a singular system."""
+        solution that is not finite (naming its first such node),
+        ``numpy.linalg.LinAlgError`` on a singular system and ``TypeError``
+        if n is not an integer, before f or g is evaluated."""
         weights = self.coefficients
         if weights.order != ivp.order:
             raise ValueError(f"weights of order {weights.order} cannot solve order {ivp.order}")
-        rows = closure_rows(self.closure, ivp.order)
+        # __post_init__ checked the closure against the order
+        rows = _derived_rows(self.closure) if CLOSURES[self.closure] else ()
         t, h, f, g = grid_values(ivp, n)
         try:
             if rows:
@@ -774,4 +779,4 @@ class Method:
         bad = np.flatnonzero(~np.isfinite(y))
         if bad.size:
             raise ValueError(f"the solution is not finite from node {bad[0]} (t={t[bad[0]]}) on")
-        return GridSolution(t=t, y=y, method=self.name, n=n, h=h)
+        return GridSolution(t=t, y=y, method=self.name)

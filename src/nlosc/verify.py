@@ -75,7 +75,6 @@ def builtin_cases() -> tuple[AnalyticCase, ...]:
         AnalyticCase(
             case_id=1,
             ivp=HighOrderIVP(
-                order=4,
                 f=parse("-1"),
                 g=parse("4*cos(t)"),
                 interval=(-1.0, 1.0),
@@ -96,7 +95,6 @@ def builtin_cases() -> tuple[AnalyticCase, ...]:
         AnalyticCase(
             case_id=2,
             ivp=HighOrderIVP(
-                order=4,
                 f=parse("t"),
                 g=parse("-exp(t)*(8+7*t+t^3)"),
                 interval=(0.0, 1.0),
@@ -109,7 +107,6 @@ def builtin_cases() -> tuple[AnalyticCase, ...]:
         AnalyticCase(
             case_id=3,
             ivp=HighOrderIVP(
-                order=6,
                 f=parse("-1"),
                 g=parse("-6*exp(t)"),
                 interval=(0.0, 1.0),
@@ -122,7 +119,6 @@ def builtin_cases() -> tuple[AnalyticCase, ...]:
         AnalyticCase(
             case_id=4,
             ivp=HighOrderIVP(
-                order=6,
                 f=parse("1"),
                 g=parse("6*(2*t*cos(t)+5*sin(t))"),
                 interval=(-1.0, 1.0),

@@ -95,10 +95,7 @@ def rk_oracle(ivp, steps, grid_n=None):
         raise ValueError(f"step count {steps} is not a multiple of the requested grid {grid_n}")
     t, states = integrate_first_order(ivp, steps)
     stride = steps // grid_n
-    a, b = ivp.interval
-    return GridSolution(
-        t=t[::stride], y=states[::stride, 0], method="oracle-rk4", n=grid_n, h=(b - a) / grid_n
-    )
+    return GridSolution(t=t[::stride], y=states[::stride, 0], method="oracle-rk4")
 
 
 def oracle_max_error(solution, oracle):

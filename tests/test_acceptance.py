@@ -198,7 +198,7 @@ def test_criterion_7_property_suite(oracle):
 
     # cubic exactness (order 4)
     cubic_ivp = HighOrderIVP(
-        order=4, f=parse("0"), g=parse("0"), interval=(0, 1), u=(1.0, 2.0, -2.0, 18.0)
+        f=parse("0"), g=parse("0"), interval=(0, 1), u=(1.0, 2.0, -2.0, 18.0)
     )
     grid = np.linspace(0, 1, 13)
     cubic = 1 + 2 * grid - grid**2 + 3 * grid**3
@@ -209,7 +209,7 @@ def test_criterion_7_property_suite(oracle):
 
     # quintic exactness (order 6)
     quintic_ivp = HighOrderIVP(
-        order=6, f=parse("0"), g=parse("0"), interval=(0, 1),
+        f=parse("0"), g=parse("0"), interval=(0, 1),
         u=(1.0, -1.0, 4.0, 0.0, 48.0, -120.0),
     )
     quintic = 1 - grid + 2 * grid**2 + 2 * grid**4 - grid**5

@@ -280,7 +280,7 @@ def test_series_start_differences_are_exact_for_polynomials():
     # a short dyadic fraction, so the start must hit each one exactly
     coefficients = (1, 1, 0, Fraction(-1, 2), 0, 3)
     u = [math.factorial(m) * float(c) for m, c in enumerate(coefficients)]
-    ivp = HighOrderIVP(order=6, f=parse("0"), g=parse("0"), interval=(0.0, 1.0), u=u)
+    ivp = HighOrderIVP(f=parse("0"), g=parse("0"), interval=(0.0, 1.0), u=u)
     h = Fraction(1, 8)
     exact = [sum(c * (j * h) ** m for m, c in enumerate(coefficients)) for j in range(6)]
     values, stack = _series_start(ivp, float(h))

@@ -98,10 +98,14 @@ def test_chain_rejects_mismatched_lengths():
 
 
 def test_ivp_validates_order_and_u():
-    with pytest.raises(ValueError):
-        HighOrderIVP(order=3, f=Const(0.0), g=Const(0.0), interval=(0, 1), u=(0, 0, 0))
-    with pytest.raises(ValueError):
-        HighOrderIVP(order=4, f=Const(0.0), g=Const(0.0), interval=(0, 1), u=(0, 0, 0))
+    # the order is the number of initial derivatives, never passed
+    zero = dict(f=Const(0.0), g=Const(0.0), interval=(0, 1))
+    assert HighOrderIVP(**zero, u=(0,) * 8).order == 8
+    for u in ((0,) * 5, (0, 0)):
+        with pytest.raises(ValueError, match="even number >= 4"):
+            HighOrderIVP(**zero, u=u)
+    with pytest.raises(TypeError):
+        HighOrderIVP(**zero, order=4, u=(0,) * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +421,7 @@ def test_recovered_path_that_overflows_is_an_error():
         positions=(0.0,) * 2,
         velocities=(0.0,) * 2,
     )
-    stub = GridSolution(t=np.linspace(0, 1, 9), y=np.full(9, 1e300), method="stub", n=8, h=0.125)
+    stub = GridSolution(t=np.linspace(0, 1, 9), y=np.full(9, 1e300), method="stub")
     with pytest.raises(ValueError) as err:
         recover_trajectories(chain, stub)
     assert str(err.value) == "oscillator 1 is not finite from node 1 (t=0.125) on"
@@ -432,7 +436,7 @@ def test_recovering_past_a_frequency_whose_square_overflows_is_an_error():
         positions=(1.0, 1.0),
         velocities=(0.0, 0.0),
     )
-    stub = GridSolution(t=np.linspace(0, 1, 9), y=np.ones(9), method="stub", n=8, h=0.125)
+    stub = GridSolution(t=np.linspace(0, 1, 9), y=np.ones(9), method="stub")
     with pytest.raises(ValueError) as err:
         recover_trajectories(chain, stub)
     assert str(err.value) == "oscillator 1 is not finite from node 1 (t=0.125) on"
@@ -489,7 +493,7 @@ def test_three_ring_recovers_on_the_smallest_grids(n):
     recovery window is cut to n + 1 nodes (w = 7 at n = 6, 8 at n = 7)."""
     chain, exact = closed_form_ring()
     t = np.linspace(0.0, 1.0, n + 1)
-    stub = GridSolution(t=t, y=values_on_grid(exact[2], t), method="stub", n=n, h=1.0 / n)
+    stub = GridSolution(t=t, y=values_on_grid(exact[2], t), method="stub")
     paths = recover_trajectories(chain, stub)
     for k in (1, 2):
         assert np.max(np.abs(paths[k - 1] - values_on_grid(exact[k - 1], t))) <= 1e-4, k
@@ -499,8 +503,7 @@ def test_three_ring_recovers_on_the_smallest_grids(n):
 def test_recover_grid_too_short():
     chain = zero_chain(2)
     ivp = reduce_chain(chain)
-    tiny = GridSolution(
-        t=np.linspace(0, 1, 4), y=np.zeros(4), method="stub", n=3, h=1.0 / 3.0
-    )
+    tiny = GridSolution(t=np.linspace(0, 1, 4), y=np.zeros(4), method="stub")
+    assert tiny.n == 3
     with pytest.raises(ValueError):
         recover_trajectories(chain, tiny)

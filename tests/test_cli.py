@@ -834,8 +834,9 @@ def test_method_object_errors_name_their_key(tmp_path, capsys, case_id, method, 
 
 @pytest.mark.parametrize(
     "key, value",
-    [("f", None), ("g", None), ("f", 3), ("g", "sin("), ("u", [0, 0, 0])],
-    ids=["missing-f", "missing-g", "f-not-a-string", "g-unparsable", "u-too-short"],
+    [("f", None), ("g", None), ("f", 3), ("g", "sin("), ("u", [0, 0, 0]), ("g", "1e400*t")],
+    ids=["missing-f", "missing-g", "f-not-a-string", "g-unparsable", "u-too-short",
+         "g-number-past-the-float-range"],
 )
 def test_ivp_expression_errors_name_their_field_once(tmp_path, capsys, key, value):
     cfg = case_config(1, "improved4", 16)

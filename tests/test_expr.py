@@ -145,6 +145,7 @@ def test_parse_unary_minus_binds_before_power():
         ("*t", ParseError("unexpected token '*'", 0)),
         ("diff(t, 1.5)", ParseError("derivative order must be a nonnegative integer", 8)),
         ("diff(t, -1)", ParseError("derivative order must be a nonnegative integer", 8)),
+        ("t+1e400*t", ParseError("number 1e400 is past the float range", 2)),
     ],
 )
 def test_grammar_prints_and_rejects_exactly(text, expected):
@@ -155,6 +156,13 @@ def test_grammar_prints_and_rejects_exactly(text, expected):
     else:
         assert to_text(parse(text)) == expected
         assert to_text(parse(expected)) == expected
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_constants_have_no_text(value):
+    # "inf" and "nan" are not literals of the grammar
+    with pytest.raises(ExpressionError, match="non-finite constant"):
+        to_text(Const(value) * Var())
 
 
 # ---------------------------------------------------------------------------

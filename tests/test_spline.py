@@ -128,6 +128,21 @@ def test_presets_take_their_order_from_the_weights():
         assert method.min_n == method.order + 2
 
 
+def test_solve_takes_an_integer_n_before_evaluating_f_or_g(monkeypatch):
+    method, ivp = METHODS["improved4"], case_by_id(1).ivp
+    solution = method.solve(ivp, np.int64(48))
+    assert solution.n == 48
+    assert solution.y.tobytes() == method.solve(ivp, 48).y.tobytes()
+
+    def refuse(*args):
+        raise AssertionError("f or g evaluated")
+
+    monkeypatch.setattr(spline, "values_on_grid", refuse)
+    for n in (48.5, 48.0, "48"):
+        with pytest.raises(TypeError):
+            method.solve(ivp, n)
+
+
 @pytest.mark.parametrize("case_id", [1, 2])
 def test_series_start_at_order_4_converges_below_the_improved_closure(case_id):
     case = case_by_id(case_id)

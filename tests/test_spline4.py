@@ -185,7 +185,7 @@ def test_assembly_rejects_wrong_order():
 
 
 def test_homogeneous_problem_has_zero_rhs():
-    ivp = HighOrderIVP(order=4, f=parse("0"), g=parse("0"), interval=(0, 1), u=(0, 0, 0, 0))
+    ivp = HighOrderIVP(f=parse("0"), g=parse("0"), interval=(0, 1), u=(0, 0, 0, 0))
     _, rhs = head_rows(ivp, 8, WeightSet((F(1, 6), F(1, 6), F(1, 3))), "standard")
     assert np.all(rhs == 0.0)
     assert np.max(np.abs(METHODS["table3-col1"].solve(ivp, 8).y)) == 0.0
@@ -259,7 +259,7 @@ def test_cubic_problems_are_reproduced_exactly():
     # both closure families hit the grid values to rounding noise
     cubic = parse("1+2*t-t^2+3*t^3")
     u = (1.0, 2.0, -2.0, 18.0)
-    ivp = HighOrderIVP(order=4, f=parse("0"), g=parse("0"), interval=(0, 1), u=u)
+    ivp = HighOrderIVP(f=parse("0"), g=parse("0"), interval=(0, 1), u=u)
     grid = np.linspace(0, 1, 13)
     expected = 1 + 2 * grid - grid**2 + 3 * grid**3
     for variant in ("standard", "improved"):
@@ -296,7 +296,6 @@ def test_improved_solver_tracks_oracle_on_generated_problems():
     ]
     for f_text, g_text in problems:
         ivp = HighOrderIVP(
-            order=4,
             f=parse(f_text),
             g=parse(g_text),
             interval=(0.0, 1.0),

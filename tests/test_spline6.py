@@ -220,7 +220,7 @@ def test_start_derivatives_of_a_product_ring():
 
 
 def test_start_derivatives_reject_a_singular_forcing_silently():
-    ivp = HighOrderIVP(order=6, f=parse("-1"), g=parse("1/t"), interval=(0.0, 1.0), u=(0.0,) * 6)
+    ivp = HighOrderIVP(f=parse("-1"), g=parse("1/t"), interval=(0.0, 1.0), u=(0.0,) * 6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^system contains non-finite entries$"):
@@ -242,7 +242,7 @@ def test_assembly_rejects_small_grids_and_wrong_order():
 
 
 def test_homogeneous_problem_has_zero_rhs():
-    ivp = HighOrderIVP(order=6, f=parse("0"), g=parse("0"), interval=(0, 1), u=(0,) * 6)
+    ivp = HighOrderIVP(f=parse("0"), g=parse("0"), interval=(0, 1), u=(0,) * 6)
     _, rhs = head_rows(ivp, 10, SET_T5_COL1, "printed")
     assert np.all(rhs == 0.0)
 
@@ -292,7 +292,7 @@ def test_series_closure_rows_pin_leading_unknowns():
 def test_quintic_problems_are_reproduced_exactly():
     # y^(6) = 0 with quintic initial data
     u = (1.0, -1.0, 4.0, 0.0, 48.0, -120.0)
-    ivp = HighOrderIVP(order=6, f=parse("0"), g=parse("0"), interval=(0, 1), u=u)
+    ivp = HighOrderIVP(f=parse("0"), g=parse("0"), interval=(0, 1), u=u)
     grid = np.linspace(0, 1, 13)
     expected = (
         1 - grid + 2 * grid**2 + 2 * grid**4 - grid**5
@@ -321,7 +321,7 @@ def test_case4_improved_series_closure():
 
 
 def test_zero_problem_solves_to_zero():
-    ivp = HighOrderIVP(order=6, f=parse("0"), g=parse("0"), interval=(0, 1), u=(0,) * 6)
+    ivp = HighOrderIVP(f=parse("0"), g=parse("0"), interval=(0, 1), u=(0,) * 6)
     for closure in ("printed", "series"):
         assert np.max(np.abs(Method(closure, SET_T5_COL1, closure).solve(ivp, 12).y)) == 0.0
 

@@ -1,7 +1,11 @@
 """Tests for benchmark cases, metrics, table reproduction, and the
 Runge-Kutta oracle the tests share (``conftest.py``)."""
 
+import contextlib
+import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +75,7 @@ def test_case_by_id_rejects_unknown():
 def test_max_abs_error_zero_on_exact_grid(cases):
     case = cases[1]
     t = np.linspace(-1, 1, 13)
-    sol = GridSolution(t=t, y=values_on_grid(case.exact, t), method="stub", n=12, h=2 / 12)
+    sol = GridSolution(t=t, y=values_on_grid(case.exact, t), method="stub")
     assert max_abs_error(sol, case.exact) == 0.0
 
 
@@ -80,13 +84,23 @@ def test_max_abs_error_sees_single_perturbation(cases):
     t = np.linspace(-1, 1, 13)
     y = values_on_grid(case.exact, t)
     y[7] += 1e-3
-    sol = GridSolution(t=t, y=y, method="stub", n=12, h=2 / 12)
+    sol = GridSolution(t=t, y=y, method="stub")
     assert max_abs_error(sol, case.exact) == pytest.approx(1e-3, rel=1e-9)
 
 
 def test_max_abs_error_case1_improved_n24(cases):
     sol = METHODS["improved4"].solve(cases[1].ivp, 24)
     assert max_abs_error(sol, cases[1].exact) == pytest.approx(7.19e-8, rel=0.02)
+
+
+def test_readme_python_example_prints_its_documented_error():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    documented = re.search(r"print\(.*\)\s+# (\S+)\n", example).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(example, {})
+    assert f"{float(out.getvalue()):.1e}" == documented == "1.9e-10"
 
 
 def test_slopes_from_synthetic_errors():
@@ -122,7 +136,7 @@ def test_oracle_matches_analytic_solutions(cases, oracle):
 
 
 def test_oracle_constant_solution():
-    ivp = HighOrderIVP(order=4, f=parse("0"), g=parse("0"), interval=(0, 1), u=(1, 0, 0, 0))
+    ivp = HighOrderIVP(f=parse("0"), g=parse("0"), interval=(0, 1), u=(1, 0, 0, 0))
     sol = rk_oracle(ivp, steps=100)
     assert np.all(sol.y == 1.0)
 
