@@ -30,6 +30,14 @@ one coefficient; :func:`taylor` takes every derivative up to a chosen order
 at one point, with no derivative expression built.  A jet's coefficients
 may also be grid arrays, one series about each grid point.
 
+:func:`taylor` computes in Python floats, the fastest numbers Python has;
+c_0 of ``sin``, ``cos`` and ``exp`` still comes from the numpy function,
+whose bits the math module need not share.  Division and ``^`` there give
+IEEE results (inf or nan) where a Python float would raise.  The scalar
+zeros that end a jet, such as the tails of Const and Var jets, take part
+in no term of the ``exp``, ``sin`` and ``cos`` recurrences, nor of a
+product of two jets that vary.
+
 ``diff(e, k)`` is a :class:`Deriv` node, which the same walk computes from
 its operand's jet k coefficients longer; :func:`to_text` prints it back as
 ``diff(e, k)``.  The operator overloads perform only trivial constant
@@ -283,9 +291,10 @@ def taylor(e: Expression, t0, count: int) -> np.ndarray:
 
     The same walk as :func:`values_on_grid`, on truncated power series
     ("jets", Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
-    ch. 13): O(count^2) work per node, and no derivative expression is
-    built.  The coefficients are doubles.  At a singular point they come
-    back as inf or nan without a warning; callers check finiteness.
+    ch. 13), in Python floats: O(count^2) work per node at most, and no
+    derivative expression is built.  The coefficients are doubles.  At a
+    singular point they come back as inf or nan without a warning; callers
+    check finiteness.
     """
     t0 = np.asarray(t0, dtype=np.float64)
     if t0.ndim != 0:
@@ -293,12 +302,14 @@ def taylor(e: Expression, t0, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("a jet needs at least one coefficient")
     with np.errstate(all="ignore"):
-        return np.array(_values(e, t0, count), dtype=np.float64)
+        return np.array(_values(e, float(t0), count), dtype=np.float64)
 
 
 def _values(e: Expression, t, count: int) -> list:
-    """Taylor coefficients c_0..c_{count-1} of ``e`` about ``t`` (a number,
-    or an array for one series per point) as a list; c_0 is the value.
+    """Taylor coefficients c_0..c_{count-1} of ``e`` about ``t`` as a list;
+    c_0 is the value.  ``t`` is a Python float (a point jet in Python
+    floats), a numpy scalar (numpy scalars, which errstate governs) or an
+    array (one series per grid point).
 
     One memo per jet length, emptied on return.  Each operator runs its
     series recurrence ``jet`` (:data:`_BINARY`, :data:`_FUNCTIONS`), whose
@@ -306,11 +317,13 @@ def _values(e: Expression, t, count: int) -> list:
     operand at length count + k: the k-th derivative of sum_i c_i (t - t0)^i
     has coefficients c_{j+k} (j+k)!/j!.
     """
+    lift = float if type(t) is float else np.float64
+    one, zero = lift(1.0), lift(0.0)
     memos: dict[int, dict[int, list]] = {}
 
     def walk(count: int) -> Callable:
-        zeros = [np.float64(0.0)] * (count - 1)
-        var = [t, np.float64(1.0), *zeros][:count]
+        zeros = [zero] * (count - 1)
+        var = [t, one, *zeros][:count]
         memo = memos.setdefault(count, {})
 
         def series(node: Expression) -> list:
@@ -319,7 +332,7 @@ def _values(e: Expression, t, count: int) -> list:
                 return memo[key]
             kind = type(node)
             if kind is Const:
-                out = [np.float64(node.value), *zeros]  # numpy scalars: errstate governs them
+                out = [lift(node.value), *zeros]
             elif kind is Var:
                 out = var
             elif kind in _BINARY:
@@ -359,30 +372,44 @@ def _values(e: Expression, t, count: int) -> list:
 
 # Series recurrences on coefficient lists (Griewank & Walther, ch. 13).
 # Every sum starts from its first term, never from 0, so coefficient 0 is
-# the plain operation on values, signed zeros included.
+# the plain operation on values, signed zeros included.  The scalar zeros
+# that end a jet, past its degree (:func:`_degree`), take part in no sum:
+# on a grid, where only a coefficient that no grid point reaches is a
+# scalar, these are the zero tails of Const and Var jets and what follows
+# from them; at a point, every zero that ends the jet.
 
 
-def _is_constant(a: list) -> bool:
-    """Whether every coefficient of ``a`` past c_0 is a zero number.  The
-    truth of a grid array is ambiguous, and a jet with one counts as
-    varying."""
-    try:
-        return not any(a[1:])
-    except ValueError:
-        return False
+def _degree(a: list) -> int:
+    """The index of the last coefficient of ``a`` that is not a scalar zero, or 0."""
+    d = len(a) - 1
+    while d and type(a[d]) is not np.ndarray and not a[d]:
+        d -= 1
+    return d
+
+
+def _head(function: Callable, u0):
+    """``function`` (a numpy ufunc, for its bits) at c_0, a Python float at a point."""
+    value = function(u0)
+    return float(value) if type(u0) is float else value
 
 
 def _product(a: list, b: list) -> list:
-    """Cauchy product: c_k = sum_j a_j b_{k-j}.  A constant factor, whose
-    coefficients past c_0 are all zero, just scales the other jet."""
-    if _is_constant(a):
-        return [a[0] * v for v in b]
-    if _is_constant(b):
-        return [v * b[0] for v in a]
+    """Cauchy product: c_k = sum_j a_j b_{k-j} over the j that keep both
+    factors within their degrees; past the sum of the degrees no term is
+    left, and c_k is b_k, a scalar zero.  A factor of degree 0 just scales
+    the other jet."""
+    if len(a) == 1:
+        return [a[0] * b[0]]
+    da, db = _degree(a), _degree(b)
+    if not da:
+        return [a[0] * c for c in b]
+    if not db:
+        return [c * b[0] for c in a]
     out = []
     for k in range(len(a)):
-        c = a[0] * b[k]
-        for j in range(1, k + 1):
+        low, high = k - db if k > db else 0, k if k < da else da
+        c = a[low] * b[k - low] if low <= high else b[k]
+        for j in range(low + 1, high + 1):
             c = c + a[j] * b[k - j]
         out.append(c)
     return out
@@ -390,31 +417,38 @@ def _product(a: list, b: list) -> list:
 
 def _quotient(a: list, b: list) -> list:
     """q = a/b from a = q*b: q_k = (a_k - sum_{j>=1} b_j q_{k-j}) / b_0."""
+    divisor = b[0]
+    if type(divisor) is float and not divisor:  # a Python float raises where IEEE gives inf or nan
+        divisor = np.float64(divisor)
     out = []
     for k in range(len(a)):
         r = a[k]
         for j in range(1, k + 1):
             r = r - b[j] * out[k - j]
-        out.append(r / b[0])
+        out.append(r / divisor)
     return out
 
 
 def _power(a: list, exponent: int) -> list:
-    """a^exponent: the tail (none at length 1) by repeated products, then c_0 by ``**``."""
+    """a^exponent: the tail (none at length 1) by repeated products, c_0 by ``**``."""
+    try:
+        head = a[0] ** exponent
+    except OverflowError:  # a Python float raises where IEEE gives inf
+        head = np.float64(a[0]) ** exponent
     if len(a) == 1:
-        return [a[0] ** exponent]
-    out = [np.float64(1.0)] + [np.float64(0.0)] * (len(a) - 1)
+        return [head]
+    out = [1.0] + [0.0] * (len(a) - 1)
     for _ in range(exponent):
         out = _product(out, a)
-    return [a[0] ** exponent, *out[1:]]
+    return [head, *out[1:]]
 
 
 def _exp(u: list) -> list:
     """e = exp(u) from e' = u' e: e_k = sum_{j=1..k} j u_j e_{k-j} / k."""
-    out = [np.exp(u[0])]
+    out, d = [_head(np.exp, u[0])], _degree(u)
     for k in range(1, len(u)):
-        c = u[1] * out[k - 1]
-        for j in range(2, k + 1):
+        c = u[1] * out[k - 1] if d else u[k]  # no term: u_k is a scalar zero
+        for j in range(2, min(k, d) + 1):
             c = c + j * u[j] * out[k - j]
         out.append(c / k)
     return out
@@ -423,10 +457,10 @@ def _exp(u: list) -> list:
 def _sin_cos(u: list) -> tuple[list, list]:
     """s = sin(u) and c = cos(u) together, from s' = u' c and c' = -u' s.
     :data:`_FUNCTIONS` takes a one-coefficient jet from one function alone."""
-    sine, cosine = [np.sin(u[0])], [np.cos(u[0])]
+    sine, cosine, d = [_head(np.sin, u[0])], [_head(np.cos, u[0])], _degree(u)
     for k in range(1, len(u)):
-        s, c = u[1] * cosine[k - 1], u[1] * sine[k - 1]
-        for j in range(2, k + 1):
+        s, c = (u[1] * cosine[k - 1], u[1] * sine[k - 1]) if d else (u[k], u[k])
+        for j in range(2, min(k, d) + 1):
             s = s + j * u[j] * cosine[k - j]
             c = c + j * u[j] * sine[k - j]
         sine.append(s / k)
@@ -453,8 +487,8 @@ _BINARY = {
 }
 
 _FUNCTIONS = {
-    Sin: _Op("sin", _PREC_ATOM, lambda u: _sin_cos(u)[0] if len(u) > 1 else [np.sin(u[0])]),
-    Cos: _Op("cos", _PREC_ATOM, lambda u: _sin_cos(u)[1] if len(u) > 1 else [np.cos(u[0])]),
+    Sin: _Op("sin", _PREC_ATOM, lambda u: _sin_cos(u)[0] if len(u) > 1 else [_head(np.sin, u[0])]),
+    Cos: _Op("cos", _PREC_ATOM, lambda u: _sin_cos(u)[1] if len(u) > 1 else [_head(np.cos, u[0])]),
     Exp: _Op("exp", _PREC_ATOM, _exp),
 }
 
@@ -466,26 +500,26 @@ _KINDS = {op.text: kind for table in (_BINARY, _FUNCTIONS) for kind, op in table
 # parsing
 # ---------------------------------------------------------------------------
 
+# the alternatives start with distinct characters, the most frequent first;
+# whitespace and any other character are tokens too, so one pass reads all
 _TOKEN = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<op>[-+*/^(),])"
+    r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<space>\s+)"
+    r"|(?P<bad>.)"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, position)`` of each token, in one pass, then ``end``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "space":
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 

@@ -419,7 +419,8 @@ def min_n(order: int) -> int:
 def grid_values(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """``(t, h, f, g)``: the grid t_i = a + i*h, i = 0..n, and the values
     of f and g on it; ``TypeError`` if n is not an integer, ``ValueError``
-    if it is below :func:`min_n` or past the float range or a value is not finite."""
+    if it is below :func:`min_n`, past the float range or too large for
+    memory, or a value is not finite."""
     n = operator.index(n)
     if n < min_n(ivp.order):
         raise ValueError(
@@ -430,7 +431,10 @@ def grid_values(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float, np.ndarra
         h = (b - a) / n
     except OverflowError:  # an int n past the float range
         raise ValueError(f"grid size n={n} is past the float range") from None
-    t = a + h * np.arange(n + 1)
+    try:
+        t = a + h * np.arange(n + 1)
+    except MemoryError:  # numpy refuses an allocation past memory at once
+        raise ValueError(f"grid size n={n} does not fit in memory") from None
     f, g = values_on_grid(ivp.f, t), values_on_grid(ivp.g, t)
     require_finite(f, g)
     return t, h, f, g

@@ -352,6 +352,23 @@ def test_grid_size_past_the_float_range_is_an_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_grid_size_past_memory_is_an_error(tmp_path, capsys, command):
+    # n + 1 float64 nodes would take 8 EB, which numpy refuses at once
+    n = 10**18
+    out = tmp_path / "grid.csv"
+    if command == "solve":
+        config = write_config(tmp_path, {**chain_config(), "n": n})
+        argv = ["solve", "--config", config, "--out", str(out)]
+    else:
+        argv = ["convergence", "--case", "1", "--method", "improved4", "--n", f"12,{n}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: grid size n={n} does not fit in memory\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["g", "forces"])
 def test_derivative_order_past_the_float_range_is_an_expression_error(tmp_path, capsys, field):
     # 171! does not convert to a float

@@ -1,8 +1,10 @@
 """Tests for the expression language: parsing, evaluation, derivatives."""
 
 import dataclasses
+import functools
 import gc
 import math
+import operator
 import time
 import weakref
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import nlosc.expr
 from conftest import mp_derivatives
+from nlosc.chain import reduce_chain
 from nlosc.expr import (
     Add,
     Const,
@@ -36,6 +39,8 @@ from nlosc.expr import (
     to_text,
     values_on_grid,
 )
+from nlosc.verify import builtin_cases
+from test_spline6 import product_ring
 
 SAMPLE_TIMES = [-1.7, -1.0, -0.3, 0.0, 0.4, 1.0, 1.9]
 
@@ -146,6 +151,16 @@ def test_parse_unary_minus_binds_before_power():
         ("diff(t, 1.5)", ParseError("derivative order must be a nonnegative integer", 8)),
         ("diff(t, -1)", ParseError("derivative order must be a nonnegative integer", 8)),
         ("t+1e400*t", ParseError("number 1e400 is past the float range", 2)),
+        # tabs, newlines and other whitespace separate tokens, and an error
+        # keeps its character position after them
+        ("1\t+\n2*t", "1+2*t"),
+        ("\tsin (\n t\r)\f", "sin(t)"),
+        ("t + 1", "t+1"),
+        ("1 + $t", ParseError("unexpected character '$'", 4)),
+        ("t\n\t@", ParseError("unexpected character '@'", 3)),
+        ("t +  é", ParseError("unexpected character 'é'", 5)),
+        ("2 *\t.", ParseError("unexpected character '.'", 4)),
+        ("sin\n(t", ParseError("expected ')'", 6)),
     ],
 )
 def test_grammar_prints_and_rejects_exactly(text, expected):
@@ -543,11 +558,184 @@ def test_jet_is_silent_at_a_singular_point():
     assert jet[0] == math.inf and not np.isfinite(jet).any()
 
 
+@pytest.mark.parametrize(
+    "text, t0",
+    [("1/t", 0.0), ("1/t", -0.0), ("t/(t-t)", 1.0), ("0/0", 2.0), ("(1e200*t)^2", 1.0),
+     ("(1e200*t)^3/(1+t)", -1.0), ("diff(1/(t-1)^2, 2)", 1.0)],
+)
+def test_point_jets_divide_and_raise_to_powers_as_ieee(text, t0):
+    # Python floats raise ZeroDivisionError and OverflowError where IEEE
+    # arithmetic, and the same walk in numpy scalars, gives inf or nan
+    e = parse(text)
+    jet = taylor(e, t0, 5)
+    with np.errstate(all="ignore"):
+        scalars = nlosc.expr._values(e, np.float64(t0), 5)
+    assert not np.isfinite(jet).all()
+    assert all(map(_same, scalars, jet))
+    with pytest.raises(EvaluationError):
+        evaluate(e, t0)
+
+
 def test_jet_needs_one_point_and_one_coefficient():
     with pytest.raises(ValueError):
         taylor(T, [0.0, 1.0], 3)
     with pytest.raises(ValueError):
         taylor(T, 0.0, 0)
+
+
+def _point_cases():
+    chain, _ = product_ring()
+    cases = {f"ring force {k}": force for k, force in enumerate(chain.forces, start=1)}
+    cases["ring g"] = reduce_chain(chain).g
+    for case in builtin_cases():
+        cases[f"case {case.case_id} f"] = case.ivp.f
+        cases[f"case {case.case_id} g"] = case.ivp.g
+    for text in ("exp(t)*sin(t)/(1+t^2)", "1/(2+t)", "cos(t^2)/(3-t)", "(t+sin(t))^5",
+                 "exp(-t)*t^3", "diff(exp(t)*sin(t)/(1+t^2), 3)", "diff(t^4*cos(2*t), 2)/(3+t)"):
+        cases[text] = parse(text)
+    return cases
+
+
+POINT_CASES = _point_cases()
+
+
+@pytest.mark.parametrize("name", sorted(POINT_CASES))
+def test_point_jets_in_floats_have_the_bits_of_the_numpy_walks(name):
+    # taylor walks in Python floats; the same walk in numpy scalars, and
+    # on a one-point grid, must give every coefficient the same bits, so
+    # c_0 of sin, cos and exp comes from numpy, not from the math module.
+    # numpy's array power need not be C's pow (which Python floats and
+    # numpy scalars share): 81 of 3000 cubes in [-3, 3] differ in the last
+    # bit (x86-64, numpy 2.4), so the grid walk is compared only where the
+    # expression has no power
+    e, with_power = POINT_CASES[name], "^" in to_text(POINT_CASES[name])
+    for t0 in (-0.7, 0.3, 1.1):
+        for count in range(1, 17):
+            jet = taylor(e, t0, count)
+            with np.errstate(all="ignore"):
+                scalars = nlosc.expr._values(e, np.float64(t0), count)
+                grid = nlosc.expr._values(e, np.array([t0]), count)
+            assert np.array(scalars).tobytes() == jet.tobytes(), (t0, count)
+            if not with_power:
+                grid = np.array([np.broadcast_to(c, (1,))[0] for c in grid])
+                assert grid.tobytes() == jet.tobytes(), (t0, count)
+
+
+@pytest.mark.parametrize("function", [Exp, Sin, Cos])
+def test_point_jets_take_their_functions_from_numpy(function):
+    # the math module's exp differs from numpy's in the last bit at 21 of
+    # these 601 points (x86-64, numpy 2.4), so a math function in the jet
+    # shows
+    e = function(Mul(Const(1.7), T))
+    points = np.linspace(-3.0, 3.0, 601)
+    jets = np.array([taylor(e, t0, 3) for t0 in points])
+    scalars = np.array([nlosc.expr._values(e, t0, 3) for t0 in points])
+    assert jets.tobytes() == scalars.tobytes()
+
+
+# dense references of the three recurrences: every term, summed in order of
+# j from the first, but a constant factor scales the other jet, as it does in
+# the product under test
+def _fold(terms):
+    return functools.reduce(operator.add, terms)
+
+
+def _dense_product(a, b):
+    for x, y, left in ((a, b, True), (b, a, False)):
+        if not any(x[1:]):
+            return [x[0] * c if left else c * x[0] for c in y]
+    return [_fold([a[j] * b[k - j] for j in range(k + 1)]) for k in range(len(a))]
+
+
+def _dense_exp(u):
+    out = [float(np.exp(u[0]))]
+    for k in range(1, len(u)):
+        out.append(_fold([j * u[j] * out[k - j] for j in range(1, k + 1)]) / k)
+    return out
+
+
+def _dense_sin_cos(u):
+    sine, cosine = [float(np.sin(u[0]))], [float(np.cos(u[0]))]
+    for k in range(1, len(u)):
+        sine.append(_fold([j * u[j] * cosine[k - j] for j in range(1, k + 1)]) / k)
+        cosine.append(-_fold([j * u[j] * sine[k - j] for j in range(1, k + 1)]) / k)
+    return sine, cosine
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _same(x, y):
+    # the sign bit of a nan depends on the processor
+    return _bits([x]) == _bits([y]) or (math.isnan(x) and math.isnan(y))
+
+
+def _skipping_moves_only_zero_signs_and_nan(dense, got):
+    # a skipped term is a zero factor times a finite number, a signed zero
+    # that can flip only the sign of a zero sum, or times inf or nan, which
+    # made the whole sum nan
+    return all(_same(x, y) or x == y == 0.0 or math.isnan(x) for x, y in zip(dense, got))
+
+
+def test_recurrences_skip_the_zero_tail_of_a_jet():
+    inf, n = math.inf, 7
+    var = {f"t at {x}": [x, 1.0] + [0.0] * (n - 2) for x in (-0.0, 0.0, 0.7, inf)}
+    const = {f"{c}": [c] + [0.0] * (n - 1) for c in (-0.0, 2.0, -inf)}
+    jets = {**var, **const, "dense": [(-0.5) ** k for k in range(n)],
+            "inf in the tail": [1.0, inf] + [0.0] * (n - 2)}
+    for x in (-0.0, 0.7):
+        jets[f"t^2 at {x}"] = _dense_product(var[f"t at {x}"], var[f"t at {x}"])
+    moved = 0
+    with np.errstate(all="ignore"):
+        for u in jets.values():
+            for v in jets.values():
+                dense, got = _dense_product(u, v), nlosc.expr._product(u, v)
+                assert _skipping_moves_only_zero_signs_and_nan(dense, got), (u, v)
+                moved += not all(map(_same, dense, got))
+            for dense, got in ((_dense_exp(u), nlosc.expr._exp(u)),
+                               *zip(_dense_sin_cos(u), nlosc.expr._sin_cos(u))):
+                assert _skipping_moves_only_zero_signs_and_nan(dense, got), u
+                moved += not all(map(_same, dense, got))
+    # these inputs are built to meet the cases above: 42 of the 154 results
+    # move; a degree-1 argument gives exp, sin and cos one term per
+    # coefficient, and t^2 times t^2 stops at degree 4
+    e = nlosc.expr._exp([0.5, 2.0, 0.0, 0.0])
+    assert e[1:] == [2.0 * e[0] / 1, 2.0 * e[1] / 2, 2.0 * e[2] / 3]
+    assert nlosc.expr._product(jets["t^2 at 0.7"], jets["t^2 at 0.7"])[5:] == [0.0, 0.0]
+    assert moved == 42
+
+
+# (expression, point) -> {index: coefficient} of every jet of 12 that moved
+# when the trailing zeros were skipped, out of 7 expressions at 4 points;
+# the points are text, as -0.0 == 0.0 would merge their keys
+MOVED_JETS = {
+    ("-sin(t)*t", "-0.0"): {3: -0.0, 7: -0.0, 11: -0.0},
+    ("-sin(t)*t", "0.0"): {5: -0.0, 9: -0.0},
+    ("diff(exp(-t^2), 7)", "-0.0"): {0: -0.0, 2: -0.0, 4: -0.0, 6: -0.0, 8: -0.0, 10: -0.0},
+    ("exp(800*t)", "1.0"): dict.fromkeys(range(2, 12), math.inf),
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["sin(t)*t^2", "-sin(t)*t", "diff(exp(-t^2), 7)", "exp(800*t)", "t^3*cos(1.6*t)",
+     "(0.6+0.6*t^2)*exp(-0.5*t)", "1.5*exp(0.4*t)*sin(1.6*t)"],
+)
+def test_jets_keep_the_bits_of_the_dense_recurrences_but_the_pinned_ones(monkeypatch, text):
+    e = parse(text)
+    jets = {t0: taylor(e, float(t0), 12) for t0 in ("-0.0", "0.0", "1.0", "-1.3")}
+    monkeypatch.setattr(nlosc.expr, "_product", _dense_product)
+    monkeypatch.setattr(nlosc.expr, "_sin_cos", _dense_sin_cos)
+    mul, exp = nlosc.expr._BINARY[Mul], nlosc.expr._FUNCTIONS[Exp]
+    monkeypatch.setitem(nlosc.expr._BINARY, Mul, mul._replace(jet=_dense_product))
+    monkeypatch.setitem(nlosc.expr._FUNCTIONS, Exp, exp._replace(jet=_dense_exp))
+    for t0, jet in jets.items():
+        expected = taylor(e, float(t0), 12)
+        for k, value in MOVED_JETS.get((text, t0), {}).items():
+            assert _bits([expected[k]]) != _bits([value]), (t0, k)
+            expected[k] = value
+        assert _bits(jet) == _bits(expected), t0
 
 
 def test_expressions_are_immutable():
