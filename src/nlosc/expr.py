@@ -33,10 +33,11 @@ may also be grid arrays, one series about each grid point.
 :func:`taylor` computes in Python floats, the fastest numbers Python has;
 c_0 of ``sin``, ``cos`` and ``exp`` still comes from the numpy function,
 whose bits the math module need not share.  Division and ``^`` there give
-IEEE results (inf or nan) where a Python float would raise.  The scalar
-zeros that end a jet, such as the tails of Const and Var jets, take part
-in no term of the ``exp``, ``sin`` and ``cos`` recurrences, nor of a
-product of two jets that vary.
+IEEE results (inf or nan) where a Python float would raise; ``^`` is C's
+``pow`` at a point and numpy's power loop on a grid, which may differ in
+the last bit.  The scalar zeros that end a jet, such as the tails of Const
+and Var jets, take part in no term of the ``exp``, ``sin`` and ``cos``
+recurrences, nor of a product of two jets that vary.
 
 ``diff(e, k)`` is a :class:`Deriv` node, which the same walk computes from
 its operand's jet k coefficients longer; :func:`to_text` prints it back as

@@ -30,9 +30,9 @@ row on its support that is exact through its closure's degree.
 * ``series`` (any p): y_1..y_{p-1} pinned to a Taylor expansion about
   t = a of degree max(SERIES_START_DEGREE, 2p + 1) (local error O(h^14)
   through p = 6, O(h^(2p+2)) above), so boundary error no longer masks
-  the high-order interior weight sets.  Its derivatives at a come from
-  :func:`derivatives_at_start`.  A series whose last terms grow out to
-  node p - 1 is an error: the grid is too coarse for it.
+  the high-order interior weight sets.  Its terms are a_m = c_m h^m, from
+  the Taylor coefficients of :func:`coefficients_at_start`.  A series whose
+  last terms grow out to node p - 1 is an error: the grid is too coarse.
 
 A :class:`Method` names one scheme, a weight set and a closure that fits
 its order, and :meth:`Method.solve` is the one way to solve with it.
@@ -101,10 +101,11 @@ at chosen values and zeroing fewer brackets gives lower orders:
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import comb, factorial, fsum
+from math import comb, factorial, fsum, perm
 from typing import NamedTuple
 
 import numpy as np
@@ -121,7 +122,7 @@ __all__ = [
     "SERIES_START_DEGREE",
     "WeightSet",
     "closure_rows",
-    "derivatives_at_start",
+    "coefficients_at_start",
     "min_n",
     "truncation_brackets",
     "zeroing_weights",
@@ -666,29 +667,24 @@ def _sweep(f, c, g_part, inverse, head, stack) -> np.ndarray:
     return _loop(f, c, g_part[d:], inverse[d:], head, levels[:p, d])
 
 
-def derivatives_at_start(ivp: HighOrderIVP, count: int) -> list[float]:
-    """y(a), y'(a), ..., y^(count-1)(a), extended through the equation.
-
-    The given initial data is extended through the equation itself,
-    y^(p) = g - f*y, by Leibniz's rule on f*y.  The derivatives of g and f
-    at a are read off one Taylor jet each (g^(k) = k! * c_k, see
-    :func:`nlosc.expr.taylor`), exact up to rounding, so no numerical
-    differentiation error enters.
-    """
-    derivs = [float(v) for v in ivp.u]
-    extra = count - len(derivs)
-    if extra <= 0:
-        return derivs[:count]
+def coefficients_at_start(ivp: HighOrderIVP, count: int) -> list[float]:
+    """Taylor coefficients c_0..c_{count-1} of y about t = a, so that
+    y^(m)(a) = m! c_m: c_m = u_m / m! for m < p, then, through the equation
+    y^(p) = g - f*y, c_{m+p} = (g_m - sum_{i<=m} f_i c_{m-i}) / perm(m+p, p)
+    from one Taylor jet each of g and f (:func:`nlosc.expr.taylor`), exact
+    up to rounding, so no numerical differentiation error enters."""
+    p = ivp.order
+    coefficients = [v / factorial(m) for m, v in enumerate(ivp.u[:count])]
+    if count <= p:
+        return coefficients
     a = ivp.interval[0]
-    g_jet, f_jet = taylor(ivp.g, a, extra), taylor(ivp.f, a, extra)
+    g_jet, f_jet = (taylor(e, a, count - p).tolist() for e in (ivp.g, ivp.f))
     require_finite(g_jet, f_jet)
-    f_values = [factorial(k) * float(c) for k, c in enumerate(f_jet)]
-    for k, c in enumerate(g_jet):
-        value = factorial(k) * float(c)
-        for i in range(k + 1):
-            value -= comb(k, i) * f_values[i] * derivs[k - i]
-        derivs.append(value)
-    return derivs
+    for m, value in enumerate(g_jet):
+        for i in range(m + 1):
+            value -= f_jet[i] * coefficients[m - i]
+        coefficients.append(value / perm(m + p, p))
+    return coefficients
 
 
 @cache
@@ -709,7 +705,8 @@ def _series_start(ivp: HighOrderIVP, h: float) -> tuple[list[float], list[float]
     max(SERIES_START_DEGREE, 2p + 1), and its backward differences
     nabla^k y_{p-1} for k = 0..p-1.
 
-    With a_m = y^(m)(a) h^m / m!, node j carries sum_m a_m j^m, and the
+    With a_m = c_m h^m from the Taylor coefficients c_m of
+    :func:`coefficients_at_start`, node j carries sum_m a_m j^m, and the
     differences of the monomials j^m are exact integers
     (:func:`_series_tables`), so each difference is summed from its own
     terms and none is a cancellation of rounded values: the higher
@@ -717,12 +714,14 @@ def _series_start(ivp: HighOrderIVP, h: float) -> tuple[list[float], list[float]
 
     Raises ``ValueError`` when the series grows out to node p - 1: the
     largest of its last three terms there, |a_m| (p-1)^m, exceeds the
-    largest of the three before them, unless those are 0 (as for t^12).
+    largest of the three before them, unless those are 0 (as for t^12);
+    and, before any jet, when (p-1)^degree is past the float range.
     """
     p = ivp.order
     degree = max(SERIES_START_DEGREE, 2 * p + 1)
-    derivs = derivatives_at_start(ivp, degree + 1)
-    scaled = [d * h**m / factorial(m) for m, d in enumerate(derivs)]
+    if (p - 1) ** degree > sys.float_info.max:
+        raise ValueError(f"order {p} needs a series start of degree {degree}, past the float range")
+    scaled = [c * h**m for m, c in enumerate(coefficients_at_start(ivp, degree + 1))]
     terms = [abs(c) * (p - 1) ** m for m, c in enumerate(scaled[-6:], degree - 5)]
     if 0 < max(terms[:3]) < max(terms[3:]):
         a = ivp.interval[0]
@@ -761,11 +760,11 @@ class Method:
     def solve(self, ivp: HighOrderIVP, n: int) -> GridSolution:
         """Solve on n subintervals: the head of the closure, y_0 pinned to
         u_0, then the march to node n.  Raises ``ValueError`` on a
-        non-finite coefficient, a grid size or a power of h past the float
-        range, a series start that grows instead of converging or a
-        solution that is not finite (naming its first such node),
-        ``numpy.linalg.LinAlgError`` on a singular system and ``TypeError``
-        if n is not an integer, before f or g is evaluated."""
+        non-finite coefficient, a grid size, power of h or series degree
+        past the float range, a series start that grows instead of
+        converging or a solution that is not finite (naming its first such
+        node), ``numpy.linalg.LinAlgError`` on a singular system and
+        ``TypeError`` if n is not an integer, before f or g is evaluated."""
         weights = self.coefficients
         if weights.order != ivp.order:
             raise ValueError(f"weights of order {weights.order} cannot solve order {ivp.order}")

@@ -1,6 +1,7 @@
 """Tests for the oscillator ring: reduction, initial data, recovery."""
 
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -106,6 +107,30 @@ def test_ivp_validates_order_and_u():
             HighOrderIVP(**zero, u=u)
     with pytest.raises(TypeError):
         HighOrderIVP(**zero, order=4, u=(0,) * 4)
+
+
+def test_chain_rejects_a_force_that_is_not_an_expression():
+    with pytest.raises(TypeError, match="^forces must be Expression instances$"):
+        OscillatorChain((1.0, 1.0), (parse("0"), "0"), (0, 1), (0, 0), (0, 0))
+
+
+EMPTY_INTERVALS = {
+    "equal": ((1, 1), "[1.0, 1.0]"),
+    "reversed": ((1, 0), "[1.0, 0.0]"),
+    "nan": ((0, math.nan), "[0.0, nan]"),
+}
+
+
+@pytest.mark.parametrize("interval, shown", EMPTY_INTERVALS.values(), ids=EMPTY_INTERVALS)
+def test_chain_rejects_an_empty_interval(interval, shown):
+    with pytest.raises(ValueError, match=f"^empty time interval {re.escape(shown)}$"):
+        OscillatorChain((1.0, 1.0), (parse("0"),) * 2, interval, (0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("interval, shown", EMPTY_INTERVALS.values(), ids=EMPTY_INTERVALS)
+def test_ivp_rejects_an_empty_interval(interval, shown):
+    with pytest.raises(ValueError, match=f"^empty time interval {re.escape(shown)}$"):
+        HighOrderIVP(f=Const(0.0), g=Const(0.0), interval=interval, u=(0,) * 4)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,16 @@ import pytest
 import nlosc
 from conftest import consistency_residual, rk_oracle
 from nlosc import spline
-from nlosc.chain import OscillatorChain, reduce_chain
+from nlosc.chain import HighOrderIVP, OscillatorChain, reduce_chain
 from nlosc.expr import parse
 from nlosc.spline import (
     CLOSURES,
     IMPROVED_SET4,
     IMPROVED_SET6,
+    GridSolution,
     WeightSet,
     closure_rows,
+    coefficients_at_start,
     min_n,
     truncation_brackets,
     zeroing_weights,
@@ -208,6 +210,41 @@ def test_series_tables_are_the_exact_monomial_differences(p):
         for k in range(p)
     )
     assert all(type(v) is int for row in powers + differences for v in row)
+
+
+def test_start_coefficients_run_past_the_factorial_range():
+    # y = e^t at order 16 has c_m = 1/m!; m! leaves the float range past
+    # m = 170, and the coefficients run on into the subnormals
+    ivp = HighOrderIVP(f=parse("-1"), g=parse("0"), interval=(0.0, 1.0), u=(1.0,) * 16)
+    coefficients = coefficients_at_start(ivp, 209)
+    assert len(coefficients) == 209 and all(map(math.isfinite, coefficients))
+    for m, c in enumerate(coefficients[:171]):
+        assert abs(math.factorial(m) * c - 1) <= 2 * sys.float_info.epsilon, m
+    tail = coefficients[170:]
+    assert all(0 <= later <= c for c, later in zip(tail, tail[1:]))
+
+
+def test_series_start_past_the_float_range_names_its_order():
+    # the start's degree is 2p + 1, and its tables hold (p-1)^(2p+1), which
+    # fits a float at p = 80 (79^161) but not at p = 82 (81^165)
+    def solve(p):
+        u = (1.0,) + (0.0,) * (p - 1)
+        ivp = HighOrderIVP(f=parse("-1"), g=parse("0"), interval=(0.0, 1.0), u=u)
+        return Method("plain", WeightSet((0,) * (p // 2) + (1,)), "series").solve(ivp, 4 * p)
+
+    assert np.isfinite(solve(80).y).all()
+    message = "^order 82 needs a series start of degree 165, past the float range$"
+    with pytest.raises(ValueError, match=message):
+        solve(82)
+
+
+@pytest.mark.parametrize(
+    "shapes", [(3, 4), ((2, 2), (2, 2)), ((), ())], ids=["lengths", "matrices", "scalars"]
+)
+def test_grid_solution_needs_one_dimensional_arrays_of_equal_length(shapes):
+    t, y = (np.zeros(shape) for shape in shapes)
+    with pytest.raises(ValueError, match="^grid and values must be 1-D arrays of equal length$"):
+        GridSolution(t=t, y=y, method="stub")
 
 
 def four_ring():
