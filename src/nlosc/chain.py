@@ -84,6 +84,21 @@ class OscillatorChain:
     def size(self) -> int:
         return len(self.omegas)
 
+    @property
+    def coefficients(self) -> list[float]:
+        """c_1..c_N of :func:`reduce_chain`; ``ValueError`` if one is not finite."""
+        # each step takes the identity's second derivative, then substitutes
+        # oscillator j's equation y_j'' = g_j - omega_j^2 * y_{j+1}
+        try:
+            cs = [self.omegas[-1] ** 2]
+            for w in self.omegas[:-1]:
+                cs.append(-cs[-1] * w**2)
+        except OverflowError:  # float ** raises where float * gives inf
+            cs = [math.inf]
+        if not all(map(math.isfinite, cs)):
+            raise ValueError("a coefficient c_j, a product of squared frequencies, is not finite")
+        return cs
+
 
 @dataclass(frozen=True, eq=False)
 class HighOrderIVP:
@@ -132,17 +147,7 @@ def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
     is done by rotating the ring labels before reducing, not by
     re-deriving.
     """
-    a = chain.interval[0]
-    # c_1..c_N: each step takes the identity's second derivative, then
-    # substitutes oscillator j's equation y_j'' = g_j - omega_j^2 * y_{j+1}
-    try:
-        cs = [chain.omegas[-1] ** 2]
-        for w in chain.omegas[:-1]:
-            cs.append(-cs[-1] * w**2)
-    except OverflowError:  # float ** raises where float * gives inf
-        cs = [math.inf]
-    if not all(map(math.isfinite, cs)):
-        raise ValueError("a coefficient c_j, a product of squared frequencies, is not finite")
+    a, cs = chain.interval[0], chain.coefficients
 
     def forcing(j: int) -> Expression:
         G = Deriv(chain.forces[-1], 2 * j - 2)

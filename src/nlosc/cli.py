@@ -211,10 +211,8 @@ def load_config(path: str) -> RunConfig:
         positions = _entries(raw, "positions", count, number)
         velocities = _entries(raw, "velocities", count, number)
         chain = OscillatorChain(omegas, forces, interval, positions, velocities)
-        try:
-            ivp = reduce_chain(chain)
-        except ExpressionError:
-            raise
+        try:  # the ring's coefficients now; its jets wait for the method check
+            order = 2 * len(chain.coefficients)
         except ValueError as exc:  # a coefficient overflows
             raise ConfigError("$.omegas", str(exc)) from exc
     else:
@@ -232,13 +230,13 @@ def load_config(path: str) -> RunConfig:
     if n is not None and (type(n) is not int or n < 1):
         raise ConfigError("$.n", "expected a positive integer")
     exact = _expr_field(raw["exact"], "$.exact") if "exact" in raw else None
-
-    config = RunConfig(chain=chain, ivp=ivp, method=method, n=n, exact=exact, raw=raw)
     if method is not None:
-        _check_order(method, ivp.order, "$.method")
+        _check_order(method, order, "$.method")
         if n is not None and n < method.min_n:
             raise ConfigError("$.n", f"method {method.name!r} needs n >= {method.min_n}")
-    return config
+    if chain is not None:
+        ivp = reduce_chain(chain)
+    return RunConfig(chain=chain, ivp=ivp, method=method, n=n, exact=exact, raw=raw)
 
 
 # ---------------------------------------------------------------------------

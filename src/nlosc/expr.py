@@ -23,12 +23,12 @@ DAG rather than a tree.  Parsing and evaluation are pure functions, so
 expressions are safe to share between threads.  There is one evaluator
 walk per call and one arithmetic path: every node yields a truncated Taylor
 series ("jet"), and a plain value is the one-coefficient jet.  The walk
-keeps one memo per jet length, ``diff`` operands included, so each shared
-node is computed at most once per length.  :func:`evaluate` (one point,
-errors raised) and :func:`values_on_grid` (an array of doubles) take that
-one coefficient; :func:`taylor` takes every derivative up to a chosen order
-at one point, with no derivative expression built.  A jet's coefficients
-may also be grid arrays, one series about each grid point.
+keeps one memo keyed by node and jet length, ``diff`` operands included,
+so each shared node is computed at most once per length.  :func:`evaluate`
+(one point, errors raised) and :func:`values_on_grid` (an array of doubles)
+take that one coefficient; :func:`taylor` takes every derivative up to a
+chosen order at one point, with no derivative expression built.  A jet's
+coefficients may also be grid arrays, one series about each grid point.
 
 :func:`taylor` computes in Python floats, the fastest numbers Python has;
 c_0 of ``sin``, ``cos`` and ``exp`` still comes from the numpy function,
@@ -312,63 +312,55 @@ def _values(e: Expression, t, count: int) -> list:
     floats), a numpy scalar (numpy scalars, which errstate governs) or an
     array (one series per grid point).
 
-    One memo per jet length, emptied on return.  Each operator runs its
-    series recurrence ``jet`` (:data:`_BINARY`, :data:`_FUNCTIONS`), whose
-    c_0 is the plain operation on values.  A Deriv node of order k reads its
-    operand at length count + k: the k-th derivative of sum_i c_i (t - t0)^i
-    has coefficients c_{j+k} (j+k)!/j!.
+    One memo keyed by node and jet length, emptied on return.  Each
+    operator runs its series recurrence ``jet`` (:data:`_BINARY`,
+    :data:`_FUNCTIONS`), whose c_0 is the plain operation on values.  A
+    Deriv node of order k reads its operand at length count + k: the k-th
+    derivative of sum_i c_i (t - t0)^i has coefficients c_{j+k} (j+k)!/j!.
     """
     lift = float if type(t) is float else np.float64
     one, zero = lift(1.0), lift(0.0)
-    memos: dict[int, dict[int, list]] = {}
+    memo: dict[tuple[int, int], list] = {}
 
-    def walk(count: int) -> Callable:
-        zeros = [zero] * (count - 1)
-        var = [t, one, *zeros][:count]
-        memo = memos.setdefault(count, {})
-
-        def series(node: Expression) -> list:
-            key = id(node)
-            if key in memo:
-                return memo[key]
-            kind = type(node)
-            if kind is Const:
-                out = [lift(node.value), *zeros]
-            elif kind is Var:
-                out = var
-            elif kind in _BINARY:
-                out = _BINARY[kind].jet(series(node.left), series(node.right))
-            elif kind is Pow:
-                out = _power(series(node.base), node.exponent)
-            elif kind is Neg:
-                out = [-c for c in series(node.operand)]
-            elif kind in _FUNCTIONS:
-                out = _FUNCTIONS[kind].jet(series(node.arg))
-            elif kind is Deriv:
-                k = node.order
-                try:  # before the operand's walk; gamma overflows from k = 171 on, as k! does
-                    math.gamma(k + 1)
-                    factors = [float(math.perm(j + k, k)) for j in range(count)]
-                except OverflowError:
-                    raise EvaluationError(
-                        f"derivative of order {k}: its factorial factor is past the float range"
-                    ) from None
-                jet = walk(count + k)(node.operand)
-                out = [c * jet[j + k] for j, c in enumerate(factors)]
-            else:
-                raise TypeError(f"not an expression node: {node!r}")
-            memo[key] = out
-            return out
-
-        return series
+    def series(node: Expression, count: int) -> list:
+        key = (id(node), count)
+        if key in memo:
+            return memo[key]
+        kind = type(node)
+        if kind is Const:
+            out = [lift(node.value)] + [zero] * (count - 1)
+        elif kind is Var:
+            out = ([t, one] + [zero] * (count - 2))[:count]
+        elif kind in _BINARY:
+            out = _BINARY[kind].jet(series(node.left, count), series(node.right, count))
+        elif kind is Pow:
+            out = _power(series(node.base, count), node.exponent)
+        elif kind is Neg:
+            out = [-c for c in series(node.operand, count)]
+        elif kind in _FUNCTIONS:
+            out = _FUNCTIONS[kind].jet(series(node.arg, count))
+        elif kind is Deriv:
+            k = node.order
+            try:  # before the operand's walk; gamma overflows from k = 171 on, as k! does
+                math.gamma(k + 1)
+                factors = [float(math.perm(j + k, k)) for j in range(count)]
+            except OverflowError:
+                raise EvaluationError(
+                    f"derivative of order {k}: its factorial factor is past the float range"
+                ) from None
+            jet = series(node.operand, count + k)
+            out = [c * jet[j + k] for j, c in enumerate(factors)]
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        memo[key] = out
+        return out
 
     try:
-        return walk(count)(e)
+        return series(e, count)
     except RecursionError:
         raise EvaluationError("expression nested too deeply to evaluate") from None
-    finally:  # a closure that calls itself is a cycle: free the jets now, not at collection
-        for memo in memos.values():
-            memo.clear()
+    finally:  # a function that calls itself is a cycle: free the jets now, not at collection
+        memo.clear()
 
 
 # Series recurrences on coefficient lists (Griewank & Walther, ch. 13).
@@ -431,16 +423,20 @@ def _quotient(a: list, b: list) -> list:
 
 
 def _power(a: list, exponent: int) -> list:
-    """a^exponent: the tail (none at length 1) by repeated products, c_0 by ``**``."""
+    """a^exponent: c_0 by ``**``, the tail (none at length 1) by left-to-right
+    square-and-multiply over the exponent's bits, O(log exponent) products:
+    a, a*a and (a*a)*a for exponents 1 to 3, the identity jet for 0."""
     try:
         head = a[0] ** exponent
     except OverflowError:  # a Python float raises where IEEE gives inf
         head = np.float64(a[0]) ** exponent
     if len(a) == 1:
         return [head]
-    out = [1.0] + [0.0] * (len(a) - 1)
-    for _ in range(exponent):
-        out = _product(out, a)
+    out = a if exponent else [1.0] + [0.0] * (len(a) - 1)
+    for bit in bin(exponent)[3:]:
+        out = _product(out, out)
+        if bit == "1":
+            out = _product(out, a)
     return [head, *out[1:]]
 
 

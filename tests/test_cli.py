@@ -754,6 +754,22 @@ def test_overflowing_frequencies_are_a_config_error(tmp_path, capsys, omegas, co
     assert "Traceback" not in err
 
 
+def test_a_ring_too_large_for_its_method_fails_before_its_reduction(tmp_path, capsys, monkeypatch):
+    # the reduction of 160 oscillators would take derivatives of order 318,
+    # past the float range of their factorial factors
+    def no_reduction(chain):
+        raise AssertionError("the ring was reduced")
+
+    monkeypatch.setattr("nlosc.cli.reduce_chain", no_reduction)
+    cfg = {**chain_config(), "omegas": [1.0] * 160, "forces": ["exp(t)*sin(t)/(1+t^2)"] * 160}
+    cfg.update(positions=[0] * 160, velocities=[0] * 160, interval=[0, 1])
+    del cfg["exact"]
+    assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: $.method: method 'improved4' solves order 4, but the problem has order 320\n"
+    )
+
+
 def test_unknown_preset_lists_choices(tmp_path, capsys):
     cfg = chain_config()
     cfg["method"] = "mystery"

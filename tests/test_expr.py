@@ -307,6 +307,29 @@ def test_plain_values_do_only_a_values_work(monkeypatch, text, idle, exact):
     assert value == exact(np.float64(0.4))
 
 
+def test_a_power_takes_logarithmically_many_products(monkeypatch):
+    # left-to-right square-and-multiply: a square per bit of the exponent
+    # after the first, and a product per further set bit
+    k, calls, product = 10**6, [], nlosc.expr._product
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(nlosc.expr, "_product", counted)
+    jet = taylor(Pow(Var(), k), 1.0, 4)
+    assert 0 < len(calls) <= 2 * math.ceil(math.log2(k)) + 2
+    # the jet of (1 + s)^k about s = 0 holds the binomial coefficients
+    for m, c in enumerate(jet):
+        assert c == pytest.approx(math.comb(k, m), rel=1e-14), m
+    # exponents 0 to 3 give the identity, a, a*a and (a*a)*a
+    monkeypatch.undo()
+    a = taylor(parse("exp(t)/(2+t)"), 0.3, 9).tolist()
+    powers = [[1.0] + [0.0] * 8, a, product(a, a), product(product(a, a), a)]
+    for exponent, expected in enumerate(powers):
+        assert nlosc.expr._power(a, exponent)[1:] == expected[1:], exponent
+
+
 def test_a_walk_frees_its_jets_on_return(monkeypatch):
     # the walk's closures call themselves, so they wait for the cycle
     # collector; the jets in their memos must go when the walk returns
@@ -386,14 +409,13 @@ JET_POINTS = (-0.7, 0.0, 0.3, 1.1)
 JET_ORDER = 8
 
 
-@pytest.mark.parametrize("dtype", [np.float64])
 @pytest.mark.parametrize("name", sorted(JET_CASES))
-def test_jet_coefficients_are_scaled_derivatives(name, dtype):
+def test_jet_coefficients_are_scaled_derivatives(name):
     e = JET_CASES[name]
     for t0 in JET_POINTS:
-        point = dtype(t0)
+        point = np.float64(t0)
         jet = taylor(e, point, JET_ORDER + 1)
-        assert jet.dtype == dtype and jet.shape == (JET_ORDER + 1,)
+        assert jet.dtype == np.float64 and jet.shape == (JET_ORDER + 1,)
         with mpmath.workdps(40):
             derivatives = mp_derivatives(e, mpmath.mpf(t0), JET_ORDER)
         for k, d in enumerate(derivatives):
@@ -832,6 +854,13 @@ def test_nesting_past_the_recursion_limit_is_an_expression_error(walk):
     WALKS[walk](parse("+".join(["t"] * 600)))
     with pytest.raises(ExpressionError, match="nested too deeply"):
         WALKS[walk](parse("+".join(["t"] * 3000)))
+
+
+@pytest.mark.parametrize("walk", sorted(WALKS))
+def test_a_node_that_is_not_an_expression_is_a_type_error(walk):
+    # the operators wrap a number in a Const; a node built directly does not
+    with pytest.raises(TypeError, match="^not an expression node: 3$"):
+        WALKS[walk](Add(Var(), 3))
 
 
 @pytest.mark.parametrize(

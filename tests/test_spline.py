@@ -224,6 +224,18 @@ def test_start_coefficients_run_past_the_factorial_range():
     assert all(0 <= later <= c for c, later in zip(tail, tail[1:]))
 
 
+def test_start_coefficients_within_the_initial_data_take_no_jet(monkeypatch):
+    # up to the order p, c_m = u_m / m! comes from u alone
+    def no_jet(*args):
+        raise AssertionError("a jet was taken")
+
+    monkeypatch.setattr(spline, "taylor", no_jet)
+    u = (2.0, -3.0, 5.0, 7.0)
+    ivp = HighOrderIVP(f=parse("-1"), g=parse("exp(t)"), interval=(0.0, 1.0), u=u)
+    for count in range(1, 5):
+        assert coefficients_at_start(ivp, count) == [2.0, -3.0, 2.5, 7.0 / 6.0][:count]
+
+
 def test_series_start_past_the_float_range_names_its_order():
     # the start's degree is 2p + 1, and its tables hold (p-1)^(2p+1), which
     # fits a float at p = 80 (79^161) but not at p = 82 (81^165)
