@@ -29,6 +29,8 @@ so each shared node is computed at most once per length.  :func:`evaluate`
 take that one coefficient; :func:`taylor` takes every derivative up to a
 chosen order at one point, with no derivative expression built.  A jet's
 coefficients may also be grid arrays, one series about each grid point.
+Each of these sets its own ``np.errstate``; a solve that evaluates f and g
+together calls the bodies, :func:`_on_grid` and :func:`_values`, under one.
 
 :func:`taylor` computes in Python floats, the fastest numbers Python has;
 c_0 of ``sin``, ``cos`` and ``exp`` still comes from the numpy function,
@@ -276,11 +278,16 @@ def values_on_grid(e: Expression, t) -> np.ndarray:
 
     ``t`` may also be a 0-d point; values are doubles.  Points where ``e``
     is singular come back as inf or nan without a warning; callers check
-    finiteness.
+    finiteness.  :func:`_on_grid` is the body, without the ``np.errstate``.
     """
-    t = np.asarray(t, dtype=np.float64)
     with np.errstate(all="ignore"):
-        out = np.asarray(_values(e, t, 1)[0], dtype=np.float64)
+        return _on_grid(e, t)
+
+
+def _on_grid(e: Expression, t) -> np.ndarray:
+    """:func:`values_on_grid` under the caller's ``np.errstate``."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.asarray(_values(e, t, 1)[0], dtype=np.float64)
     if out.ndim == 0:
         out = np.full(t.shape, out)
     return out
@@ -295,12 +302,12 @@ def taylor(e: Expression, t0, count: int) -> np.ndarray:
     ch. 13), in Python floats: O(count^2) work per node at most, and no
     derivative expression is built.  The coefficients are doubles.  At a
     singular point they come back as inf or nan without a warning; callers
-    check finiteness.
+    check finiteness.  ``TypeError`` unless ``count`` is an integer.
     """
     t0 = np.asarray(t0, dtype=np.float64)
     if t0.ndim != 0:
         raise ValueError("jets are taken about a single point")
-    if count < 1:
+    if operator.index(count) < 1:
         raise ValueError("a jet needs at least one coefficient")
     with np.errstate(all="ignore"):
         return np.array(_values(e, float(t0), count), dtype=np.float64)
@@ -310,7 +317,7 @@ def _values(e: Expression, t, count: int) -> list:
     """Taylor coefficients c_0..c_{count-1} of ``e`` about ``t`` as a list;
     c_0 is the value.  ``t`` is a Python float (a point jet in Python
     floats), a numpy scalar (numpy scalars, which errstate governs) or an
-    array (one series per grid point).
+    array (one series per grid point); the caller sets ``np.errstate``.
 
     One memo keyed by node and jet length, emptied on return.  Each
     operator runs its series recurrence ``jet`` (:data:`_BINARY`,

@@ -105,13 +105,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import comb, factorial, fsum, perm
+from math import comb, factorial, fsum, isfinite, perm
 from typing import NamedTuple
 
 import numpy as np
 
 from nlosc.chain import HighOrderIVP
-from nlosc.expr import taylor, values_on_grid
+from nlosc.expr import _natural, _on_grid, _values
 
 __all__ = [
     "CLOSURES",
@@ -407,8 +407,9 @@ def _derived_rows(closure: str) -> tuple[EndCondition, ...]:
 
 def require_finite(*arrays) -> None:
     """Raise ``ValueError`` unless every entry of ``arrays`` is finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("system contains non-finite entries")
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("system contains non-finite entries")
 
 
 def min_n(order: int) -> int:
@@ -419,9 +420,9 @@ def min_n(order: int) -> int:
 
 def grid_values(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """``(t, h, f, g)``: the grid t_i = a + i*h, i = 0..n, and the values
-    of f and g on it; ``TypeError`` if n is not an integer, ``ValueError``
-    if it is below :func:`min_n`, past the float range or too large for
-    memory, or a value is not finite."""
+    of f and g on it, under one ``np.errstate``; ``TypeError`` if n is not
+    an integer, ``ValueError`` if it is below :func:`min_n`, past the float
+    range or too large for memory, or a value is not finite."""
     n = operator.index(n)
     if n < min_n(ivp.order):
         raise ValueError(
@@ -436,7 +437,8 @@ def grid_values(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float, np.ndarra
         t = a + h * np.arange(n + 1)
     except MemoryError:  # numpy refuses an allocation past memory at once
         raise ValueError(f"grid size n={n} does not fit in memory") from None
-    f, g = values_on_grid(ivp.f, t), values_on_grid(ivp.g, t)
+    with np.errstate(all="ignore"):
+        f, g = _on_grid(ivp.f, t), _on_grid(ivp.g, t)
     require_finite(f, g)
     return t, h, f, g
 
@@ -472,8 +474,9 @@ def head_system(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list[f
     lines, rhs = [], []
     for r, cond in enumerate(end_conditions):
         net, nodes, initial = cond.float_terms
+        low, high = max(0, r + 1 - p), r + 4
         for j, _ in net + nodes:
-            if not max(0, r + 1 - p) <= j <= r + 4:
+            if not low <= j <= high:
                 raise ValueError(f"closure row {r} reaches node {j}, outside the band")
         line, value = [0.0] * (size + 1), 0.0
         for j, c in net:
@@ -671,15 +674,19 @@ def coefficients_at_start(ivp: HighOrderIVP, count: int) -> list[float]:
     """Taylor coefficients c_0..c_{count-1} of y about t = a, so that
     y^(m)(a) = m! c_m: c_m = u_m / m! for m < p, then, through the equation
     y^(p) = g - f*y, c_{m+p} = (g_m - sum_{i<=m} f_i c_{m-i}) / perm(m+p, p)
-    from one Taylor jet each of g and f (:func:`nlosc.expr.taylor`), exact
-    up to rounding, so no numerical differentiation error enters."""
-    p = ivp.order
+    from one Taylor jet each of g and f, in Python floats under one
+    ``np.errstate`` (the walk of :func:`nlosc.expr.taylor`), exact up to
+    rounding, so no numerical differentiation error enters.  ``TypeError``
+    unless ``count`` is an integer, ``ValueError`` if it is negative."""
+    p, count = ivp.order, _natural(count, "the coefficient count")
     coefficients = [v / factorial(m) for m, v in enumerate(ivp.u[:count])]
     if count <= p:
         return coefficients
     a = ivp.interval[0]
-    g_jet, f_jet = (taylor(e, a, count - p).tolist() for e in (ivp.g, ivp.f))
-    require_finite(g_jet, f_jet)
+    with np.errstate(all="ignore"):
+        g_jet, f_jet = (list(map(float, _values(e, a, count - p))) for e in (ivp.g, ivp.f))
+    if not all(map(isfinite, g_jet + f_jet)):
+        raise ValueError("system contains non-finite entries")
     for m, value in enumerate(g_jet):
         for i in range(m + 1):
             value -= f_jet[i] * coefficients[m - i]
@@ -779,7 +786,8 @@ class Method:
         except OverflowError as exc:  # float ** raises where float * gives inf
             raise ValueError(f"grid spacing h={h} is too large: its powers overflow") from exc
         y = march(f, g, h, weights.float_weights, *head)
-        bad = np.flatnonzero(~np.isfinite(y))
-        if bad.size:
-            raise ValueError(f"the solution is not finite from node {bad[0]} (t={t[bad[0]]}) on")
+        finite = np.isfinite(y)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)[0]
+            raise ValueError(f"the solution is not finite from node {bad} (t={t[bad]}) on")
         return GridSolution(t=t, y=y, method=self.name)

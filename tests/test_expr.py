@@ -461,11 +461,9 @@ def _close(got, expected):
     return np.all(np.abs(got - expected) <= np.maximum(1e-11 * np.abs(expected), 1e-13))
 
 
-@pytest.mark.parametrize("dtype", [np.float64])
 @pytest.mark.parametrize("name", sorted(JET_CASES))
-def test_deriv_matches_symbolic_differentiation(name, dtype):
-    e = JET_CASES[name]
-    grid = DERIV_GRID.astype(dtype)
+def test_deriv_matches_symbolic_differentiation(name):
+    e, grid = JET_CASES[name], DERIV_GRID
     # every reference derivative is taken to 40 digits and rounded once; at
     # about 5 ms a point, every 4th node (both ends included) is checked
     with mpmath.workdps(40):
@@ -476,11 +474,11 @@ def test_deriv_matches_symbolic_differentiation(name, dtype):
     for k in range(JET_ORDER + 1):
         node = Deriv(e, k)
         got = values_on_grid(node, grid)
-        assert got.dtype == dtype and got.shape == grid.shape
+        assert got.dtype == np.float64 and got.shape == grid.shape
         assert _close(got[::4], on_grid[:, k]), (name, k)
         for t0 in JET_POINTS:
-            jet = taylor(node, dtype(t0), 4)
-            assert jet.dtype == dtype
+            jet = taylor(node, np.float64(t0), 4)
+            assert jet.dtype == np.float64
             expected = [float(exact[t0][k + j] / math.factorial(j)) for j in range(4)]
             assert _close(jet, np.array(expected)), (name, k, t0)
 
@@ -615,6 +613,21 @@ def test_jet_needs_one_point_and_one_coefficient():
         taylor(T, [0.0, 1.0], 3)
     with pytest.raises(ValueError):
         taylor(T, 0.0, 0)
+
+
+def test_a_jet_takes_an_integer_count_before_any_walk(monkeypatch):
+    # a float count used to fail inside the walk, on a list times a float
+    assert taylor(parse("exp(t)"), 0.0, np.int64(2)).tolist() == [1.0, 1.0]
+
+    def no_walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(nlosc.expr, "_values", no_walk)
+    for count in (2.0, 2.5, "2"):
+        with pytest.raises(TypeError):
+            taylor(parse("exp(t)"), 0.0, count)
+    with pytest.raises(ValueError, match="^a jet needs at least one coefficient$"):
+        taylor(parse("exp(t)"), 0.0, -1)
 
 
 def _point_cases():

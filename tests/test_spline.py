@@ -139,7 +139,7 @@ def test_solve_takes_an_integer_n_before_evaluating_f_or_g(monkeypatch):
     def refuse(*args):
         raise AssertionError("f or g evaluated")
 
-    monkeypatch.setattr(spline, "values_on_grid", refuse)
+    monkeypatch.setattr(spline, "_on_grid", refuse)
     for n in (48.5, 48.0, "48"):
         with pytest.raises(TypeError):
             method.solve(ivp, n)
@@ -229,11 +229,48 @@ def test_start_coefficients_within_the_initial_data_take_no_jet(monkeypatch):
     def no_jet(*args):
         raise AssertionError("a jet was taken")
 
-    monkeypatch.setattr(spline, "taylor", no_jet)
+    monkeypatch.setattr(spline, "_values", no_jet)
     u = (2.0, -3.0, 5.0, 7.0)
     ivp = HighOrderIVP(f=parse("-1"), g=parse("exp(t)"), interval=(0.0, 1.0), u=u)
     for count in range(1, 5):
         assert coefficients_at_start(ivp, count) == [2.0, -3.0, 2.5, 7.0 / 6.0][:count]
+
+
+def test_start_coefficient_counts_are_nonnegative_integers(monkeypatch):
+    # -1 used to return three coefficients, from u[:-1]
+    def no_jet(*args):
+        raise AssertionError("a jet was taken")
+
+    monkeypatch.setattr(spline, "_values", no_jet)
+    ivp = HighOrderIVP(f=parse("-1"), g=parse("exp(t)"), interval=(0.0, 1.0), u=(2, -3, 5, 7))
+    with pytest.raises(ValueError, match="^the coefficient count must be >= 0$"):
+        coefficients_at_start(ivp, -1)
+    for count in (6.0, 2.0, "6"):
+        with pytest.raises(TypeError):
+            coefficients_at_start(ivp, count)
+    assert coefficients_at_start(ivp, np.int64(0)) == []
+
+
+@pytest.mark.parametrize(
+    "name, case_id, n, entries", [("table3-col1", 1, 24, 1), ("improved6", 3, 8, 2)]
+)
+def test_a_small_solve_enters_one_errstate_per_evaluation(monkeypatch, name, case_id, n, entries):
+    # f and g share one errstate on the grid, and the series start's jets
+    # of g and f one more (one errstate per expression made 2 and 4); the
+    # unpatched solve builds what later solves reuse (rows, weights)
+    ivp = case_by_id(case_id).ivp
+    expected = METHODS[name].solve(ivp, n).y
+
+    class Counting(np.errstate):
+        entered = 0
+
+        def __enter__(self):
+            Counting.entered += 1
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", Counting)
+    assert METHODS[name].solve(ivp, n).y.tobytes() == expected.tobytes()
+    assert Counting.entered == entries
 
 
 def test_series_start_past_the_float_range_names_its_order():
