@@ -33,7 +33,7 @@ from functools import cache
 
 import numpy as np
 
-from nlosc.expr import Const, Deriv, EvaluationError, Expression, taylor, values_on_grid
+from nlosc.expr import Const, Deriv, EvaluationError, Expression, _on_grid, taylor
 
 __all__ = [
     "OscillatorChain",
@@ -253,12 +253,12 @@ def recover_trajectories(chain: OscillatorChain, solution) -> np.ndarray:
     rows = np.empty((N, n + 1))
     rows[N - 1] = np.asarray(solution.y, dtype=float)
     for k in range(N - 1, 0, -1):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # the force's walk runs under this state too
             omega = chain.omegas[k - 1]  # omega * omega gives inf where ** raises
-            F = values_on_grid(chain.forces[k - 1], t) - omega * omega * rows[k]
+            F = _on_grid(chain.forces[k - 1], t) - omega * omega * rows[k]
             path = _integrate_twice(F, h, chain.positions[k - 1], chain.velocities[k - 1], w)
-        bad = np.flatnonzero(~np.isfinite(path))
-        if bad.size:
-            raise ValueError(f"oscillator {k} is not finite from node {bad[0]} (t={t[bad[0]]}) on")
+        if not np.isfinite(path).all():
+            bad = np.flatnonzero(~np.isfinite(path))[0]
+            raise ValueError(f"oscillator {k} is not finite from node {bad} (t={t[bad]}) on")
         rows[k - 1] = path
     return rows

@@ -39,12 +39,14 @@ its order, and :meth:`Method.solve` is the one way to solve with it.
 
 A tabulated closure touches the nodes 0..p+2 only, so its p - 1 rows and
 the consistency rows of the windows ending at nodes p, p+1 and p+2 hold
-y_1..y_{p+2} and no other unknown.  One builder, :func:`head_system`,
-makes that (p+2) x (p+2) block in Python floats, and :func:`solve_head`
-solves it densely; the series closure gives y_0..y_{p-1} and their
-differences directly (:func:`_series_start`).  No code here lays out all
-n rows: the tests keep their own row-by-row reference of the whole system
-and check the head and the march against it.
+y_1..y_{p+2} and no other unknown.  A consistency row is a closure row's
+kind of equation, in :class:`EndCondition`'s net form, so one loop in
+:func:`head_system` builds all p + 2 rows of that (p+2) x (p+2) block in
+Python floats, and :func:`solve_head` solves it densely; the series
+closure gives y_0..y_{p-1} and their differences directly
+(:func:`_series_start`).  No code here lays out all n rows: the tests keep
+their own row-by-row reference of the whole system and check the head and
+the march against it.
 
 Past the head the system is a recurrence: the consistency row of the
 window ending at node i is the only row that holds y_i.  :func:`march`
@@ -456,49 +458,46 @@ def head_system(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list[f
     grid is cut there).
 
     The rows are the p - 1 closure rows, then the consistency rows of the
-    windows ending at nodes p, p+1 and p+2.  Each is built densely over the
-    nodes 0..p+2 in Python floats: the coefficients are scaled by h^p
+    windows ending at nodes p, p+1 and p+2 in net form: the row of the
+    window ending at node i holds w_k on D and the p-th difference stencil
+    on y, both at node i - p + k.  One loop builds every row densely over
+    the nodes 0..p+2 in Python floats: the coefficients are scaled by h^p
     before they meet f, and each right-hand side is a left fold from 0.0.
     Then the known y_0 = u_0 moves to the right-hand side of the first p
     rows, the only ones that reach node 0, as ``rhs -= entry * u_0``.
 
-    Closure row r may reach the nodes r+1-p..r+4 only, the band of its row
-    in the whole system, and no node below 0.  ``ValueError`` if a row
-    reaches past them or the closure does not hold p - 1 rows."""
+    Row r may reach the nodes r+1-p..r+4 only, the band of its row in the
+    whole system, and no node below 0.  ``ValueError`` if a row reaches
+    past them or the closure does not hold p - 1 rows."""
     p = len(weights) - 1
     if len(end_conditions) != p - 1:
         raise ValueError(f"closure must contribute {p - 1} rows")
     size = min_n(p)
     hp = h**p
     f, g = f[: size + 1].tolist(), g[: size + 1].tolist()
+    weights, delta = tuple(map(float, weights)), _difference_stencil(p)
+    rows = [cond.float_terms for cond in end_conditions]
+    for i in range(p, size + 1):
+        nodes = range(i - p, i + 1)
+        rows.append((zip(nodes, weights), zip(nodes, delta), ()))
+    # one pass over each row's terms, band check included: the consistency
+    # rows' terms are zips, read once
     lines, rhs = [], []
-    for r, cond in enumerate(end_conditions):
-        net, nodes, initial = cond.float_terms
+    for r, (net, nodes, initial) in enumerate(rows):
         low, high = max(0, r + 1 - p), r + 4
-        for j, _ in net + nodes:
-            if not low <= j <= high:
-                raise ValueError(f"closure row {r} reaches node {j}, outside the band")
         line, value = [0.0] * (size + 1), 0.0
         for j, c in net:
+            if not low <= j <= high:
+                raise ValueError(f"closure row {r} reaches node {j}, outside the band")
             line[j] += hp * c * f[j]
             value += hp * c * g[j]
         for j, d in nodes:
+            if not low <= j <= high:
+                raise ValueError(f"closure row {r} reaches node {j}, outside the band")
             line[j] += d
         for m, e in initial:
             value -= e * h**m * u[m]
         lines.append(line)
-        rhs.append(value)
-
-    # the consistency row of the window ending at node i puts its k-th
-    # weight on node i - p + k
-    delta = _difference_stencil(p)
-    c = [hp * float(w) for w in weights]
-    for i in range(p, size + 1):
-        entries = map(operator.add, delta, map(operator.mul, c, f[i - p : i + 1]))
-        lines.append([0.0] * (i - p) + [*entries] + [0.0] * (size - i))
-        value = 0.0
-        for term in map(operator.mul, c, g[i - p : i + 1]):
-            value += term
         rhs.append(value)
 
     # a flat list converts to an array faster than a nested one
@@ -775,8 +774,7 @@ class Method:
         weights = self.coefficients
         if weights.order != ivp.order:
             raise ValueError(f"weights of order {weights.order} cannot solve order {ivp.order}")
-        # __post_init__ checked the closure against the order
-        rows = _derived_rows(self.closure) if CLOSURES[self.closure] else ()
+        rows = closure_rows(self.closure, self.order)
         t, h, f, g = grid_values(ivp, n)
         try:
             if rows:

@@ -525,6 +525,25 @@ def test_three_ring_recovers_on_the_smallest_grids(n):
     assert np.array_equal(paths[2], stub.y)
 
 
+def test_recovering_a_three_ring_enters_one_errstate_per_oscillator(monkeypatch):
+    # each neighbour's force and its integration share one errstate; the
+    # unpatched recovery builds what later ones reuse (the stencils)
+    chain, _ = closed_form_ring()
+    solution = METHODS["improved6"].solve(reduce_chain(chain), 32)
+    expected = recover_trajectories(chain, solution)
+
+    class Counting(np.errstate):
+        entered = 0
+
+        def __enter__(self):
+            Counting.entered += 1
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", Counting)
+    assert recover_trajectories(chain, solution).tobytes() == expected.tobytes()
+    assert Counting.entered == 2
+
+
 def test_recover_grid_too_short():
     chain = zero_chain(2)
     ivp = reduce_chain(chain)

@@ -221,9 +221,8 @@ def test_improved_first_closure_row_y1_coefficient():
     assert matrix[0][0] == pytest.approx(expected, rel=1e-14)
 
 
-@pytest.mark.parametrize("dtype", [np.float64])
 @pytest.mark.parametrize("case_id, method", TABULATED)
-def test_consistency_rows_match_row_by_row_assembly(case_id, method, dtype):
+def test_consistency_rows_match_row_by_row_assembly(case_id, method):
     """The head's three consistency rows equal a plain row-by-row
     evaluation of the relation bit for bit."""
     ivp = case_by_id(case_id).ivp
@@ -232,21 +231,21 @@ def test_consistency_rows_match_row_by_row_assembly(case_id, method, dtype):
     matrix, rhs = head_rows(ivp, n, METHODS[method].coefficients, METHODS[method].closure)
 
     a, b = ivp.interval
-    h = (dtype(b) - dtype(a)) / dtype(n)
-    t = dtype(a) + h * np.arange(n + 1, dtype=dtype)
+    h = (np.float64(b) - np.float64(a)) / np.float64(n)
+    t = np.float64(a) + h * np.arange(n + 1, dtype=np.float64)
     f, g = values_on_grid(ivp.f, t), values_on_grid(ivp.g, t)
     hp = h**p
-    delta = [dtype((-1) ** (p - k) * math.comb(p, k)) for k in range(p + 1)]
-    w = [dtype(q.numerator) / dtype(q.denominator) for q in weights]
+    delta = [np.float64((-1) ** (p - k) * math.comb(p, k)) for k in range(p + 1)]
+    w = [np.float64(q.numerator) / np.float64(q.denominator) for q in weights]
     for i in range(p, p + 3):
-        coeffs = np.zeros(n + 1, dtype=dtype)
-        value = dtype(0)
+        coeffs = np.zeros(n + 1, dtype=np.float64)
+        value = np.float64(0)
         for k in range(p + 1):
             j = i - p + k
             coeffs[j] = delta[k] + hp * w[k] * f[j]
             value += hp * w[k] * g[j]
         assert np.array_equal(matrix[i - 1], coeffs[1 : p + 3])
-        assert rhs[i - 1] == value - coeffs[0] * dtype(ivp.u[0])
+        assert rhs[i - 1] == value - coeffs[0] * np.float64(ivp.u[0])
 
 
 # ---------------------------------------------------------------------------
