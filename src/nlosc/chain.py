@@ -257,8 +257,9 @@ def recover_trajectories(chain: OscillatorChain, solution) -> np.ndarray:
             omega = chain.omegas[k - 1]  # omega * omega gives inf where ** raises
             F = _on_grid(chain.forces[k - 1], t) - omega * omega * rows[k]
             path = _integrate_twice(F, h, chain.positions[k - 1], chain.velocities[k - 1], w)
-        if not np.isfinite(path).all():
-            bad = np.flatnonzero(~np.isfinite(path))[0]
+        finite = np.isfinite(path)
+        if not np.logical_and.reduce(finite):
+            bad = np.flatnonzero(~finite)[0]
             raise ValueError(f"oscillator {k} is not finite from node {bad} (t={t[bad]}) on")
         rows[k - 1] = path
     return rows

@@ -40,9 +40,10 @@ its order, and :meth:`Method.solve` is the one way to solve with it.
 A tabulated closure touches the nodes 0..p+2 only, so its p - 1 rows and
 the consistency rows of the windows ending at nodes p, p+1 and p+2 hold
 y_1..y_{p+2} and no other unknown.  A consistency row is a closure row's
-kind of equation, in :class:`EndCondition`'s net form, so one loop in
-:func:`head_system` builds all p + 2 rows of that (p+2) x (p+2) block in
-Python floats, and :func:`solve_head` solves it densely; the series
+kind of equation, in :class:`EndCondition`'s net form, so one loop lays
+out all p + 2 rows of that (p+2) x (p+2) block as two matrices over the
+nodes 0..p+2 (:func:`_head_matrices`), :func:`head_system` scales them to
+the grid and :func:`solve_head` solves the block densely; the series
 closure gives y_0..y_{p-1} and their differences directly
 (:func:`_series_start`).  No code here lays out all n rows: the tests keep
 their own row-by-row reference of the whole system and check the head and
@@ -82,11 +83,15 @@ rest of the process: the float form of each weight set
 (:attr:`WeightSet.float_weights`), the rows of each tabulated closure
 (:func:`closure_rows`) and their float coefficients
 (:attr:`EndCondition.float_terms`), the p-th difference stencil of each
-order, and the series start's integer tables, one per order and degree
-(:func:`_series_tables`).  None of it is built at import.  Each solve
-builds its rows in Python floats from those, in the same order of
-operations, so a solve gives the same bits whether or not they were built
-already.
+order, the head matrices of each tabulated closure and float weight set
+(:func:`_head_matrices`: the D coefficients C and value stencils V of its
+p + 2 rows), and the series start's integer tables, one per order and
+degree (:func:`_series_tables`).  None of it is built at import.  A solve
+scales the head matrices to its grid, ``((h^p C) * f).T + V`` for the
+block and a fold of ``(h^p C) * g`` down the nodes from 0.0 for the
+right-hand side, which are the products and sums of a row-by-row build in
+its order of operations; so a solve gives the same bits whether or not
+they were built already.
 
 At every order the interior truncation error comes from one generating
 series: on y = e^(st) with x = sh, the relation's residual is
@@ -408,9 +413,11 @@ def _derived_rows(closure: str) -> tuple[EndCondition, ...]:
 
 
 def require_finite(*arrays) -> None:
-    """Raise ``ValueError`` unless every entry of ``arrays`` is finite."""
+    """Raise ``ValueError`` unless every entry of ``arrays`` is finite.
+    Each test is one ufunc reduction, not ``ndarray.all``, which goes
+    through numpy's Python-level wrapper."""
     for a in arrays:
-        if not np.isfinite(a).all():
+        if not np.logical_and.reduce(np.isfinite(a), axis=None):
             raise ValueError("system contains non-finite entries")
 
 
@@ -452,61 +459,83 @@ def _difference_stencil(p: int) -> tuple[float, ...]:
     return tuple(float((-1) ** (p - k) * comb(p, k)) for k in range(p + 1))
 
 
+#: The head matrices of :func:`_head_matrices`, by the identity of a
+#: closure's row tuple and the value of a float weight set.  Each entry
+#: holds its row tuple, so the id in its key names no other object while
+#: the entry is kept.
+_HEAD_MATRICES: dict[tuple[int, tuple[float, ...]], tuple] = {}
+
+
+def _head_matrices(weights: tuple[float, ...], end_conditions) -> tuple[np.ndarray, np.ndarray]:
+    """``(C, V)``: the p + 2 head rows of a tabulated closure over the nodes
+    0..p+2, the p - 1 closure rows and then the consistency rows of the
+    windows ending at nodes p, p+1 and p+2.  ``C[j, r]`` is the net D
+    coefficient of row r at node j and ``V[r, j]`` its value stencil; the
+    row of the window ending at node i holds w_k on D and the p-th
+    difference stencil on y, both at node i - p + k.  Each row names a node
+    once, as :func:`closure_rows` gives it.
+
+    Built on the first call for each row tuple and weight set and kept.
+    Row r may reach the nodes r+1-p..r+4 only, the band of its row in the
+    whole system, and no node below 0; ``ValueError`` if it reaches past
+    them, and rows that fail are not kept."""
+    key = (id(end_conditions), weights)
+    kept = _HEAD_MATRICES.get(key)
+    if kept is not None:
+        return kept[1], kept[2]
+    p = len(weights) - 1
+    size = min_n(p)
+    delta = _difference_stencil(p)
+    rows = [cond.float_terms[:2] for cond in end_conditions]
+    for i in range(p, size + 1):
+        nodes = range(i - p, i + 1)
+        rows.append((zip(nodes, weights), zip(nodes, delta)))
+    C, V = np.zeros((size + 1, size)), np.zeros((size, size + 1))
+    for r, (net, nodes) in enumerate(rows):
+        low, high = max(0, r + 1 - p), r + 4
+        for matrix, terms in ((C.T, net), (V, nodes)):
+            for j, c in terms:
+                if not low <= j <= high:
+                    raise ValueError(f"closure row {r} reaches node {j}, outside the band")
+                matrix[r, j] += c
+    _HEAD_MATRICES[key] = (end_conditions, C, V)
+    return C, V
+
+
 def head_system(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list[float]]:
     """``(block, rhs)``: the (p+2) x (p+2) system in y_1..y_{p+2} of a
     tabulated closure, from ``f`` and ``g`` at the nodes 0..p+2 (a longer
     grid is cut there).
 
-    The rows are the p - 1 closure rows, then the consistency rows of the
-    windows ending at nodes p, p+1 and p+2 in net form: the row of the
-    window ending at node i holds w_k on D and the p-th difference stencil
-    on y, both at node i - p + k.  One loop builds every row densely over
-    the nodes 0..p+2 in Python floats: the coefficients are scaled by h^p
-    before they meet f, and each right-hand side is a left fold from 0.0.
-    Then the known y_0 = u_0 moves to the right-hand side of the first p
-    rows, the only ones that reach node 0, as ``rhs -= entry * u_0``.
+    The rows are those of :func:`_head_matrices`, kept per scheme; a solve
+    scales their D coefficients by h^p before they meet f, as
+    ``((h^p C) * f).T + V`` over the nodes 0..p+2, and forms each
+    right-hand side as a fold of h^p C g down the nodes from 0.0.  For
+    finite f and g, a node that a row does not reach adds a signed zero,
+    which changes neither an entry nor a fold from 0.0, so these are the
+    bits of a row-by-row build.  Then, in Python floats, each closure row
+    subtracts its initial-derivative terms, and the known y_0 = u_0 moves
+    to the right-hand side of the first p rows, the only ones that reach
+    node 0, as ``rhs -= entry * u_0``.
 
-    Row r may reach the nodes r+1-p..r+4 only, the band of its row in the
-    whole system, and no node below 0.  ``ValueError`` if a row reaches
-    past them or the closure does not hold p - 1 rows."""
+    ``ValueError`` if a row reaches past its band or the closure does not
+    hold p - 1 rows."""
+    weights = tuple(map(float, weights))
     p = len(weights) - 1
     if len(end_conditions) != p - 1:
         raise ValueError(f"closure must contribute {p - 1} rows")
+    C, V = _head_matrices(weights, end_conditions)
     size = min_n(p)
-    hp = h**p
-    f, g = f[: size + 1].tolist(), g[: size + 1].tolist()
-    weights, delta = tuple(map(float, weights)), _difference_stencil(p)
-    rows = [cond.float_terms for cond in end_conditions]
-    for i in range(p, size + 1):
-        nodes = range(i - p, i + 1)
-        rows.append((zip(nodes, weights), zip(nodes, delta), ()))
-    # one pass over each row's terms, band check included: the consistency
-    # rows' terms are zips, read once
-    lines, rhs = [], []
-    for r, (net, nodes, initial) in enumerate(rows):
-        low, high = max(0, r + 1 - p), r + 4
-        line, value = [0.0] * (size + 1), 0.0
-        for j, c in net:
-            if not low <= j <= high:
-                raise ValueError(f"closure row {r} reaches node {j}, outside the band")
-            line[j] += hp * c * f[j]
-            value += hp * c * g[j]
-        for j, d in nodes:
-            if not low <= j <= high:
-                raise ValueError(f"closure row {r} reaches node {j}, outside the band")
-            line[j] += d
-        for m, e in initial:
-            value -= e * h**m * u[m]
-        lines.append(line)
-        rhs.append(value)
-
-    # a flat list converts to an array faster than a nested one
-    block = []
-    for r, line in enumerate(lines):
-        if r < p:
-            rhs[r] -= line[0] * u[0]
-        block += line[1:]
-    return np.array(block).reshape(size, size), rhs
+    scaled = h**p * C
+    lines = (scaled * f[: size + 1, None]).T + V
+    # a fold down axis 0 adds node after node from 0.0
+    rhs = np.add.reduce(scaled * g[: size + 1, None], axis=0, initial=0.0).tolist()
+    for r, cond in enumerate(end_conditions):
+        for m, e in cond.float_terms[2]:
+            rhs[r] -= e * h**m * u[m]
+    for r, entry in enumerate(lines[:p, 0].tolist()):
+        rhs[r] -= entry * u[0]
+    return lines[:, 1:], rhs
 
 
 def solve_head(f, g, h, u, weights, end_conditions) -> tuple[list[float], list[float]]:
@@ -553,9 +582,14 @@ def march(f, g, h, weights, head, stack) -> np.ndarray:
     which is solved for nabla^p y_i and added down the stack, by
     :func:`_sweep` or :func:`_loop` as its length decides.
 
+    A march with no node past the head (a tabulated closure at n = p + 2)
+    returns the head's values, as :func:`_loop` does, and builds no row.
+
     Raises ``numpy.linalg.LinAlgError`` at a zero pivot and ``ValueError``
     if a coefficient is not finite.
     """
+    if len(f) == len(head):
+        return np.array(head, dtype=float)
     rows = _march_rows(f, g, h, weights, len(head) - 1)
     run = _sweep if len(f) - len(head) >= SWEEP_MIN_NODES else _loop
     return run(f, *rows, head, stack)
@@ -576,7 +610,7 @@ def _march_rows(f, g, h, weights, s) -> tuple[list[float], np.ndarray, np.ndarra
     else:
         g_part = hp * np.correlate(g, np.array(weights, dtype=float), "valid")[s + 1 - p :]
     require_finite(pivot, g_part)
-    if not pivot.all():
+    if not np.logical_and.reduce(pivot):
         i = s + 1 + int(np.argmin(np.abs(pivot)))
         raise np.linalg.LinAlgError(f"singular system: the row of node {i} has a zero pivot")
     return c, g_part, 1 / pivot
@@ -785,7 +819,7 @@ class Method:
             raise ValueError(f"grid spacing h={h} is too large: its powers overflow") from exc
         y = march(f, g, h, weights.float_weights, *head)
         finite = np.isfinite(y)
-        if not finite.all():
+        if not np.logical_and.reduce(finite):
             bad = np.flatnonzero(~finite)[0]
             raise ValueError(f"the solution is not finite from node {bad} (t={t[bad]}) on")
         return GridSolution(t=t, y=y, method=self.name)

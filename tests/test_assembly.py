@@ -150,12 +150,15 @@ def test_closure_row_outside_the_band_is_rejected_on_every_call(field, node):
     ivp = case_by_id(1).ivp
     rows = list(closure_rows("standard", 4))
     rows[1] = replace(rows[1], **{field: getattr(rows[1], field) + ((node, Fraction(1)),)})
+    rows = tuple(rows)
     weights = IMPROVED_SET4.weights
     _, h, f, g = grid_values(ivp, 16)
     message = f"closure row 1 reaches node {node}, outside the band"
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
-            solve_head(f, g, h, ivp.u, weights, tuple(rows))
+            solve_head(f, g, h, ivp.u, weights, rows)
+    # rows that fail are not kept with the head matrices
+    assert all(kept[0] is not rows for kept in spline._HEAD_MATRICES.values())
 
 
 def head_inputs(name, case_id, n):
@@ -193,6 +196,58 @@ def test_head_needs_p_minus_1_closure_rows(name, case_id):
     for wrong in (rows[:-1], rows + rows[:1], ()):
         with pytest.raises(ValueError, match=f"closure must contribute {p - 1} rows"):
             solve_head(*inputs, wrong)
+
+
+@pytest.mark.parametrize("name, case_id", [("improved4", 1), ("table5-col1", 3)])
+def test_head_matrices_are_built_once_per_rows_and_weights(monkeypatch, name, case_id):
+    monkeypatch.setattr(spline, "_HEAD_MATRICES", {})
+    method, ivp = METHODS[name], case_by_id(case_id).ivp
+    first = method.solve(ivp, 16).y
+    (key, kept), = spline._HEAD_MATRICES.items()
+    rows = closure_rows(method.closure, ivp.order)
+    # the entry holds the rows its key names by id
+    assert key == (id(rows), method.coefficients.float_weights) and kept[0] is rows
+    # a second solve builds nothing, on another grid neither
+    assert method.solve(ivp, 16).y.tobytes() == first.tobytes()
+    for n in (method.min_n, 64):
+        method.solve(ivp, n)
+    assert list(spline._HEAD_MATRICES) == [key] and spline._HEAD_MATRICES[key] is kept
+
+
+def test_weight_sets_sharing_a_closure_get_their_own_head_matrices(monkeypatch):
+    # table1-col1/2/3 all use the improved closure; each solve, in any
+    # order, must read its own weights' matrices
+    monkeypatch.setattr(spline, "_HEAD_MATRICES", {})
+    names = ["table1-col1", "table1-col2", "table1-col3"]
+    ivp = case_by_id(1).ivp
+    for name in names + names[::-1]:
+        block, rhs = head_system(*head_inputs(name, 1, 16))
+        matrix, expected_rhs = dense_assembly(ivp, 16, **collocation(name, ivp, 16))
+        assert_same_bits(block, matrix[:6, :6])
+        assert_same_bits(np.array(rhs), expected_rhs[:6])
+    rows = closure_rows("improved", 4)
+    assert sorted(spline._HEAD_MATRICES) == sorted(
+        (id(rows), METHODS[name].coefficients.float_weights) for name in names
+    )
+
+
+@pytest.mark.parametrize("name, case_id", TABULATED)
+def test_head_only_march_builds_no_row(monkeypatch, name, case_id):
+    # at n = p + 2 the head is the whole system: march returns its values,
+    # with the bits of the loop run for zero nodes
+    ivp, method = case_by_id(case_id).ivp, METHODS[name]
+    inputs = march_inputs(ivp, method, 0)
+    f, g, h, weights, head, stack = inputs
+    loop = _loop(f, *_march_rows(f, g, h, weights, len(head) - 1), head, stack)
+
+    def no_rows(*args):
+        raise AssertionError("a head-only march built its rows")
+
+    monkeypatch.setattr(spline, "_march_rows", no_rows)
+    y = march(*inputs)
+    assert len(y) == ivp.order + 3
+    assert_same_bits(y, loop)
+    assert_same_bits(method.solve(ivp, method.min_n).y, loop)
 
 
 def adversarial(rng, shape):

@@ -972,20 +972,20 @@ def test_cli_import_loads_no_heavy_numerics():
 def test_closure_rows_are_derived_on_the_first_solve_not_at_load(tmp_path):
     # nlosc.verify builds its tabulated presets at import, and load_config
     # checks a method's closure; neither may derive a row, which takes
-    # milliseconds per closure
+    # milliseconds per closure, or build a head's matrices
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     config = write_config(tmp_path, case_config(3, "table5-col1", 16))
     code = (
         "import sys, nlosc.cli\n"
-        "from nlosc.spline import _derived_rows as derived\n"
+        "from nlosc.spline import _derived_rows as derived, _HEAD_MATRICES as kept\n"
         "nlosc.cli.load_config(sys.argv[1])\n"
-        "print(derived.cache_info().currsize)\n"
+        "print(derived.cache_info().currsize, len(kept))\n"
         "assert nlosc.cli.main(['solve', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
         "before = derived.cache_info()\n"
         "derived('printed')\n"
         "after = derived.cache_info()\n"
-        "print(after.currsize, after.hits - before.hits, after.misses - before.misses)\n"
+        "print(after.currsize, after.hits - before.hits, after.misses - before.misses, len(kept))\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", code, config, str(tmp_path / "out.csv")],
@@ -994,8 +994,9 @@ def test_closure_rows_are_derived_on_the_first_solve_not_at_load(tmp_path):
         text=True,
         check=True,
     )
-    # empty after loading; after the solve, the printed closure only
-    assert run.stdout.split("\n") == ["0", "1 1 0", ""]
+    # empty after loading; after the solve, the printed closure only, and
+    # one head's matrices
+    assert run.stdout.split("\n") == ["0 0", "1 1 0 1", ""]
 
 
 def test_main_after_a_failing_call_matches_fresh_processes(tmp_path, capsys):
