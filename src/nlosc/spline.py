@@ -79,19 +79,19 @@ row (pairwise), BLAS or ``np.correlate``, whose orders of addition differ
 from the loop's.
 
 What depends only on the scheme is built on first use and kept for the
-rest of the process: the float form of each weight set
-(:attr:`WeightSet.float_weights`), the rows of each tabulated closure
-(:func:`closure_rows`) and their float coefficients
-(:attr:`EndCondition.float_terms`), the p-th difference stencil of each
-order, the head matrices of each tabulated closure and float weight set
-(:func:`_head_matrices`: the D coefficients C and value stencils V of its
-p + 2 rows), and the series start's integer tables, one per order and
-degree (:func:`_series_tables`).  None of it is built at import.  A solve
-scales the head matrices to its grid, ``((h^p C) * f).T + V`` for the
-block and a fold of ``(h^p C) * g`` down the nodes from 0.0 for the
-right-hand side, which are the products and sums of a row-by-row build in
-its order of operations; so a solve gives the same bits whether or not
-they were built already.
+rest of the process, each piece by ``functools.cache`` on the function
+that builds it or ``cached_property`` on the object it belongs to: the
+float form of each weight set (:attr:`WeightSet.float_weights`), the rows
+of each tabulated closure (:func:`closure_rows`) and their float
+coefficients (:attr:`EndCondition.float_terms`), the head matrices of each
+float weight set and closure row tuple (:func:`_head_matrices`: the D
+coefficients C and value stencils V of its p + 2 rows), and the series
+start's integer tables, one per order and degree (:func:`_series_tables`).
+None of it is built at import.  A solve scales the head matrices to its
+grid, ``((h^p C) * f).T + V`` for the block and a fold of ``(h^p C) * g``
+down the nodes from 0.0 for the right-hand side, which are the products
+and sums of a row-by-row build in its order of operations; so a solve
+gives the same bits whether or not they were built already.
 
 At every order the interior truncation error comes from one generating
 series: on y = e^(st) with x = sh, the relation's residual is
@@ -293,7 +293,7 @@ class GridSolution:
 Terms = tuple[tuple[int, Fraction], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EndCondition:
     """One boundary-closure equation, kept in exact rationals.
 
@@ -305,6 +305,10 @@ class EndCondition:
     initial_derivs (m, e_m).  A row whose bracket holds a term h^p o_j D_j
     keeps it on the left, in the net coefficient c_j; like every D_j it is
     eliminated through the differential equation.
+
+    Rows compare and hash by identity: a tuple of rows keys the kept head
+    matrices (:func:`_head_matrices`), and hashing the ``Fraction`` terms
+    would cost more than a small solve.  Compare rows field by field.
     """
 
     node_derivs: Terms
@@ -453,39 +457,24 @@ def grid_values(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float, np.ndarra
 
 
 @cache
-def _difference_stencil(p: int) -> tuple[float, ...]:
-    """The p-th difference stencil, (-1)^(p-k) C(p, k) for k = 0..p, built
-    once per order."""
-    return tuple(float((-1) ** (p - k) * comb(p, k)) for k in range(p + 1))
-
-
-#: The head matrices of :func:`_head_matrices`, by the identity of a
-#: closure's row tuple and the value of a float weight set.  Each entry
-#: holds its row tuple, so the id in its key names no other object while
-#: the entry is kept.
-_HEAD_MATRICES: dict[tuple[int, tuple[float, ...]], tuple] = {}
-
-
-def _head_matrices(weights: tuple[float, ...], end_conditions) -> tuple[np.ndarray, np.ndarray]:
+def _head_matrices(
+    weights: tuple[float, ...], end_conditions: tuple[EndCondition, ...]
+) -> tuple[np.ndarray, np.ndarray]:
     """``(C, V)``: the p + 2 head rows of a tabulated closure over the nodes
     0..p+2, the p - 1 closure rows and then the consistency rows of the
     windows ending at nodes p, p+1 and p+2.  ``C[j, r]`` is the net D
     coefficient of row r at node j and ``V[r, j]`` its value stencil; the
     row of the window ending at node i holds w_k on D and the p-th
-    difference stencil on y, both at node i - p + k.  Each row names a node
-    once, as :func:`closure_rows` gives it.
+    difference stencil (-1)^(p-k) C(p, k) on y, both at node i - p + k.
+    Each row names a node once, as :func:`closure_rows` gives it.
 
-    Built on the first call for each row tuple and weight set and kept.
-    Row r may reach the nodes r+1-p..r+4 only, the band of its row in the
-    whole system, and no node below 0; ``ValueError`` if it reaches past
+    Built on the first call for each float weight set and row tuple and
+    kept.  Row r may reach the nodes r+1-p..r+4 only, the band of its row in
+    the whole system, and no node below 0; ``ValueError`` if it reaches past
     them, and rows that fail are not kept."""
-    key = (id(end_conditions), weights)
-    kept = _HEAD_MATRICES.get(key)
-    if kept is not None:
-        return kept[1], kept[2]
     p = len(weights) - 1
     size = min_n(p)
-    delta = _difference_stencil(p)
+    delta = [float((-1) ** (p - k) * comb(p, k)) for k in range(p + 1)]
     rows = [cond.float_terms[:2] for cond in end_conditions]
     for i in range(p, size + 1):
         nodes = range(i - p, i + 1)
@@ -498,7 +487,8 @@ def _head_matrices(weights: tuple[float, ...], end_conditions) -> tuple[np.ndarr
                 if not low <= j <= high:
                     raise ValueError(f"closure row {r} reaches node {j}, outside the band")
                 matrix[r, j] += c
-    _HEAD_MATRICES[key] = (end_conditions, C, V)
+    # every caller shares the kept arrays
+    C.flags.writeable = V.flags.writeable = False
     return C, V
 
 
@@ -507,8 +497,9 @@ def head_system(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list[f
     tabulated closure, from ``f`` and ``g`` at the nodes 0..p+2 (a longer
     grid is cut there).
 
-    The rows are those of :func:`_head_matrices`, kept per scheme; a solve
-    scales their D coefficients by h^p before they meet f, as
+    The rows are those of :func:`_head_matrices`, kept per float weight set
+    and row tuple (rows compare by identity); a solve scales their D
+    coefficients by h^p before they meet f, as
     ``((h^p C) * f).T + V`` over the nodes 0..p+2, and forms each
     right-hand side as a fold of h^p C g down the nodes from 0.0.  For
     finite f and g, a node that a row does not reach adds a signed zero,
@@ -524,7 +515,7 @@ def head_system(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list[f
     p = len(weights) - 1
     if len(end_conditions) != p - 1:
         raise ValueError(f"closure must contribute {p - 1} rows")
-    C, V = _head_matrices(weights, end_conditions)
+    C, V = _head_matrices(weights, tuple(end_conditions))
     size = min_n(p)
     scaled = h**p * C
     lines = (scaled * f[: size + 1, None]).T + V

@@ -1,7 +1,7 @@
 """Shared fixtures and references: benchmark cases, one Runge-Kutta
 stepper with its two oracles (the reduced problem and the ring's own
-system), a 40-digit mpmath walk of the expressions, and the paper's
-printed theta-parameterized weights."""
+system), rings of any size with closed-form paths, a 40-digit mpmath walk
+of the expressions, and the paper's printed theta-parameterized weights."""
 
 import dataclasses
 import operator
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from nlosc.chain import OscillatorChain
 from nlosc.expr import (
     Add,
     Const,
@@ -25,6 +26,7 @@ from nlosc.expr import (
     Sin,
     Sub,
     Var,
+    taylor,
     values_on_grid,
 )
 from nlosc.spline import GridSolution, closure_rows, grid_values, head_system
@@ -121,6 +123,33 @@ def integrate_chain(chain, t0, t1, steps):
 
     z = [v for pair in zip(chain.positions, chain.velocities) for v in pair]
     return rk4(rhs, chain.forces, z, (t0, t1), steps)
+
+
+def exact_ring(size, seed):
+    """A ring of ``size`` oscillators on [0, 1] whose paths are known in
+    closed form: y_k = A e^(a t) sin(b t + c) with seeded A, a, b, c and
+    frequency omega_k in [0.8, 1.2], driven by g_k = y_k'' + omega_k^2 y_{k+1}
+    (the ring closes, y_{N+1} = y_1), from the initial state of a jet of
+    each y_k.  Returns the chain and each path as a numpy function of time."""
+    rng = np.random.default_rng(seed)
+    low, high = [0.5, -0.5, 0.5, 0.0], [2.0, 0.5, 2.0, np.pi]
+    params = rng.uniform(low, high, size=(size, 4)).tolist()
+    omegas = rng.uniform(0.8, 1.2, size=size).tolist()
+    t = Var()
+    y = [Const(A) * Exp(Const(a) * t) * Sin(Const(b) * t + Const(c)) for A, a, b, c in params]
+    jets = [taylor(e, 0.0, 2) for e in y]
+    chain = OscillatorChain(
+        omegas=omegas,
+        forces=[Deriv(y[k], 2) + Const(w * w) * y[(k + 1) % size] for k, w in enumerate(omegas)],
+        interval=(0.0, 1.0),
+        positions=[jet[0] for jet in jets],
+        velocities=[jet[1] for jet in jets],
+    )
+    paths = [
+        lambda x, A=A, a=a, b=b, c=c: A * np.exp(a * x) * np.sin(b * x + c)
+        for A, a, b, c in params
+    ]
+    return chain, paths
 
 
 class ThetaSet4(NamedTuple):

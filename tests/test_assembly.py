@@ -140,6 +140,13 @@ def test_densified_band_matches_dense_assembly(case_id, method, n, dtype):
     assert np.array_equal(rhs, expected_rhs)
 
 
+def head_builds():
+    """``(builds, kept)``: how often the head matrices were built since the
+    cache was last cleared, failed builds included, and how many are kept."""
+    info = spline._head_matrices.cache_info()
+    return info.misses, info.currsize
+
+
 @pytest.mark.parametrize(
     "field, node",
     [("node_derivs", 6), ("node_values", 7), ("node_values", -1)],
@@ -155,10 +162,12 @@ def test_closure_row_outside_the_band_is_rejected_on_every_call(field, node):
     _, h, f, g = grid_values(ivp, 16)
     message = f"closure row 1 reaches node {node}, outside the band"
     for _ in range(2):
+        builds, kept = head_builds()
         with pytest.raises(ValueError, match=message):
             solve_head(f, g, h, ivp.u, weights, rows)
-    # rows that fail are not kept with the head matrices
-    assert all(kept[0] is not rows for kept in spline._HEAD_MATRICES.values())
+        # rows that fail are not kept with the head matrices, so each call
+        # builds them again and fails again
+        assert head_builds() == (builds + 1, kept)
 
 
 def head_inputs(name, case_id, n):
@@ -199,25 +208,27 @@ def test_head_needs_p_minus_1_closure_rows(name, case_id):
 
 
 @pytest.mark.parametrize("name, case_id", [("improved4", 1), ("table5-col1", 3)])
-def test_head_matrices_are_built_once_per_rows_and_weights(monkeypatch, name, case_id):
-    monkeypatch.setattr(spline, "_HEAD_MATRICES", {})
+def test_head_matrices_are_built_once_per_rows_and_weights(name, case_id):
+    spline._head_matrices.cache_clear()
     method, ivp = METHODS[name], case_by_id(case_id).ivp
     first = method.solve(ivp, 16).y
-    (key, kept), = spline._HEAD_MATRICES.items()
+    assert head_builds() == (1, 1)
+    # the one entry is that of the preset's float weights and row tuple
     rows = closure_rows(method.closure, ivp.order)
-    # the entry holds the rows its key names by id
-    assert key == (id(rows), method.coefficients.float_weights) and kept[0] is rows
+    kept = spline._head_matrices(method.coefficients.float_weights, rows)
+    assert head_builds() == (1, 1)
     # a second solve builds nothing, on another grid neither
     assert method.solve(ivp, 16).y.tobytes() == first.tobytes()
     for n in (method.min_n, 64):
         method.solve(ivp, n)
-    assert list(spline._HEAD_MATRICES) == [key] and spline._HEAD_MATRICES[key] is kept
+    assert head_builds() == (1, 1)
+    assert spline._head_matrices(method.coefficients.float_weights, rows) is kept
 
 
-def test_weight_sets_sharing_a_closure_get_their_own_head_matrices(monkeypatch):
+def test_weight_sets_sharing_a_closure_get_their_own_head_matrices():
     # table1-col1/2/3 all use the improved closure; each solve, in any
     # order, must read its own weights' matrices
-    monkeypatch.setattr(spline, "_HEAD_MATRICES", {})
+    spline._head_matrices.cache_clear()
     names = ["table1-col1", "table1-col2", "table1-col3"]
     ivp = case_by_id(1).ivp
     for name in names + names[::-1]:
@@ -225,10 +236,12 @@ def test_weight_sets_sharing_a_closure_get_their_own_head_matrices(monkeypatch):
         matrix, expected_rhs = dense_assembly(ivp, 16, **collocation(name, ivp, 16))
         assert_same_bits(block, matrix[:6, :6])
         assert_same_bits(np.array(rhs), expected_rhs[:6])
+    # one entry per weight set, each under its weights and the shared rows
+    assert head_builds() == (3, 3)
     rows = closure_rows("improved", 4)
-    assert sorted(spline._HEAD_MATRICES) == sorted(
-        (id(rows), METHODS[name].coefficients.float_weights) for name in names
-    )
+    for name in names:
+        spline._head_matrices(METHODS[name].coefficients.float_weights, rows)
+    assert head_builds() == (3, 3)
 
 
 @pytest.mark.parametrize("name, case_id", TABULATED)

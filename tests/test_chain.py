@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     distinct_nodes,
+    exact_ring,
     integrate_chain,
     integrate_first_order,
     mp_elimination,
@@ -425,6 +426,22 @@ def test_recovered_neighbors_carry_the_pivot_accuracy():
             assert error <= max(2.0 * pivot, 1e-7), (n, k, error, pivot)
     for k, (coarse, fine) in enumerate(zip(errors[32][:-1], errors[64][:-1]), start=1):
         assert fine <= coarse / 32.0 or fine <= 2.0 * errors[64][-1], (k, coarse, fine)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("size", [4, 5, 6, 8])
+def test_rings_above_three_match_their_closed_form_paths(size, n):
+    # the order-2N problem with the derived order-2N weights and the series
+    # start, then every oscillator recovered: within 1e-12 of the exact
+    # paths, relative to the largest |y| (at most 3.0e-15 when measured)
+    chain, exact = exact_ring(size, seed=size)
+    ivp = reduce_chain(chain)
+    method = Method(f"zeroing{2 * size}", zeroing_weights(2 * size), "series")
+    solution = method.solve(ivp, n)
+    paths = recover_trajectories(chain, solution)
+    expected = np.array([path(solution.t) for path in exact])
+    error = np.max(np.abs(paths - expected)) / np.max(np.abs(expected))
+    assert error <= 1e-12, error
 
 
 @pytest.mark.parametrize("n", [6, 48])

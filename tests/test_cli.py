@@ -978,14 +978,15 @@ def test_closure_rows_are_derived_on_the_first_solve_not_at_load(tmp_path):
     config = write_config(tmp_path, case_config(3, "table5-col1", 16))
     code = (
         "import sys, nlosc.cli\n"
-        "from nlosc.spline import _derived_rows as derived, _HEAD_MATRICES as kept\n"
+        "from nlosc.spline import _derived_rows as derived, _head_matrices as kept\n"
         "nlosc.cli.load_config(sys.argv[1])\n"
-        "print(derived.cache_info().currsize, len(kept))\n"
+        "print(derived.cache_info().currsize, kept.cache_info().currsize)\n"
         "assert nlosc.cli.main(['solve', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
         "before = derived.cache_info()\n"
         "derived('printed')\n"
         "after = derived.cache_info()\n"
-        "print(after.currsize, after.hits - before.hits, after.misses - before.misses, len(kept))\n"
+        "print(after.currsize, after.hits - before.hits, after.misses - before.misses,"
+        " kept.cache_info().currsize)\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", code, config, str(tmp_path / "out.csv")],
