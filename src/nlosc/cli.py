@@ -310,9 +310,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_table(args) -> int:
     table = reproduce_table(args.id)
-    csv_columns = [("n", list(table.ns))]
-    for j, name in enumerate(table.columns):
-        csv_columns.append((name, [table.values[i, j] for i in range(len(table.ns))]))
+    csv_columns = [("n", table.ns), *zip(table.columns, table.values.T)]
     # a --csv path that cannot be written fails before anything is printed
     if args.csv:
         _write_csv_file(csv_columns, args.csv, "--csv")

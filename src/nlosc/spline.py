@@ -81,11 +81,11 @@ from the loop's.
 What depends only on the scheme is built on first use and kept for the
 rest of the process, each piece by ``functools.cache`` on the function
 that builds it or ``cached_property`` on the object it belongs to: the
-float form of each weight set (:attr:`WeightSet.float_weights`), the rows
-of each tabulated closure (:func:`closure_rows`) and their float
-coefficients (:attr:`EndCondition.float_terms`), the head matrices of each
-float weight set and closure row tuple (:func:`_head_matrices`: the D
-coefficients C and value stencils V of its p + 2 rows), and the series
+float form of each weight set (:attr:`WeightSet.float_weights`), the exact
+rows of each tabulated closure (:func:`closure_rows`), the head of each
+float weight set and closure row tuple (:func:`_head_matrices`, the rows'
+one float form: the D coefficients C and value stencils V of its p + 2
+rows and the closure rows' initial-derivative terms), and the series
 start's integer tables, one per order and degree (:func:`_series_tables`).
 None of it is built at import.  A solve scales the head matrices to its
 grid, ``((h^p C) * f).T + V`` for the block and a fold of ``(h^p C) * g``
@@ -306,23 +306,15 @@ class EndCondition:
     keeps it on the left, in the net coefficient c_j; like every D_j it is
     eliminated through the differential equation.
 
-    Rows compare and hash by identity: a tuple of rows keys the kept head
-    matrices (:func:`_head_matrices`), and hashing the ``Fraction`` terms
-    would cost more than a small solve.  Compare rows field by field.
+    Rows compare and hash by identity: a tuple of rows keys their one float
+    form, the kept head (:func:`_head_matrices`), and hashing the
+    ``Fraction`` terms would cost more than a small solve.  Compare rows
+    field by field.
     """
 
     node_derivs: Terms
     node_values: Terms
     initial_derivs: Terms
-
-    @cached_property
-    def float_terms(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """``(node_derivs, node_values, initial_derivs)`` in floats,
-        converted on first use."""
-        return tuple(
-            tuple((j, float(c)) for j, c in terms)
-            for terms in (self.node_derivs, self.node_values, self.initial_derivs)
-        )
 
 
 class _TabulatedClosure(NamedTuple):
@@ -459,23 +451,28 @@ def grid_values(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float, np.ndarra
 @cache
 def _head_matrices(
     weights: tuple[float, ...], end_conditions: tuple[EndCondition, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(C, V)``: the p + 2 head rows of a tabulated closure over the nodes
-    0..p+2, the p - 1 closure rows and then the consistency rows of the
-    windows ending at nodes p, p+1 and p+2.  ``C[j, r]`` is the net D
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[tuple[int, float], ...], ...]]:
+    """``(C, V, initial)``: the p + 2 head rows of a tabulated closure over
+    the nodes 0..p+2, the p - 1 closure rows and then the consistency rows
+    of the windows ending at nodes p, p+1 and p+2.  ``C[j, r]`` is the net D
     coefficient of row r at node j and ``V[r, j]`` its value stencil; the
     row of the window ending at node i holds w_k on D and the p-th
     difference stencil (-1)^(p-k) C(p, k) on y, both at node i - p + k.
-    Each row names a node once, as :func:`closure_rows` gives it.
+    ``initial[r]`` holds closure row r's initial-derivative terms (m, e_m) in
+    its order.  Each row names a node once, as :func:`closure_rows` gives
+    it; every exact coefficient becomes a float here.
 
     Built on the first call for each float weight set and row tuple and
     kept.  Row r may reach the nodes r+1-p..r+4 only, the band of its row in
-    the whole system, and no node below 0; ``ValueError`` if it reaches past
-    them, and rows that fail are not kept."""
+    the whole system, and no node below 0; ``ValueError`` if the closure
+    does not hold p - 1 rows or a row reaches past its band, and rows that
+    fail are not kept."""
     p = len(weights) - 1
+    if len(end_conditions) != p - 1:
+        raise ValueError(f"closure must contribute {p - 1} rows")
     size = min_n(p)
-    delta = [float((-1) ** (p - k) * comb(p, k)) for k in range(p + 1)]
-    rows = [cond.float_terms[:2] for cond in end_conditions]
+    delta = [(-1) ** (p - k) * comb(p, k) for k in range(p + 1)]
+    rows = [(cond.node_derivs, cond.node_values) for cond in end_conditions]
     for i in range(p, size + 1):
         nodes = range(i - p, i + 1)
         rows.append((zip(nodes, weights), zip(nodes, delta)))
@@ -486,10 +483,11 @@ def _head_matrices(
             for j, c in terms:
                 if not low <= j <= high:
                     raise ValueError(f"closure row {r} reaches node {j}, outside the band")
-                matrix[r, j] += c
+                matrix[r, j] += float(c)
     # every caller shares the kept arrays
     C.flags.writeable = V.flags.writeable = False
-    return C, V
+    initial = tuple(tuple((m, float(e)) for m, e in cond.initial_derivs) for cond in end_conditions)
+    return C, V, initial
 
 
 def head_system(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list[float]]:
@@ -505,24 +503,22 @@ def head_system(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list[f
     finite f and g, a node that a row does not reach adds a signed zero,
     which changes neither an entry nor a fold from 0.0, so these are the
     bits of a row-by-row build.  Then, in Python floats, each closure row
-    subtracts its initial-derivative terms, and the known y_0 = u_0 moves
-    to the right-hand side of the first p rows, the only ones that reach
-    node 0, as ``rhs -= entry * u_0``.
+    subtracts its kept initial-derivative terms e_m h^m u_m in term order,
+    and the known y_0 = u_0 moves to the right-hand side of the first p
+    rows, the only ones that reach node 0, as ``rhs -= entry * u_0``.
 
     ``ValueError`` if a row reaches past its band or the closure does not
     hold p - 1 rows."""
     weights = tuple(map(float, weights))
     p = len(weights) - 1
-    if len(end_conditions) != p - 1:
-        raise ValueError(f"closure must contribute {p - 1} rows")
-    C, V = _head_matrices(weights, tuple(end_conditions))
+    C, V, initial = _head_matrices(weights, tuple(end_conditions))
     size = min_n(p)
     scaled = h**p * C
     lines = (scaled * f[: size + 1, None]).T + V
     # a fold down axis 0 adds node after node from 0.0
     rhs = np.add.reduce(scaled * g[: size + 1, None], axis=0, initial=0.0).tolist()
-    for r, cond in enumerate(end_conditions):
-        for m, e in cond.float_terms[2]:
+    for r, terms in enumerate(initial):
+        for m, e in terms:
             rhs[r] -= e * h**m * u[m]
     for r, entry in enumerate(lines[:p, 0].tolist()):
         rhs[r] -= entry * u[0]

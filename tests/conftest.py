@@ -125,30 +125,41 @@ def integrate_chain(chain, t0, t1, steps):
     return rk4(rhs, chain.forces, z, (t0, t1), steps)
 
 
-def exact_ring(size, seed):
-    """A ring of ``size`` oscillators on [0, 1] whose paths are known in
-    closed form: y_k = A e^(a t) sin(b t + c) with seeded A, a, b, c and
-    frequency omega_k in [0.8, 1.2], driven by g_k = y_k'' + omega_k^2 y_{k+1}
-    (the ring closes, y_{N+1} = y_1), from the initial state of a jet of
-    each y_k.  Returns the chain and each path as a numpy function of time."""
+def exact_ring(size, seed, interval=(0.0, 1.0), poles=False):
+    """A ring of ``size`` oscillators on ``interval`` whose paths are known
+    in closed form: entire paths y_k = A e^(a t) sin(b t + c) with seeded
+    A, a, b, c and frequency omega_k in [0.8, 1.2], or with ``poles``
+    y_k = A sin(b t + c) / (1 + t^2) from the same draws of A, b, c, poles
+    at t = +-i, with unit omega_k.  The ring is driven by
+    g_k = y_k'' + omega_k^2 y_{k+1} (it closes, y_{N+1} = y_1), from the
+    initial state of a jet of each y_k at the interval's start.  Returns
+    the chain and each path as a numpy function of time."""
     rng = np.random.default_rng(seed)
     low, high = [0.5, -0.5, 0.5, 0.0], [2.0, 0.5, 2.0, np.pi]
     params = rng.uniform(low, high, size=(size, 4)).tolist()
-    omegas = rng.uniform(0.8, 1.2, size=size).tolist()
     t = Var()
-    y = [Const(A) * Exp(Const(a) * t) * Sin(Const(b) * t + Const(c)) for A, a, b, c in params]
-    jets = [taylor(e, 0.0, 2) for e in y]
+    if poles:
+        omegas = [1.0] * size
+        pole = Const(1.0) + t * t
+        y = [Div(Const(A) * Sin(Const(b) * t + Const(c)), pole) for A, _, b, c in params]
+        paths = [
+            lambda x, A=A, b=b, c=c: A * np.sin(b * x + c) / (1 + x * x) for A, _, b, c in params
+        ]
+    else:
+        omegas = rng.uniform(0.8, 1.2, size=size).tolist()
+        y = [Const(A) * Exp(Const(a) * t) * Sin(Const(b) * t + Const(c)) for A, a, b, c in params]
+        paths = [
+            lambda x, A=A, a=a, b=b, c=c: A * np.exp(a * x) * np.sin(b * x + c)
+            for A, a, b, c in params
+        ]
+    jets = [taylor(e, interval[0], 2) for e in y]
     chain = OscillatorChain(
         omegas=omegas,
         forces=[Deriv(y[k], 2) + Const(w * w) * y[(k + 1) % size] for k, w in enumerate(omegas)],
-        interval=(0.0, 1.0),
+        interval=interval,
         positions=[jet[0] for jet in jets],
         velocities=[jet[1] for jet in jets],
     )
-    paths = [
-        lambda x, A=A, a=a, b=b, c=c: A * np.exp(a * x) * np.sin(b * x + c)
-        for A, a, b, c in params
-    ]
     return chain, paths
 
 

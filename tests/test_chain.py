@@ -428,19 +428,34 @@ def test_recovered_neighbors_carry_the_pivot_accuracy():
         assert fine <= coarse / 32.0 or fine <= 2.0 * errors[64][-1], (k, coarse, fine)
 
 
-@pytest.mark.parametrize("n", [64, 256, 1024])
-@pytest.mark.parametrize("size", [4, 5, 6, 8])
-def test_rings_above_three_match_their_closed_form_paths(size, n):
-    # the order-2N problem with the derived order-2N weights and the series
-    # start, then every oscillator recovered: within 1e-12 of the exact
-    # paths, relative to the largest |y| (at most 3.0e-15 when measured)
-    chain, exact = exact_ring(size, seed=size)
+def exact_ring_error(size, n, **kind):
+    """The order-2N problem of :func:`exact_ring` solved with the derived
+    order-2N weights and the series start, then every oscillator recovered:
+    the largest error against the exact paths, relative to the largest |y|."""
+    chain, exact = exact_ring(size, seed=size, **kind)
     ivp = reduce_chain(chain)
     method = Method(f"zeroing{2 * size}", zeroing_weights(2 * size), "series")
     solution = method.solve(ivp, n)
     paths = recover_trajectories(chain, solution)
     expected = np.array([path(solution.t) for path in exact])
-    error = np.max(np.abs(paths - expected)) / np.max(np.abs(expected))
+    return np.max(np.abs(paths - expected)) / np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("size", [4, 5, 6, 8])
+def test_rings_above_three_match_their_closed_form_paths(size, n):
+    # within 1e-12 of the exact paths (at most 3.0e-15 when measured)
+    error = exact_ring_error(size, n)
+    assert error <= 1e-12, error
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("size", [4, 5, 6, 8])
+def test_rings_with_poles_match_their_closed_form_paths(size, n):
+    # paths with poles at t = +-i, a unit distance from the series start's
+    # centre t = 0: on [0, 1] it converges at these grids, and the ring is
+    # within 1e-12 of its paths (at most 3.3e-15 when measured)
+    error = exact_ring_error(size, n, poles=True)
     assert error <= 1e-12, error
 
 

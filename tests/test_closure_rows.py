@@ -207,4 +207,3 @@ def test_derived_rows_equal_the_literals_term_by_term(closure):
             terms = getattr(row, name)
             assert terms == getattr(expected, name), name
             assert all(type(j) is int and type(c) is Fraction for j, c in terms), name
-        assert row.float_terms == expected.float_terms
