@@ -20,8 +20,8 @@ grows by a few nodes per oscillator and no differentiation error enters the
 reduced problem.  Once the reduced problem is solved on a grid, the other
 trajectories are recovered by walking the ring backwards and integrating
 each oscillator's own equation twice from its initial state, with a
-Stormer-Cowell sum whose rows are derived exactly over windows of
-min(2N + 3, 9) nodes, so every recovered neighbor converges with the pivot.
+Stormer-Cowell sum whose rows over w = min(2N + 3, 9) nodes are solved to
+hold for y = t^m through degree w + 1: every neighbor converges with the pivot.
 """
 
 from __future__ import annotations
@@ -165,38 +165,22 @@ def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
     return HighOrderIVP(f=Const(cs[-1]), g=forcing(chain.size), interval=chain.interval, u=tuple(u))
 
 
-def _kernel_weights(nodes: range, moments: list[int], denominator: int) -> list[Fraction]:
-    """Weights of the integral of K(s) F(s) over K's support, exact for F
-    of degree < len(nodes): K against the Lagrange basis of the integer
-    ``nodes``, where K's m-th moment is ``moments[m] / denominator``."""
-    weights = []
-    for j in nodes:
-        basis, scale = [1], denominator  # coefficients of prod (s - x), x != j
-        for x in nodes:
-            if x != j:
-                basis = [up - x * c for up, c in zip([0, *basis], [*basis, 0])]
-                scale *= j - x
-        weights.append(Fraction(sum(c * mu for c, mu in zip(basis, moments)), scale))
-    return weights
-
-
 def _recovery_rows(w: int) -> tuple[list[Fraction], list[list[Fraction]]]:
     """The exact start row and second-difference rows of a w-node window.
 
-    y(h) - y(0) - h y'(0) is h^2 times the integral of (1 - s) y''(sh) over
-    [0, 1], and y(t+h) - 2y(t) + y(t-h) is h^2 times that of (1 - |s|)
-    y''(t + sh) over [-1, 1]; each kernel against the Lagrange basis of the
-    window's nodes gives a row exact for y = t^m, m <= w + 1.  The start
-    row weighs nodes 0..w-1; row r-1 is the second difference at the
-    window's node r, for r = 1..w-2.
+    Each row weighs y'' at the unit grid's nodes 0..w-1 and holds for
+    y = t^m, m <= w + 1 (Henrici): the start row gives y(1) - y(0) - y'(0),
+    row r-1 the second difference at node r, r = 1..w-2.  Every row holds
+    for m < 2, and shares the matrix m(m-1) j^(m-2) of m = 2..w+1, so one
+    :func:`nlosc.spline._solve_exact` call gives all, from the right-hand
+    sides 1 and (r+1)^m - 2r^m + (r-1)^m.
     """
-    # the m-th moments over one denominator: 1/((m+1)(m+2)) for (1 - s),
-    # twice that for (1 - |s|) at even m and 0 at odd m
-    denominator = math.lcm(*((m + 1) * (m + 2) for m in range(w)))
-    ramp = [denominator // ((m + 1) * (m + 2)) for m in range(w)]
-    hat = [2 * mu if m % 2 == 0 else 0 for m, mu in enumerate(ramp)]
-    start = _kernel_weights(range(w), ramp, denominator)
-    rows = [_kernel_weights(range(-r, w - r), hat, denominator) for r in range(1, w - 1)]
+    from nlosc.spline import _solve_exact  # nlosc.spline imports this module
+
+    degrees = range(2, w + 2)
+    matrix = [[m * (m - 1) * j ** (m - 2) for j in range(w)] for m in degrees]
+    seconds = [[(r + 1) ** m - 2 * r**m + (r - 1) ** m for m in degrees] for r in range(1, w - 1)]
+    start, *rows = _solve_exact(matrix, [[1] * w, *seconds])
     return start, rows
 
 

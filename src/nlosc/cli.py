@@ -16,9 +16,10 @@ are exact rationals written "p/q".  CSV output uses 17 significant digits,
 
 :func:`main` may be called many times in one process.  Later calls reuse
 the argument parser, what the solver built once per scheme (float
-weights, closure rows, series tables) and the built-in cases parsed by the
-first ``table`` or ``convergence`` call, and write the same bytes as a
-fresh process, also after a call that failed.
+weights, closure rows, head matrices, series tables, recovery rows) and
+the built-in cases parsed by the first ``table`` or ``convergence`` call,
+and write the same bytes as a fresh process, also after a call that
+failed.
 """
 
 from __future__ import annotations

@@ -97,12 +97,17 @@ At every order the interior truncation error comes from one generating
 series: on y = e^(st) with x = sh, the relation's residual is
 x^p (sum_j w_j e^((j-p/2) x) - (2 sinh(x/2)/x)^p) about the window centre,
 so it expands in even powers of h with brackets B_k
-(:func:`truncation_brackets`) that are linear in the weights.  Zeroing
+(:func:`truncation_brackets`) that are linear in the weights.  Their
+constants are moments of the p-th difference stencil, as
+(2 sinh(x/2))^p = sum_k (-1)^(p-k) C(p, k) e^((k-p/2) x).  Zeroing
 B_p..B_2p fixes the half-stencil uniquely and gives interior truncation
 O(h^(2p+2)), design order p + 2: that is IMPROVED_SET4 and IMPROVED_SET6,
 (1/30240, 41/5040, 2189/10080, 4153/7560) at p = 6.  Holding some weights
 at chosen values and zeroing fewer brackets gives lower orders:
 :func:`zeroing_weights` (p, held) derives each set once, at any even order.
+Every exact stencil, here and in :mod:`nlosc.chain`, is solved in Fractions
+by :func:`_solve_exact` from one condition per unknown: a zeroed bracket,
+or a row that holds for y = t^m.
 """
 
 from __future__ import annotations
@@ -181,19 +186,21 @@ class WeightSet:
 def _bracket_forms(p: int, count: int) -> list[tuple[list[Fraction], Fraction]]:
     """B_p, B_{p+2}, ..., B_{p+2(count-1)} as linear forms in the
     half-stencil: the coefficient of each half weight, and the constant
-    [x^{2m}] (2 sinh(x/2)/x)^p, from the series sum_m x^{2m} / (4^m (2m+1)!)."""
-    sinhc = [Fraction(1, 4**m * factorial(2 * m + 1)) for m in range(count)]
-    power = [Fraction(1)] + [Fraction(0)] * (count - 1)
-    for _ in range(p):
-        power = [sum(power[i] * sinhc[m - i] for i in range(m + 1)) for m in range(count)]
+    [x^{2m}] (2 sinh(x/2)/x)^p, the moment sum_k delta_k (k - p/2)^(p+2m)
+    / (p+2m)! of the p-th difference stencil delta_k = (-1)^(p-k) C(p, k)."""
     centre = p // 2
+    delta = [(-1) ** (p - k) * comb(p, k) for k in range(p + 1)]
+    constants = []
+    for degree in range(p, p + 2 * count, 2):
+        moment = sum(d * (k - centre) ** degree for k, d in enumerate(delta))
+        constants.append(Fraction(moment, factorial(degree)))
 
     def coefficient(j: int, m: int) -> Fraction:
         """sum of w_j (j - p/2)^(2m) / (2m)! over both copies of w_j"""
         copies = 1 if j == centre else 2
         return Fraction(copies * (j - centre) ** (2 * m), factorial(2 * m))
 
-    return [([coefficient(j, m) for j in range(centre + 1)], power[m]) for m in range(count)]
+    return [([coefficient(j, m) for j in range(centre + 1)], constants[m]) for m in range(count)]
 
 
 def truncation_brackets(half, count: int) -> tuple[Fraction, ...]:
@@ -213,21 +220,23 @@ def truncation_brackets(half, count: int) -> tuple[Fraction, ...]:
     )
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Tiny exact Gaussian elimination over Fractions (no pivot growth
-    concerns at these sizes)."""
-    m = [row[:] + [r] for row, r in zip(rows, rhs)]
-    size = len(m)
+def _solve_exact(matrix: list[list], columns: list[list]) -> list[list[Fraction]]:
+    """The solution x of ``matrix`` x = c for each right-hand side c in
+    ``columns``, by Gauss-Jordan elimination in Fractions.  Each pivot becomes
+    a ``Fraction``, so an integer matrix stays exact, and each step touches
+    the columns from the pivot's on."""
+    size = len(matrix)
+    m = [[*row, *(column[r] for column in columns)] for r, row in enumerate(matrix)]
     for col in range(size):
         pivot_row = next(r for r in range(col, size) if m[r][col] != 0)
         m[col], m[pivot_row] = m[pivot_row], m[col]
-        pivot = m[col][col]
-        m[col] = [v / pivot for v in m[col]]
+        pivot = Fraction(m[col][col])
+        m[col][col:] = [v / pivot for v in m[col][col:]]
         for r in range(size):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return [m[r][size] for r in range(size)]
+            factor = m[r][col]
+            if r != col and factor != 0:
+                m[r][col:] = [v - factor * w for v, w in zip(m[r][col:], m[col][col:])]
+    return [[row[size + k] for row in m] for k in range(len(columns))]
 
 
 def zeroing_weights(p: int, held: dict[int, Fraction] | None = None) -> WeightSet:
@@ -252,7 +261,8 @@ def _derived_weights(p: int, held: tuple[tuple[int, Fraction], ...]) -> WeightSe
     for coefficients, constant in _bracket_forms(p, len(free)):
         rows.append([coefficients[j] for j in free])
         rhs.append(constant - sum(coefficients[j] * w for j, w in held.items()))
-    half = {**held, **dict(zip(free, _solve_exact(rows, rhs)))}
+    (solution,) = _solve_exact(rows, [rhs])
+    half = {**held, **dict(zip(free, solution))}
     return WeightSet(tuple(half[j] for j in range(p // 2 + 1)))
 
 
@@ -374,15 +384,15 @@ def closure_rows(closure: str, order: int) -> tuple[EndCondition, ...]:
 
 @cache
 def _derived_rows(closure: str) -> tuple[EndCondition, ...]:
-    """Each row of a tabulated closure, solved exactly by :func:`_solve_exact`
-    from one condition per unknown: on the unit grid (a = 0, h = 1) the row
-    holds for y = t^m, m = 0..degree.  Its D coefficients are the unit ones
-    plus the solved ones, in node order."""
+    """Each row of a tabulated closure, solved by :func:`_solve_exact` from
+    one integer condition per unknown: on the unit grid (a = 0, h = 1) the
+    row holds for y = t^m, m = 0..degree.  Its D coefficients are the unit
+    ones plus the solved ones, in node order."""
     p, degree, supports = CLOSURES[closure]
 
-    def derivative(m: int, k: int, t: int) -> Fraction:
+    def derivative(m: int, k: int, t: int) -> int:
         """the k-th derivative of t^m, at t"""
-        return Fraction(factorial(m), factorial(m - k)) * t ** (m - k) if m >= k else Fraction(0)
+        return perm(m, k) * t ** (m - k) if m >= k else 0
 
     rows = []
     for r, support in enumerate(supports):
@@ -394,8 +404,9 @@ def _derived_rows(closure: str) -> tuple[EndCondition, ...]:
             for m in range(degree + 1)
         ]
         rhs = [-derivative(m, p, r) - derivative(m, p, r + 4) for m in range(degree + 1)]
-        solution = iter(_solve_exact(conditions, rhs))
-        extra, *terms = (tuple((j, next(solution)) for j in nodes) for nodes in support)
+        (solution,) = _solve_exact(conditions, [rhs])
+        coefficients = iter(solution)
+        extra, *terms = (tuple((j, next(coefficients)) for j in nodes) for nodes in support)
         net = {r: Fraction(1), r + 4: Fraction(1)}
         for j, c in extra:
             net[j] = net.get(j, 0) + c

@@ -499,7 +499,7 @@ def test_recovering_past_a_frequency_whose_square_overflows_is_an_error():
     assert str(err.value) == "oscillator 1 is not finite from node 1 (t=0.125) on"
 
 
-@pytest.mark.parametrize("w", [5, 7, 9])
+@pytest.mark.parametrize("w", [5, 7, 8, 9])
 def test_recovery_rows_are_exact_through_degree_w_plus_1(w):
     """On the unit grid, y = t^m has y'' = m(m-1) t^(m-2): the start row
     gives y(1) - y(0) - y'(0) and row r-1 gives the second difference at

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import integrate_chain, mp_elimination, rk_oracle
+from conftest import exact_ring, integrate_chain, mp_elimination, rk_oracle
 from nlosc.chain import reduce_chain
 from nlosc.cli import ConfigError, _write_csv, load_config, main
 from nlosc.expr import Const, evaluate, parse, to_text, values_on_grid
@@ -251,6 +251,49 @@ def test_solve_quotient_ring_matches_oracle(tmp_path):
     oracle = rk_oracle(load_config(path).ivp, steps=12800, grid_n=64)
     assert np.max(np.abs(rows[:, 1] - oracle.y)) <= 1e-9
     assert elapsed < 5.0
+
+
+# improved4's half-stencil with the series closure: no preset has it
+SERIES4 = {
+    "family": "spline4",
+    "alpha": "-1/720",
+    "beta": "31/180",
+    "gamma": "79/120",
+    "end_variant": "series",
+}
+
+
+@pytest.mark.parametrize(
+    "poles, n",
+    [(False, 48), (False, 64), (False, 256), (False, 1024), (True, 256), (True, 1024)],
+    ids=["entire-48", "entire-64", "entire-256", "entire-1024", "poles-256", "poles-1024"],
+)
+@pytest.mark.parametrize(
+    "size, method", [(2, SERIES4), (3, "improved6")], ids=["ring2-series4", "ring3-improved6"]
+)
+def test_exact_rings_solve_to_their_closed_form_paths(tmp_path, size, method, poles, n):
+    """Every y{k} column of ``nlosc solve`` on a closed-form ring, written
+    as config text, is within 1e-12 of its path relative to the largest
+    |y|: the recovered oscillators too, over windows of 7 nodes at N = 2
+    and 9 at N = 3."""
+    chain, paths = exact_ring(size, size, poles=poles)
+    config = {
+        "mode": "chain",
+        "omegas": list(chain.omegas),
+        "forces": [to_text(g) for g in chain.forces],
+        "interval": list(chain.interval),
+        "positions": list(chain.positions),
+        "velocities": list(chain.velocities),
+        "method": method,
+        "n": n,
+    }
+    out = tmp_path / "ring.csv"
+    assert main(["solve", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    header, rows = read_csv(out.read_text())
+    exact = [path(rows[:, header.index("t")]) for path in paths]
+    scale = max(np.max(np.abs(y)) for y in exact)
+    for k, y in enumerate(exact, start=1):
+        assert np.max(np.abs(rows[:, header.index(f"y{k}")] - y)) <= 1e-12 * scale, k
 
 
 def test_solve_csv_uses_17_significant_digits(tmp_path, capsys):

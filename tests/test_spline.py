@@ -46,8 +46,8 @@ SET8 = WeightSet(
 
 @pytest.mark.parametrize(
     "weights",
-    [method.coefficients for method in METHODS.values()] + [SET8],
-    ids=[*METHODS, "order8"],
+    [method.coefficients for method in METHODS.values()] + [SET8, zeroing_weights(16)],
+    ids=[*METHODS, "order8", "order16"],
 )
 def test_brackets_are_the_centred_monomial_residuals(weights):
     """On (t - p/2)^k the exact residual of the relation is k! B_k for
