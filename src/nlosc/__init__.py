@@ -2,28 +2,27 @@
 single high-order initial value problem and solved by non-polynomial
 spline collocation.
 
-The public surface is organized by module:
+The public surface is organized by module, each importing only those
+above it:
 
 * :mod:`nlosc.expr`    -- tiny closed-form expression language in t
-* :mod:`nlosc.chain`   -- oscillator rings, reduction, trajectory recovery
 * :mod:`nlosc.spline`  -- one solver for every even order 2N (N-oscillator
   rings): ``Method(name, weights, closure).solve(ivp, n)``, the only solve
-  path; weight sets, the closure table, truncation diagnostics
+  path, and its records, the problem ``HighOrderIVP`` and the solved grid
+  ``GridSolution``; weight sets, the closure table, truncation diagnostics
+* :mod:`nlosc.chain`   -- oscillator rings, reduced to a ``HighOrderIVP``,
+  and trajectory recovery from its ``GridSolution``
 * :mod:`nlosc.verify`  -- benchmark cases, presets, error tables, convergence
 * :mod:`nlosc.cli`     -- command-line front end
 """
 
-from nlosc.chain import (
-    HighOrderIVP,
-    OscillatorChain,
-    recover_trajectories,
-    reduce_chain,
-)
+from nlosc.chain import OscillatorChain, recover_trajectories, reduce_chain
 from nlosc.expr import Expression, evaluate, parse, taylor, to_text
 from nlosc.spline import (
     IMPROVED_SET4,
     IMPROVED_SET6,
     GridSolution,
+    HighOrderIVP,
     Method,
     WeightSet,
     truncation_brackets,

@@ -8,7 +8,8 @@ so the acceleration of an oscillator is set by the *position of its
 neighbor*, not its own.  Repeatedly differentiating the last oscillator's
 equation and substituting the neighbor equations eliminates all other
 positions and leaves a single initial value problem of order 2N in
-``y_N``::
+``y_N``, a :class:`~nlosc.spline.HighOrderIVP` for the solver this module
+builds on::
 
     y_N^(2N) + f * y_N = g(t),   f = (-1)^(N+1) * prod(omega_k^2)
 
@@ -34,10 +35,10 @@ from functools import cache
 import numpy as np
 
 from nlosc.expr import Const, Deriv, EvaluationError, Expression, _on_grid, taylor
+from nlosc.spline import HighOrderIVP, _solve_exact
 
 __all__ = [
     "OscillatorChain",
-    "HighOrderIVP",
     "reduce_chain",
     "recover_trajectories",
 ]
@@ -100,36 +101,6 @@ class OscillatorChain:
         return cs
 
 
-@dataclass(frozen=True, eq=False)
-class HighOrderIVP:
-    """The reduced problem y^(p) + f(t) y = g(t) on [a, b].
-
-    ``u`` holds the initial derivatives y(a), y'(a), ..., y^(p-1)(a), so
-    its length is the order p, an even integer >= 4 (:attr:`order`).  For
-    chain reductions ``f`` is a constant expression and ``g`` a sum of
-    :class:`~nlosc.expr.Deriv` nodes over the forces; the solvers accept
-    any continuous ``f`` and any expression ``g``.
-    """
-
-    f: Expression
-    g: Expression
-    interval: tuple[float, float]
-    u: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
-        object.__setattr__(self, "u", tuple(float(v) for v in self.u))
-        if self.order < 4 or self.order % 2 != 0:
-            raise ValueError(f"need an even number >= 4 of initial derivatives, got {self.order}")
-        a, b = self.interval
-        if not a < b:
-            raise ValueError(f"empty time interval [{a}, {b}]")
-
-    @property
-    def order(self) -> int:
-        return len(self.u)
-
-
 def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
     """Reduce the ring to a single order-2N initial value problem in y_N.
 
@@ -175,8 +146,6 @@ def _recovery_rows(w: int) -> tuple[list[Fraction], list[list[Fraction]]]:
     :func:`nlosc.spline._solve_exact` call gives all, from the right-hand
     sides 1 and (r+1)^m - 2r^m + (r-1)^m.
     """
-    from nlosc.spline import _solve_exact  # nlosc.spline imports this module
-
     degrees = range(2, w + 2)
     matrix = [[m * (m - 1) * j ** (m - 2) for j in range(w)] for m in degrees]
     seconds = [[(r + 1) ** m - 2 * r**m + (r - 1) ** m for m in degrees] for r in range(1, w - 1)]

@@ -33,9 +33,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from nlosc.chain import HighOrderIVP, OscillatorChain, recover_trajectories, reduce_chain
+from nlosc.chain import OscillatorChain, recover_trajectories, reduce_chain
 from nlosc.expr import Expression, ExpressionError, evaluate, parse, to_text, values_on_grid
-from nlosc.spline import Method, WeightSet
+from nlosc.spline import HighOrderIVP, Method, WeightSet
 from nlosc.verify import (
     METHODS,
     REFERENCE_MAX_ERRORS,

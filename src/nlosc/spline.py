@@ -35,7 +35,9 @@ row on its support that is exact through its closure's degree.
   last terms grow out to node p - 1 is an error: the grid is too coarse.
 
 A :class:`Method` names one scheme, a weight set and a closure that fits
-its order, and :meth:`Method.solve` is the one way to solve with it.
+its order, and :meth:`Method.solve` is the one way to solve with it: it
+takes a :class:`HighOrderIVP` and returns a :class:`GridSolution`, the two
+records this module holds, which :mod:`nlosc.chain` builds on.
 
 A tabulated closure touches the nodes 0..p+2 only, so its p - 1 rows and
 the consistency rows of the windows ending at nodes p, p+1 and p+2 hold
@@ -122,12 +124,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from nlosc.chain import HighOrderIVP
-from nlosc.expr import _natural, _on_grid, _values
+from nlosc.expr import Expression, _natural, _on_grid, _values
 
 __all__ = [
     "CLOSURES",
     "GridSolution",
+    "HighOrderIVP",
     "IMPROVED_SET4",
     "IMPROVED_SET6",
     "Method",
@@ -273,6 +275,36 @@ IMPROVED_SET4 = zeroing_weights(4)
 #: The unique weight set that kills the h^6..h^12 truncation brackets,
 #: giving an O(h^8) method.
 IMPROVED_SET6 = zeroing_weights(6)
+
+
+@dataclass(frozen=True, eq=False)
+class HighOrderIVP:
+    """The reduced problem y^(p) + f(t) y = g(t) on [a, b].
+
+    ``u`` holds the initial derivatives y(a), y'(a), ..., y^(p-1)(a), so
+    its length is the order p, an even integer >= 4 (:attr:`order`).  For
+    chain reductions ``f`` is a constant expression and ``g`` a sum of
+    :class:`~nlosc.expr.Deriv` nodes over the forces; the solvers accept
+    any continuous ``f`` and any expression ``g``.
+    """
+
+    f: Expression
+    g: Expression
+    interval: tuple[float, float]
+    u: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
+        object.__setattr__(self, "u", tuple(float(v) for v in self.u))
+        if self.order < 4 or self.order % 2 != 0:
+            raise ValueError(f"need an even number >= 4 of initial derivatives, got {self.order}")
+        a, b = self.interval
+        if not a < b:
+            raise ValueError(f"empty time interval [{a}, {b}]")
+
+    @property
+    def order(self) -> int:
+        return len(self.u)
 
 
 @dataclass(frozen=True, eq=False)

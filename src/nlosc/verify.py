@@ -22,12 +22,12 @@ from math import log2
 
 import numpy as np
 
-from nlosc.chain import HighOrderIVP
 from nlosc.expr import Expression, evaluate, parse, values_on_grid
 from nlosc.spline import (
     IMPROVED_SET4,
     IMPROVED_SET6,
     GridSolution,
+    HighOrderIVP,
     Method,
     WeightSet,
     zeroing_weights,
@@ -36,7 +36,6 @@ from nlosc.spline import (
 __all__ = [
     "AnalyticCase",
     "ErrorTable",
-    "Method",
     "METHODS",
     "REFERENCE_MAX_ERRORS",
     "builtin_cases",

@@ -583,3 +583,12 @@ def test_recover_grid_too_short():
     assert tiny.n == 3
     with pytest.raises(ValueError):
         recover_trajectories(chain, tiny)
+
+
+def test_recovery_needs_six_grid_intervals():
+    # the CLI's min_n keeps n >= 6; n = 5 is the largest grid refused
+    chain = example_chain()
+    t = np.linspace(-1.0, 1.0, 6)
+    stub = GridSolution(t=t, y=values_on_grid(parse("(1-t)*sin(t)"), t), method="stub")
+    with pytest.raises(ValueError, match=r"^grid too short to recover neighbors \(n=5 < 6\)$"):
+        recover_trajectories(chain, stub)

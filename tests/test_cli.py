@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nlosc
 from conftest import exact_ring, integrate_chain, mp_elimination, rk_oracle
 from nlosc.chain import reduce_chain
 from nlosc.cli import ConfigError, _write_csv, load_config, main
@@ -56,6 +57,14 @@ def case_config(case_id, method, n):
         "n": n,
         "exact": to_text(case.exact),
     }
+
+
+def package_env():
+    """The environment of a subprocess that imports the nlosc under test,
+    the source tree's or an installed copy."""
+    root = str(Path(nlosc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def read_csv(text):
@@ -628,6 +637,14 @@ def test_convergence_slopes_on_grids_that_do_not_double(capsys):
     assert len(slopes) == 3 and all(6.5 <= s <= 8 for s in slopes), slopes
 
 
+def test_convergence_through_the_series_start(capsys):
+    # improved6 closes with the series start; 16->32 reads 6.921
+    assert main(["convergence", "--case", "3", "--method", "improved6", "--n", "16,32"]) == 0
+    out = capsys.readouterr().out
+    slopes = [float(line.rsplit(" ", 1)[1]) for line in out.strip().split("\n")[1:]]
+    assert len(slopes) == 1 and slopes[0] >= 6.5, slopes
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -996,15 +1013,13 @@ def test_load_config_round_trips_initial_expressions(tmp_path):
 def test_cli_import_loads_no_heavy_numerics():
     # importing scipy.linalg.lapack alone costs about twice numpy's import
     # time, so a stray import would show in every nlosc start-up
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = (
         "import sys, nlosc.cli; "
         "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'sympy', 'mpmath'}))"
     )
     run = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        env=package_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -1016,8 +1031,6 @@ def test_closure_rows_are_derived_on_the_first_solve_not_at_load(tmp_path):
     # nlosc.verify builds its tabulated presets at import, and load_config
     # checks a method's closure; neither may derive a row, which takes
     # milliseconds per closure, or build a head's matrices
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     config = write_config(tmp_path, case_config(3, "table5-col1", 16))
     code = (
         "import sys, nlosc.cli\n"
@@ -1033,7 +1046,7 @@ def test_closure_rows_are_derived_on_the_first_solve_not_at_load(tmp_path):
     )
     run = subprocess.run(
         [sys.executable, "-c", code, config, str(tmp_path / "out.csv")],
-        env={**os.environ, "PYTHONPATH": path},
+        env=package_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -1050,8 +1063,6 @@ def test_main_after_a_failing_call_matches_fresh_processes(tmp_path, capsys):
     good = write_config(tmp_path, {**chain_config(), "n": 256})
     bad = write_config(tmp_path, {**chain_config(), "n": 4}, name="bad.json")
     calls = [["solve"], ["solve", "--config", bad], ["solve", "--config", good, "--out", "{}"]]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for k, argv in enumerate(calls * 2):
         here, fresh = tmp_path / f"here-{k}.csv", tmp_path / f"fresh-{k}.csv"
         try:
@@ -1061,7 +1072,7 @@ def test_main_after_a_failing_call_matches_fresh_processes(tmp_path, capsys):
         err = capsys.readouterr().err
         run = subprocess.run(
             [sys.executable, "-m", "nlosc", *(str(fresh) if a == "{}" else a for a in argv)],
-            env={**os.environ, "PYTHONPATH": path},
+            env=package_env(),
             capture_output=True,
             text=True,
         )

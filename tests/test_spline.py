@@ -1,17 +1,19 @@
 """Tests for the order-generic parts of the spline solver: the weight-set
 type, the closure table and the series start at orders 4 and 8."""
 
+import ast
 import importlib
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nlosc
 from conftest import consistency_residual, rk_oracle
-from nlosc import spline
+from nlosc import chain, spline
 from nlosc.chain import HighOrderIVP, OscillatorChain, reduce_chain
 from nlosc.expr import parse
 from nlosc.spline import (
@@ -317,3 +319,41 @@ def test_series_start_degree_grows_with_the_order():
     y = Method("improved8", zeroing_weights(8), "series").solve(ivp, 64).y
     reference = rk_oracle(ivp, steps=51200, grid_n=64).y
     assert np.max(np.abs(y - reference)) <= 1e-10
+
+
+# the paper's order: the expression language, the solver of one order-2N
+# problem, then the ring reduced to it and the benchmark cases, then the CLI
+LAYERS = (("expr",), ("spline",), ("chain", "verify"), ("cli",))
+
+
+def nlosc_imports(path: Path) -> set[str]:
+    """The nlosc modules that a module imports anywhere in its source."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = f"nlosc.{node.module or ''}".rstrip(".") if node.level else node.module
+            if module == "nlosc":  # from nlosc import spline
+                modules.update(f"nlosc.{alias.name}" for alias in node.names)
+            else:
+                modules.add(module)
+    return {name.split(".")[1] for name in modules if name.startswith("nlosc.")}
+
+
+def test_modules_import_only_the_layers_below_them():
+    """Read from the package under test, so an installed copy is checked."""
+    package = Path(nlosc.__file__).parent
+    for depth, layer in enumerate(LAYERS):
+        below = {name for lower in LAYERS[:depth] for name in lower}
+        for name in layer:
+            above = nlosc_imports(package / f"{name}.py") - below
+            assert not above, f"{name} imports nlosc.{', nlosc.'.join(sorted(above))}"
+    for path in sorted(package.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
+                        f"{path.name}:{node.lineno} imports inside {function.name}"
+                    )
+    assert nlosc.HighOrderIVP is chain.HighOrderIVP is spline.HighOrderIVP is HighOrderIVP
