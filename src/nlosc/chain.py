@@ -21,8 +21,10 @@ grows by a few nodes per oscillator and no differentiation error enters the
 reduced problem.  Once the reduced problem is solved on a grid, the other
 trajectories are recovered by walking the ring backwards and integrating
 each oscillator's own equation twice from its initial state, with a
-Stormer-Cowell sum whose rows over w = min(2N + 3, 9) nodes are solved to
-hold for y = t^m through degree w + 1: every neighbor converges with the pivot.
+Stormer-Cowell sum whose rows over a 13-node window (cut to the n + 1 nodes
+of a smaller grid) are solved to hold for y = t^m through degree 14: on
+exact rings every neighbor is within 10x the pivot's error or 1e-14 of the
+largest |y|.
 """
 
 from __future__ import annotations
@@ -136,6 +138,12 @@ def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
     return HighOrderIVP(f=Const(cs[-1]), g=forcing(chain.size), interval=chain.interval, u=tuple(u))
 
 
+# The recovery window of every ring, in nodes: the widest whose rows lose
+# nothing to rounding.  The largest |weight| sum of a row is 4.0 at 9 nodes,
+# 10.6 at 11 and 31 at 13; at 15 or 17 nodes recovered paths lose digits.
+_RECOVERY_WIDTH = 13
+
+
 def _recovery_rows(w: int) -> tuple[list[Fraction], list[list[Fraction]]]:
     """The exact start row and second-difference rows of a w-node window.
 
@@ -190,10 +198,11 @@ def recover_trajectories(chain: OscillatorChain, solution) -> np.ndarray:
     each oscillator's own equation y_k'' = g_k - omega_k^2 y_{k+1} twice
     from its initial state, for k = N-1 down to 1.  Equation N holds
     through the reduction.  Each integration is exact for paths of degree
-    w + 1 over windows of w = min(2N + 3, 9, n + 1) nodes, so the
-    neighbors converge with the pivot (w = 7 at N = 2, 9 above); it needs
-    at least six grid intervals.  ``ValueError`` names the oscillator and
-    node where a path is first not finite.
+    w + 1 over windows of w = min(13, n + 1) nodes, whatever the ring size
+    (degree 14 from n = 12 on), so on exact rings every neighbor is within
+    10x the pivot's error or 1e-14 of the largest |y|; it needs at least
+    six grid intervals.  ``ValueError`` names the oscillator and node where a path
+    is first not finite.
     """
     t = np.asarray(solution.t, dtype=float)
     n = t.shape[0] - 1
@@ -201,7 +210,7 @@ def recover_trajectories(chain: OscillatorChain, solution) -> np.ndarray:
         raise ValueError(f"grid too short to recover neighbors (n={n} < 6)")
     h = (t[-1] - t[0]) / n
     N = chain.size
-    w = min(2 * N + 3, 9, n + 1)
+    w = min(_RECOVERY_WIDTH, n + 1)
 
     rows = np.empty((N, n + 1))
     rows[N - 1] = np.asarray(solution.y, dtype=float)

@@ -283,8 +283,7 @@ SERIES4 = {
 def test_exact_rings_solve_to_their_closed_form_paths(tmp_path, size, method, poles, n):
     """Every y{k} column of ``nlosc solve`` on a closed-form ring, written
     as config text, is within 1e-12 of its path relative to the largest
-    |y|: the recovered oscillators too, over windows of 7 nodes at N = 2
-    and 9 at N = 3."""
+    |y|: the recovered oscillators too, over windows of 13 nodes."""
     chain, paths = exact_ring(size, size, poles=poles)
     config = {
         "mode": "chain",
