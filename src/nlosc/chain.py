@@ -37,7 +37,7 @@ from functools import cache
 import numpy as np
 
 from nlosc.expr import Const, Deriv, EvaluationError, Expression, _on_grid, taylor
-from nlosc.spline import HighOrderIVP, _solve_exact
+from nlosc.spline import HighOrderIVP, _interval, _solve_exact
 
 __all__ = [
     "OscillatorChain",
@@ -54,8 +54,8 @@ class OscillatorChain:
     ----------
     omegas : positive angular frequencies omega_1..omega_N
     forces : driving force expressions g_1..g_N (force per unit mass)
-    interval : the time interval [a, b], a < b
-    positions, velocities : physical initial state y_k(a), y_k'(a)
+    interval : the time interval [a, b], a < b, both finite
+    positions, velocities : physical initial state y_k(a), y_k'(a), finite
     """
 
     omegas: tuple[float, ...]
@@ -67,7 +67,6 @@ class OscillatorChain:
     def __post_init__(self):
         object.__setattr__(self, "omegas", tuple(float(w) for w in self.omegas))
         object.__setattr__(self, "forces", tuple(self.forces))
-        object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
         object.__setattr__(self, "positions", tuple(float(v) for v in self.positions))
         object.__setattr__(self, "velocities", tuple(float(v) for v in self.velocities))
         n = len(self.omegas)
@@ -79,9 +78,9 @@ class OscillatorChain:
             raise TypeError("forces must be Expression instances")
         if len(self.forces) != n or len(self.positions) != n or len(self.velocities) != n:
             raise ValueError("omegas, forces, positions and velocities must have equal length")
-        a, b = self.interval
-        if not a < b:
-            raise ValueError(f"empty time interval [{a}, {b}]")
+        object.__setattr__(self, "interval", _interval(self.interval))
+        if not all(map(math.isfinite, self.positions + self.velocities)):
+            raise ValueError("initial positions and velocities must be finite")
 
     @property
     def size(self) -> int:
@@ -116,7 +115,8 @@ def reduce_chain(chain: OscillatorChain) -> HighOrderIVP:
     from the forces' jets.  Every G_j is built from Deriv nodes, so no
     derivative of a force is built as an expression; ``to_text`` prints
     each ``Deriv(F, k)`` as ``diff(F, k)``.  ``ValueError`` if a c_j
-    overflows or is not finite.  Solving for a different pivot oscillator
+    overflows or is not finite, ``EvaluationError`` if a force's jet at
+    t = a is not (the chain's initial state is finite).  Solving for a different pivot oscillator
     is done by rotating the ring labels before reducing, not by
     re-deriving.
     """

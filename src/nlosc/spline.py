@@ -85,9 +85,9 @@ rest of the process, each piece by ``functools.cache`` on the function
 that builds it or ``cached_property`` on the object it belongs to: the
 float form of each weight set (:attr:`WeightSet.float_weights`), the exact
 rows of each tabulated closure (:func:`closure_rows`), the head of each
-float weight set and closure row tuple (:func:`_head_matrices`, the rows'
-one float form: the D coefficients C and value stencils V of its p + 2
-rows and the closure rows' initial-derivative terms), and the series
+float weight set and tabulated closure's name (:func:`_head_matrices`, the
+rows' one float form: the D coefficients C and value stencils V of its
+p + 2 rows and the closure rows' initial-derivative terms), and the series
 start's integer tables, one per order and degree (:func:`_series_tables`).
 None of it is built at import.  A solve scales the head matrices to its
 grid, ``((h^p C) * f).T + V`` for the block and a fold of ``(h^p C) * g``
@@ -279,7 +279,7 @@ IMPROVED_SET6 = zeroing_weights(6)
 
 @dataclass(frozen=True, eq=False)
 class HighOrderIVP:
-    """The reduced problem y^(p) + f(t) y = g(t) on [a, b].
+    """The reduced problem y^(p) + f(t) y = g(t) on [a, b], a < b, both finite.
 
     ``u`` holds the initial derivatives y(a), y'(a), ..., y^(p-1)(a), so
     its length is the order p, an even integer >= 4 (:attr:`order`).  For
@@ -294,17 +294,25 @@ class HighOrderIVP:
     u: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
         object.__setattr__(self, "u", tuple(float(v) for v in self.u))
         if self.order < 4 or self.order % 2 != 0:
             raise ValueError(f"need an even number >= 4 of initial derivatives, got {self.order}")
-        a, b = self.interval
-        if not a < b:
-            raise ValueError(f"empty time interval [{a}, {b}]")
+        object.__setattr__(self, "interval", _interval(self.interval))
 
     @property
     def order(self) -> int:
         return len(self.u)
+
+
+def _interval(value) -> tuple[float, float]:
+    """The time interval ``value`` as floats (a, b); ``ValueError`` unless
+    a < b, NaN included, and both ends are finite."""
+    a, b = float(value[0]), float(value[1])
+    if not a < b:
+        raise ValueError(f"empty time interval [{a}, {b}]")
+    if not (isfinite(a) and isfinite(b)):
+        raise ValueError(f"time interval [{a}, {b}] is not finite")
+    return a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,7 +343,7 @@ class GridSolution:
 Terms = tuple[tuple[int, Fraction], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EndCondition:
     """One boundary-closure equation, kept in exact rationals.
 
@@ -347,11 +355,6 @@ class EndCondition:
     initial_derivs (m, e_m).  A row whose bracket holds a term h^p o_j D_j
     keeps it on the left, in the net coefficient c_j; like every D_j it is
     eliminated through the differential equation.
-
-    Rows compare and hash by identity: a tuple of rows keys their one float
-    form, the kept head (:func:`_head_matrices`), and hashing the
-    ``Fraction`` terms would cost more than a small solve.  Compare rows
-    field by field.
     """
 
     node_derivs: Terms
@@ -364,11 +367,16 @@ class _TabulatedClosure(NamedTuple):
     through ``degree``.  Row r holds D_r and D_{r+4} with coefficient 1
     plus what is solved for; ``rows[r]`` is the support of its unknown
     coefficients: (derivative nodes, value nodes, initial derivatives).
-    A derivative node may be r or r + 4 itself."""
+    A derivative node may be r or r + 4 itself.  Row r may reach the nodes
+    max(0, r + 1 - p)..r + 4 only, the band of its row in the whole system
+    (held by the tests, not checked here)."""
 
-    order: int
     degree: int
     rows: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.rows) + 1
 
 
 #: Boundary closures by name; :func:`closure_rows` derives the rows of a
@@ -376,15 +384,15 @@ class _TabulatedClosure(NamedTuple):
 #: to the series start instead, at any order.  Every tabulated row reaches
 #: node p + 2 at most, the smallest grid of every closure (:func:`min_n`).
 CLOSURES: dict[str, _TabulatedClosure | None] = {
-    "standard": _TabulatedClosure(4, 5, (
+    "standard": _TabulatedClosure(5, (
         ((0,), range(0, 4), range(1, 2)),
         ((), range(1, 4), range(1, 4)),
         ((), range(2, 5), range(1, 4)),
     )),
-    "improved": _TabulatedClosure(4, 9, tuple(
+    "improved": _TabulatedClosure(9, tuple(
         (tuple(range(r + 1, r + 4)), range(r, r + 4), range(1, 4)) for r in range(3)
     )),
-    "printed": _TabulatedClosure(6, 7, (
+    "printed": _TabulatedClosure(7, (
         ((0,), range(0, 5), range(1, 3)),
         ((1,), range(1, 6), range(1, 3)),
         ((), range(2, 7), range(1, 4)),
@@ -420,7 +428,8 @@ def _derived_rows(closure: str) -> tuple[EndCondition, ...]:
     one integer condition per unknown: on the unit grid (a = 0, h = 1) the
     row holds for y = t^m, m = 0..degree.  Its D coefficients are the unit
     ones plus the solved ones, in node order."""
-    p, degree, supports = CLOSURES[closure]
+    degree, supports = CLOSURES[closure]
+    p = CLOSURES[closure].order
 
     def derivative(m: int, k: int, t: int) -> int:
         """the k-th derivative of t^m, at t"""
@@ -471,11 +480,9 @@ def grid_values(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float, np.ndarra
     of f and g on it, under one ``np.errstate``; ``TypeError`` if n is not
     an integer, ``ValueError`` if it is below :func:`min_n`, past the float
     range or too large for memory, or a value is not finite."""
-    n = operator.index(n)
-    if n < min_n(ivp.order):
-        raise ValueError(
-            f"grid too coarse: n={n} but the closure rows need n >= {min_n(ivp.order)}"
-        )
+    n, p = operator.index(n), ivp.order
+    if n < min_n(p):
+        raise ValueError(f"grid too coarse: n={n} but order {p} needs n >= {min_n(p)}")
     a, b = ivp.interval
     try:
         h = (b - a) / n
@@ -493,26 +500,25 @@ def grid_values(ivp: HighOrderIVP, n: int) -> tuple[np.ndarray, float, np.ndarra
 
 @cache
 def _head_matrices(
-    weights: tuple[float, ...], end_conditions: tuple[EndCondition, ...]
+    weights: tuple[float, ...], closure: str
 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[tuple[int, float], ...], ...]]:
-    """``(C, V, initial)``: the p + 2 head rows of a tabulated closure over
-    the nodes 0..p+2, the p - 1 closure rows and then the consistency rows
-    of the windows ending at nodes p, p+1 and p+2.  ``C[j, r]`` is the net D
-    coefficient of row r at node j and ``V[r, j]`` its value stencil; the
-    row of the window ending at node i holds w_k on D and the p-th
-    difference stencil (-1)^(p-k) C(p, k) on y, both at node i - p + k.
-    ``initial[r]`` holds closure row r's initial-derivative terms (m, e_m) in
-    its order.  Each row names a node once, as :func:`closure_rows` gives
-    it; every exact coefficient becomes a float here.
+    """``(C, V, initial)``: the p + 2 head rows of the tabulated closure
+    named ``closure`` over the nodes 0..p+2, its p - 1 rows from
+    :func:`closure_rows` and then the consistency rows of the windows ending
+    at nodes p, p+1 and p+2.  ``C[j, r]`` is the net D coefficient of row r
+    at node j and ``V[r, j]`` its value stencil; the row of the window
+    ending at node i holds w_k on D and the p-th difference stencil
+    (-1)^(p-k) C(p, k) on y, both at node i - p + k.  ``initial[r]`` holds
+    closure row r's initial-derivative terms (m, e_m) in its order.  Each
+    row names a node once, as :func:`closure_rows` gives it; every exact
+    coefficient becomes a float here.  Every row lies in its band, as the
+    support table keeps it (:class:`_TabulatedClosure`).
 
-    Built on the first call for each float weight set and row tuple and
-    kept.  Row r may reach the nodes r+1-p..r+4 only, the band of its row in
-    the whole system, and no node below 0; ``ValueError`` if the closure
-    does not hold p - 1 rows or a row reaches past its band, and rows that
-    fail are not kept."""
+    Built on the first call for each float weight set and closure name and
+    kept; ``ValueError`` from :func:`closure_rows` if the closure is unknown
+    or tabulated for another order, and nothing is kept then."""
     p = len(weights) - 1
-    if len(end_conditions) != p - 1:
-        raise ValueError(f"closure must contribute {p - 1} rows")
+    end_conditions = closure_rows(closure, p)
     size = min_n(p)
     delta = [(-1) ** (p - k) * comb(p, k) for k in range(p + 1)]
     rows = [(cond.node_derivs, cond.node_values) for cond in end_conditions]
@@ -521,11 +527,8 @@ def _head_matrices(
         rows.append((zip(nodes, weights), zip(nodes, delta)))
     C, V = np.zeros((size + 1, size)), np.zeros((size, size + 1))
     for r, (net, nodes) in enumerate(rows):
-        low, high = max(0, r + 1 - p), r + 4
         for matrix, terms in ((C.T, net), (V, nodes)):
             for j, c in terms:
-                if not low <= j <= high:
-                    raise ValueError(f"closure row {r} reaches node {j}, outside the band")
                 matrix[r, j] += float(c)
     # every caller shares the kept arrays
     C.flags.writeable = V.flags.writeable = False
@@ -533,28 +536,27 @@ def _head_matrices(
     return C, V, initial
 
 
-def head_system(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list[float]]:
-    """``(block, rhs)``: the (p+2) x (p+2) system in y_1..y_{p+2} of a
-    tabulated closure, from ``f`` and ``g`` at the nodes 0..p+2 (a longer
-    grid is cut there).
+def head_system(f, g, h, u, weights, closure) -> tuple[np.ndarray, list[float]]:
+    """``(block, rhs)``: the (p+2) x (p+2) system in y_1..y_{p+2} of the
+    tabulated closure named ``closure``, from ``f`` and ``g`` at the nodes
+    0..p+2 (a longer grid is cut there).
 
     The rows are those of :func:`_head_matrices`, kept per float weight set
-    and row tuple (rows compare by identity); a solve scales their D
-    coefficients by h^p before they meet f, as
-    ``((h^p C) * f).T + V`` over the nodes 0..p+2, and forms each
-    right-hand side as a fold of h^p C g down the nodes from 0.0.  For
-    finite f and g, a node that a row does not reach adds a signed zero,
-    which changes neither an entry nor a fold from 0.0, so these are the
-    bits of a row-by-row build.  Then, in Python floats, each closure row
-    subtracts its kept initial-derivative terms e_m h^m u_m in term order,
-    and the known y_0 = u_0 moves to the right-hand side of the first p
-    rows, the only ones that reach node 0, as ``rhs -= entry * u_0``.
+    and closure name; a solve scales their D coefficients by h^p before
+    they meet f, as ``((h^p C) * f).T + V`` over the nodes 0..p+2, and
+    forms each right-hand side as a fold of h^p C g down the nodes from
+    0.0.  For finite f and g, a node that a row does not reach adds a
+    signed zero, which changes neither an entry nor a fold from 0.0, so
+    these are the bits of a row-by-row build.  Then, in Python floats, each
+    closure row subtracts its kept initial-derivative terms e_m h^m u_m in
+    term order, and the known y_0 = u_0 moves to the right-hand side of the
+    first p rows, the only ones that reach node 0, as ``rhs -= entry * u_0``.
 
-    ``ValueError`` if a row reaches past its band or the closure does not
-    hold p - 1 rows."""
+    ``ValueError`` if the closure is unknown or tabulated for an order
+    other than that of the weights."""
     weights = tuple(map(float, weights))
     p = len(weights) - 1
-    C, V, initial = _head_matrices(weights, tuple(end_conditions))
+    C, V, initial = _head_matrices(weights, closure)
     size = min_n(p)
     scaled = h**p * C
     lines = (scaled * f[: size + 1, None]).T + V
@@ -568,17 +570,17 @@ def head_system(f, g, h, u, weights, end_conditions) -> tuple[np.ndarray, list[f
     return lines[:, 1:], rhs
 
 
-def solve_head(f, g, h, u, weights, end_conditions) -> tuple[list[float], list[float]]:
-    """``(values, stack)``: y_0..y_{p+2} of a tabulated closure and their
-    backward differences nabla^k y_{p+2}, k = 0..p-1, the start of
-    :func:`march`.
+def solve_head(f, g, h, u, weights, closure) -> tuple[list[float], list[float]]:
+    """``(values, stack)``: y_0..y_{p+2} of the tabulated closure named
+    ``closure`` and their backward differences nabla^k y_{p+2},
+    k = 0..p-1, the start of :func:`march`.
 
     The values come from one dense solve of :func:`head_system`, whose
     rows hold no unknown past y_{p+2}; it raises what that builder raises.
     The differences are taken in one pass over the last p values, each as
     the same subtraction ``np.diff`` makes."""
     p = len(weights) - 1
-    x = np.linalg.solve(*head_system(f, g, h, u, weights, end_conditions))
+    x = np.linalg.solve(*head_system(f, g, h, u, weights, closure))
     values = [float(u[0]), *x.tolist()]
     column, stack = values[-p:], []
     for _ in range(p):
@@ -807,14 +809,13 @@ def _series_start(ivp: HighOrderIVP, h: float) -> tuple[list[float], list[float]
 
 @dataclass(frozen=True)
 class Method:
-    """A named scheme: a weight set, which fixes the order, and a closure of
-    :data:`CLOSURES` that fits it (checked at construction).  Its
-    :meth:`solve` is the one way to solve."""
+    """A named scheme, as the paper gives one: a weight set, which fixes the
+    order, and the name of a closure of :data:`CLOSURES` that fits it
+    (checked at construction).  Its :meth:`solve` is the one way to solve."""
 
     name: str
     coefficients: WeightSet
     closure: str
-    note: str = ""
 
     def __post_init__(self):
         _check_closure(self.closure, self.order)
@@ -838,11 +839,10 @@ class Method:
         weights = self.coefficients
         if weights.order != ivp.order:
             raise ValueError(f"weights of order {weights.order} cannot solve order {ivp.order}")
-        rows = closure_rows(self.closure, self.order)
         t, h, f, g = grid_values(ivp, n)
         try:
-            if rows:
-                head = solve_head(f, g, h, ivp.u, weights.float_weights, rows)
+            if CLOSURES[self.closure]:
+                head = solve_head(f, g, h, ivp.u, weights.float_weights, self.closure)
             else:
                 head = _series_start(ivp, h)
         except OverflowError as exc:  # float ** raises where float * gives inf

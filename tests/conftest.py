@@ -29,7 +29,7 @@ from nlosc.expr import (
     taylor,
     values_on_grid,
 )
-from nlosc.spline import GridSolution, closure_rows, grid_values, head_system
+from nlosc.spline import GridSolution, grid_values, head_system
 from nlosc.verify import builtin_cases
 
 settings.register_profile(
@@ -284,8 +284,7 @@ def head_rows(ivp, n, weights, closure):
     for a tabulated closure on a grid of n: the rows of y_1..y_{p+2}, which
     at n = p + 2 are the whole system."""
     _, h, f, g = grid_values(ivp, n)
-    rows = closure_rows(closure, ivp.order)
-    block, rhs = head_system(f, g, h, ivp.u, weights.float_weights, rows)
+    block, rhs = head_system(f, g, h, ivp.u, weights.float_weights, closure)
     return block, np.array(rhs)
 
 

@@ -24,11 +24,12 @@ import numpy as np
 import pytest
 
 from conftest import oracle_max_error, theta_coefficients4, theta_coefficients6
-from nlosc.chain import HighOrderIVP, recover_trajectories, reduce_chain
+from nlosc.chain import recover_trajectories, reduce_chain
 from nlosc.expr import Deriv, evaluate, parse
 from nlosc.spline import (
     IMPROVED_SET4,
     IMPROVED_SET6,
+    HighOrderIVP,
     Method,
     WeightSet,
     truncation_brackets,

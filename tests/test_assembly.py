@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nlosc import spline
-from nlosc.chain import HighOrderIVP
 from nlosc.expr import parse, values_on_grid
 from nlosc.spline import (
+    CLOSURES,
     IMPROVED_SET4,
     SWEEP_MIN_NODES,
+    HighOrderIVP,
     _loop,
     _march_rows,
     _series_start,
@@ -147,36 +147,12 @@ def head_builds():
     return info.misses, info.currsize
 
 
-@pytest.mark.parametrize(
-    "field, node",
-    [("node_derivs", 6), ("node_values", 7), ("node_values", -1)],
-)
-def test_closure_row_outside_the_band_is_rejected_on_every_call(field, node):
-    # row 1 of an order-4 closure may reach the nodes -2..5 of its band row;
-    # a node below 0 is no grid node at all
-    ivp = case_by_id(1).ivp
-    rows = list(closure_rows("standard", 4))
-    rows[1] = replace(rows[1], **{field: getattr(rows[1], field) + ((node, Fraction(1)),)})
-    rows = tuple(rows)
-    weights = IMPROVED_SET4.weights
-    _, h, f, g = grid_values(ivp, 16)
-    message = f"closure row 1 reaches node {node}, outside the band"
-    for _ in range(2):
-        builds, kept = head_builds()
-        with pytest.raises(ValueError, match=message):
-            solve_head(f, g, h, ivp.u, weights, rows)
-        # rows that fail are not kept with the head matrices, so each call
-        # builds them again and fails again
-        assert head_builds() == (builds + 1, kept)
-
-
 def head_inputs(name, case_id, n):
-    """``(f, g, h, u, weights, end_conditions)`` of the head of a
-    tabulated preset on a grid of n."""
+    """``(f, g, h, u, weights, closure)`` of the head of a tabulated preset
+    on a grid of n."""
     method, ivp = METHODS[name], case_by_id(case_id).ivp
     _, h, f, g = grid_values(ivp, n)
-    rows = closure_rows(method.closure, ivp.order)
-    return f, g, h, ivp.u, method.coefficients.float_weights, rows
+    return f, g, h, ivp.u, method.coefficients.float_weights, method.closure
 
 
 @pytest.mark.parametrize("n", ["min_n", 16, 64, 1024])
@@ -200,11 +176,17 @@ def test_head_system_is_the_leading_block_of_the_dense_assembly(name, case_id, n
 
 @pytest.mark.parametrize("name, case_id", TABULATED)
 def test_head_needs_p_minus_1_closure_rows(name, case_id):
-    *inputs, rows = head_inputs(name, case_id, 16)
-    p = len(rows) + 1
-    for wrong in (rows[:-1], rows + rows[:1], ()):
-        with pytest.raises(ValueError, match=f"closure must contribute {p - 1} rows"):
+    # a closure tabulated for the other order holds the wrong number of rows,
+    # and is refused before any head is built or kept
+    *inputs, closure = head_inputs(name, case_id, 16)
+    p = CLOSURES[closure].order
+    wrong, order = ("printed", 6) if p == 4 else ("standard", 4)
+    message = f"closure {wrong!r} is tabulated for order {order}, not order {p}"
+    builds, kept = head_builds()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
             solve_head(*inputs, wrong)
+    assert head_builds() == (builds + 2, kept)
 
 
 @pytest.mark.parametrize("name, case_id", [("improved4", 1), ("table5-col1", 3)])
@@ -213,16 +195,15 @@ def test_head_matrices_are_built_once_per_rows_and_weights(name, case_id):
     method, ivp = METHODS[name], case_by_id(case_id).ivp
     first = method.solve(ivp, 16).y
     assert head_builds() == (1, 1)
-    # the one entry is that of the preset's float weights and row tuple
-    rows = closure_rows(method.closure, ivp.order)
-    kept = spline._head_matrices(method.coefficients.float_weights, rows)
+    # the one entry is that of the preset's float weights and closure name
+    kept = spline._head_matrices(method.coefficients.float_weights, method.closure)
     assert head_builds() == (1, 1)
     # a second solve builds nothing, on another grid neither
     assert method.solve(ivp, 16).y.tobytes() == first.tobytes()
     for n in (method.min_n, 64):
         method.solve(ivp, n)
     assert head_builds() == (1, 1)
-    assert spline._head_matrices(method.coefficients.float_weights, rows) is kept
+    assert spline._head_matrices(method.coefficients.float_weights, method.closure) is kept
 
 
 def test_weight_sets_sharing_a_closure_get_their_own_head_matrices():
@@ -236,12 +217,33 @@ def test_weight_sets_sharing_a_closure_get_their_own_head_matrices():
         matrix, expected_rhs = dense_assembly(ivp, 16, **collocation(name, ivp, 16))
         assert_same_bits(block, matrix[:6, :6])
         assert_same_bits(np.array(rhs), expected_rhs[:6])
-    # one entry per weight set, each under its weights and the shared rows
+    # one entry per weight set, each under its weights and the shared closure
     assert head_builds() == (3, 3)
-    rows = closure_rows("improved", 4)
     for name in names:
-        spline._head_matrices(METHODS[name].coefficients.float_weights, rows)
+        spline._head_matrices(METHODS[name].coefficients.float_weights, "improved")
     assert head_builds() == (3, 3)
+
+
+def test_closures_sharing_a_weight_set_get_their_own_head_matrices():
+    # table1-col1 and table3-col1 share one weight set and differ only in
+    # their closure; each solve, in either order, must read its own
+    # closure's matrices
+    spline._head_matrices.cache_clear()
+    names = ["table1-col1", "table3-col1"]
+    assert METHODS[names[0]].coefficients is METHODS[names[1]].coefficients
+    ivp = case_by_id(1).ivp
+    for name in names + names[::-1]:
+        METHODS[name].solve(ivp, 16)
+        block, rhs = head_system(*head_inputs(name, 1, 16))
+        matrix, expected_rhs = dense_assembly(ivp, 16, **collocation(name, ivp, 16))
+        assert_same_bits(block, matrix[:6, :6])
+        assert_same_bits(np.array(rhs), expected_rhs[:6])
+    # one entry per closure, each under the shared weights and its name
+    assert head_builds() == (2, 2)
+    weights = METHODS[names[0]].coefficients.float_weights
+    for closure in ("improved", "standard"):
+        spline._head_matrices(weights, closure)
+    assert head_builds() == (2, 2)
 
 
 @pytest.mark.parametrize("name, case_id", TABULATED)
@@ -391,10 +393,13 @@ def march_inputs(ivp, method, nodes):
     """``(f, g, h, weights, head, stack)`` of a march of ``nodes`` nodes
     past the head of ``method``; the grid is cut to those nodes, so a march
     shorter than the smallest grid allows is a prefix of one."""
-    rows, s = closure_rows(method.closure, ivp.order), head_end(ivp, method)
+    s = head_end(ivp, method)
     _, h, f, g = grid_values(ivp, max(min_n(ivp.order), s + nodes))
     weights = method.coefficients.float_weights
-    head = solve_head(f, g, h, ivp.u, weights, rows) if rows else _series_start(ivp, h)
+    if CLOSURES[method.closure]:
+        head = solve_head(f, g, h, ivp.u, weights, method.closure)
+    else:
+        head = _series_start(ivp, h)
     assert len(head[0]) == s + 1
     return (f[: s + nodes + 1], g[: s + nodes + 1], h, weights, *head)
 

@@ -21,14 +21,13 @@ from conftest import (
     rk_oracle,
 )
 from nlosc.chain import (
-    HighOrderIVP,
     OscillatorChain,
     _recovery_rows,
     recover_trajectories,
     reduce_chain,
 )
 from nlosc.expr import Const, Deriv, EvaluationError, evaluate, parse, values_on_grid
-from nlosc.spline import GridSolution, Method, zeroing_weights
+from nlosc.spline import GridSolution, HighOrderIVP, Method, zeroing_weights
 from nlosc.verify import METHODS
 
 COS1, SIN1 = math.cos(1.0), math.sin(1.0)
@@ -132,6 +131,31 @@ def test_chain_rejects_an_empty_interval(interval, shown):
 def test_ivp_rejects_an_empty_interval(interval, shown):
     with pytest.raises(ValueError, match=f"^empty time interval {re.escape(shown)}$"):
         HighOrderIVP(f=Const(0.0), g=Const(0.0), interval=interval, u=(0,) * 4)
+
+
+INFINITE_INTERVALS = {
+    "end": ((0, math.inf), "[0.0, inf]"),
+    "start": ((-math.inf, 0), "[-inf, 0.0]"),
+}
+
+
+@pytest.mark.parametrize("interval, shown", INFINITE_INTERVALS.values(), ids=INFINITE_INTERVALS)
+def test_ivp_and_chain_reject_an_infinite_interval(interval, shown):
+    message = f"^time interval {re.escape(shown)} is not finite$"
+    with pytest.raises(ValueError, match=message):
+        HighOrderIVP(f=Const(0.0), g=Const(0.0), interval=interval, u=(0,) * 4)
+    with pytest.raises(ValueError, match=message):
+        OscillatorChain((1.0, 1.0), (parse("0"),) * 2, interval, (0, 0), (0, 0))
+
+
+@pytest.mark.parametrize(
+    "positions, velocities",
+    [((math.nan, 0), (0, 0)), ((0, 0), (0, -math.inf))],
+    ids=["nan-position", "infinite-velocity"],
+)
+def test_chain_rejects_a_non_finite_initial_state(positions, velocities):
+    with pytest.raises(ValueError, match="^initial positions and velocities must be finite$"):
+        OscillatorChain((1.0, 1.0), (parse("0"),) * 2, (0, 1), positions, velocities)
 
 
 # ---------------------------------------------------------------------------

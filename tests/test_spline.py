@@ -14,13 +14,14 @@ import pytest
 import nlosc
 from conftest import consistency_residual, rk_oracle
 from nlosc import chain, spline
-from nlosc.chain import HighOrderIVP, OscillatorChain, reduce_chain
+from nlosc.chain import OscillatorChain, reduce_chain
 from nlosc.expr import parse
 from nlosc.spline import (
     CLOSURES,
     IMPROVED_SET4,
     IMPROVED_SET6,
     GridSolution,
+    HighOrderIVP,
     WeightSet,
     closure_rows,
     coefficients_at_start,
@@ -107,6 +108,17 @@ def test_tabulated_closure_reaches_node_p_plus_2(closure):
     assert closure_rows(closure, p) is rows
 
 
+@pytest.mark.parametrize("closure", [name for name, entry in CLOSURES.items() if entry])
+def test_tabulated_closure_rows_stay_in_their_band(closure):
+    # row r of the whole system holds the nodes r + 1 - p..r + 4 and none
+    # below 0; the head lays the rows out unchecked, so a support edited
+    # past its band must fail here
+    p = CLOSURES[closure].order
+    for r, cond in enumerate(closure_rows(closure, p)):
+        nodes = [j for j, _ in cond.node_derivs + cond.node_values]
+        assert all(max(0, r + 1 - p) <= j <= r + 4 for j in nodes), (r, nodes)
+
+
 def test_closure_rows_reject_unknown_and_wrong_order():
     assert closure_rows("series", 4) == closure_rows("series", 6) == ()
     with pytest.raises(ValueError, match="unknown closure"):
@@ -130,6 +142,16 @@ def test_presets_take_their_order_from_the_weights():
     for method in METHODS.values():
         assert method.order == method.coefficients.order
         assert method.min_n == method.order + 2
+
+
+@pytest.mark.parametrize("name, case_id", [("improved4", 1), ("table5-col1", 3), ("improved6", 3)])
+def test_grid_below_the_floor_names_the_order(name, case_id):
+    # the series closure has no rows, so the floor is said of the order
+    method, ivp = METHODS[name], case_by_id(case_id).ivp
+    n, p = method.min_n - 1, method.order
+    message = f"^grid too coarse: n={n} but order {p} needs n >= {n + 1}$"
+    with pytest.raises(ValueError, match=message):
+        method.solve(ivp, n)
 
 
 def test_solve_takes_an_integer_n_before_evaluating_f_or_g(monkeypatch):

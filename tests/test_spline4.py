@@ -14,11 +14,11 @@ from conftest import (
     rk_oracle,
     theta_coefficients4,
 )
-from nlosc.chain import HighOrderIVP
 from nlosc.expr import parse, values_on_grid
 from nlosc.spline import (
     IMPROVED_SET4,
     IMPROVED_SET6,
+    HighOrderIVP,
     Method,
     WeightSet,
     closure_rows,

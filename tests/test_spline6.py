@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import consistency_residual, head_rows, monomial_residual, theta_coefficients6
-from nlosc.chain import HighOrderIVP, OscillatorChain, reduce_chain
+from nlosc.chain import OscillatorChain, reduce_chain
 from nlosc.expr import parse
 from nlosc.spline import (
     IMPROVED_SET6,
+    HighOrderIVP,
     Method,
     WeightSet,
     _series_start,

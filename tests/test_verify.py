@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import integrate_first_order, oracle_max_error, rk_oracle
-from nlosc.chain import HighOrderIVP
 from nlosc.expr import Deriv, evaluate, parse, values_on_grid
-from nlosc.spline import GridSolution
+from nlosc.spline import GridSolution, HighOrderIVP
 from nlosc.verify import (
     METHODS,
     REFERENCE_MAX_ERRORS,
